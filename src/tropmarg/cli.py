@@ -3,8 +3,8 @@
 Subcommands: gen-params, gen-marginal, verify-marginal, run-protocol, attack,
 selftest.  Every file output goes through --out with an atomic write; every
 failure prints one canonical-JSON error record to stdout and exits nonzero:
-1 for verification or agreement failures, 2 for malformed input or arguments,
-3 for sampler exhaustion.
+1 for verification, agreement or internal self-check failures, 2 for
+malformed input or arguments, 3 for sampler exhaustion.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .protocols import (
     run_sidelnikov,
     sample_finite_member,
 )
-from .semiring import SemiringKind
+from .semiring import SelfCheckError, SemiringKind
 from .wire import (
     MarginalVerificationError,
     WireFormatError,
@@ -475,6 +475,9 @@ def main(argv=None) -> int:
     except SamplerExhausted as e:
         _error_record(3, "sampler-exhausted", str(e))
         return 3
+    except SelfCheckError as e:
+        _error_record(1, "self-check-failed", str(e))
+        return 1
     except OSError as e:
         _error_record(2, "io-error", str(e))
         return 2

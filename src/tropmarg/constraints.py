@@ -18,11 +18,11 @@ constraints whose weights sum to a negative number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from .semiring import Scalar, as_scalar, is_finite
+from .semiring import Scalar, SelfCheckError, as_scalar, is_finite
 
 
 @dataclass(frozen=True, order=True)
@@ -205,7 +205,8 @@ def solve_feasible_min(sys: ConstraintSystem) -> Union[dict, Infeasible]:
     for v in sys.variables():
         if v.tag in sys.negated_tags:
             d = dist[("z", v)]
-            assert d is not None, "negated variable must be bound below"
+            if d is None:
+                raise SelfCheckError("negated variable must be bound below")
             assignment[v] = _norm(-d)
     for v in sys.variables():
         if v.tag in sys.negated_tags:
@@ -222,17 +223,9 @@ def solve_feasible_min(sys: ConstraintSystem) -> Union[dict, Infeasible]:
                         best = need
             assignment[v] = _norm(best)
 
-    assert sys.check_assignment(assignment), "solver produced an invalid point"
+    if not sys.check_assignment(assignment):
+        raise SelfCheckError("solver produced an invalid point")
     return assignment
-
-
-def solve_feasible(sys: ConstraintSystem) -> Union[dict, Infeasible]:
-    """Some exact feasible assignment, or Infeasible; see solve_feasible_min.
-
-    The canonical extreme point doubles as the generic answer; randomness in
-    the sampling algorithms lives entirely in their randomly drawn bounds.
-    """
-    return solve_feasible_min(sys)
 
 
 def _extract_cycle(pred: dict, start, n_nodes: int) -> tuple[Edge, ...]:
@@ -251,7 +244,8 @@ def _extract_cycle(pred: dict, start, n_nodes: int) -> tuple[Edge, ...]:
             break
     loop.reverse()
     total = sum(e.weight for e in loop)
-    assert total < 0, "extracted cycle is not negative"
+    if not total < 0:
+        raise SelfCheckError("extracted cycle is not negative")
     return tuple(loop)
 
 

@@ -24,7 +24,16 @@ from fractions import Fraction
 from typing import Union
 
 from .matrix import Matrix, make_matrix, make_poly, mat_mul, poly_eval
-from .semiring import Scalar, SemiringKind, as_scalar, is_finite, s_le, s_max, s_mul
+from .semiring import (
+    Scalar,
+    SelfCheckError,
+    SemiringKind,
+    as_scalar,
+    is_finite,
+    s_le,
+    s_max,
+    s_mul,
+)
 
 
 def make_circulant(kind: SemiringKind, values) -> Matrix:
@@ -338,5 +347,6 @@ def sample_jones(dim: int, lo: int, hi: int, rng: random.Random) -> Matrix:
         SemiringKind.MAX_PLUS,
         [[u[i] + v[j] - e[i][j] for j in range(dim)] for i in range(dim)],
     )
-    assert is_jones(m)
+    if not is_jones(m):
+        raise SelfCheckError("closed-slack construction is not a Jones matrix")
     return m

@@ -10,10 +10,16 @@ The samplers below generate marginal sets for the word shapes the protocols
 need: A⊗□, □⊗A, □⊗A⊗□, A⊗□⊗B⊗□⊗C, longer chains, and A⊕◯.  They are
 deterministic given their random generator and verify every tuple before
 returning it.
+
+All of the residuation, cover, box and sampling work runs over min-plus;
+max-plus inputs cross into it through `dual` at one boundary (_crossing).
+The pair and chain words share one bound table (BoundTable) that stores only
+k×k factors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -31,12 +37,13 @@ from .matrix import (
 )
 from .semiring import (
     Scalar,
+    SelfCheckError,
     SemiringKind,
     as_scalar,
     s_lt,
     s_max,
-    s_min,
     s_mul,
+    s_neg,
     s_sub,
 )
 
@@ -230,12 +237,68 @@ def make_marginal_set(word: WordTemplate, tuples: Iterable) -> MarginalSet:
 
 
 # --------------------------------------------------------------------------
+# The dual boundary
+
+
+def _crossing(kind: SemiringKind):
+    """Maps that carry matrices and caps into min-plus coordinates.
+
+    Every residuation, cover-check, box-draw and sampler routine below works
+    over min-plus only.  A max-plus input crosses here, as its dual and with
+    its caps negated; both maps are their own inverses, so the same maps
+    carry the results back.  Min-plus inputs cross unchanged.
+    """
+    if kind is SemiringKind.MIN_PLUS:
+        return (lambda x: x), (lambda x: x)
+    return dual, s_neg
+
+
+def _sample_set(word: WordTemplate, n: int, draw, flip) -> MarginalSet:
+    """Up to n distinct min-plus tuples from draw(), carried back to the
+    word's semiring by flip; the set is built and verified once.
+
+    draw() returns None for a failed draw.  Each tuple gets RETRY_BUDGET
+    attempts; when they run out the box is too small for n distinct tuples
+    and what exists is returned, unless nothing does.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1 tuples")
+    tuples: dict[MarginalTuple, None] = {}
+    for _ in range(n):
+        for _attempt in range(RETRY_BUDGET):
+            t = draw()
+            if t is not None and t not in tuples:
+                tuples[t] = None
+                break
+        else:
+            break
+    if not tuples:
+        raise SamplerExhausted("sampler retry budget exhausted")
+    return MarginalSet(word, tuple(tuple(flip(x) for x in t) for t in tuples))
+
+
+def _chain_product(factors) -> Matrix:
+    """Left-to-right product, skipping None (identity) factors."""
+    return functools.reduce(mat_mul, [f for f in factors if f is not None])
+
+
+def _transpose(a: Matrix) -> Matrix:
+    return Matrix(a.kind, tuple(zip(*a.rows)))
+
+
+def _require_finite(a: Matrix, op: str) -> None:
+    if not a.is_finite():
+        raise ValueError(f"{op} requires finite entries")
+
+
+# --------------------------------------------------------------------------
 # One-sided residuation (A⊗X = A and X⊗A = A)
 
 
 @dataclass(frozen=True)
-class RightResidual:
-    """Principal solution of A⊗X = A.
+class OneSidedResidual:
+    """Principal solution of A⊗X = A (residual_right) or X⊗A = A
+    (residual_left).
 
     Over min-plus, X* is the least solution: X solves iff X >= X* and the
     tight positions cover the equation grid.  Over max-plus the order flips
@@ -247,52 +310,25 @@ class RightResidual:
     x_star: Matrix
 
 
-@dataclass(frozen=True)
-class LeftResidual:
-    source: Matrix
-    x_star: Matrix
-
-
-def _require_finite(a: Matrix, op: str) -> None:
-    if not a.is_finite():
-        raise ValueError(f"{op} requires finite entries")
-
-
-def residual_right(a: Matrix) -> RightResidual:
+def residual_right(a: Matrix) -> OneSidedResidual:
     """x*_ij = extreme over l of (a_lj - a_li); max for min-plus, min for
     max-plus."""
     _require_finite(a, "residuation")
+    flip, _ = _crossing(a.kind)
+    m = flip(a).rows
     n = a.dim
-    pick = s_max if a.kind is SemiringKind.MIN_PLUS else s_min
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            best = None
-            for l in range(n):
-                d = s_sub(a.rows[l][j], a.rows[l][i])
-                best = d if best is None else pick(best, d)
-            row.append(best)
-        rows.append(tuple(row))
-    return RightResidual(a, Matrix(a.kind, tuple(rows)))
+    rows = tuple(
+        tuple(max(s_sub(m[l][j], m[l][i]) for l in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    return OneSidedResidual(a, flip(Matrix(SemiringKind.MIN_PLUS, rows)))
 
 
-def residual_left(a: Matrix) -> LeftResidual:
-    """x*_ij = extreme over l of (a_il - a_jl)."""
-    _require_finite(a, "residuation")
-    n = a.dim
-    pick = s_max if a.kind is SemiringKind.MIN_PLUS else s_min
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            best = None
-            for l in range(n):
-                d = s_sub(a.rows[i][l], a.rows[j][l])
-                best = d if best is None else pick(best, d)
-            row.append(best)
-        rows.append(tuple(row))
-    return LeftResidual(a, Matrix(a.kind, tuple(rows)))
+def residual_left(a: Matrix) -> OneSidedResidual:
+    """x*_ij = extreme over l of (a_il - a_jl): the transpose of the right
+    residual of Aᵀ, since X⊗A = A iff Aᵀ⊗Xᵀ = Aᵀ."""
+    star = residual_right(_transpose(a)).x_star
+    return OneSidedResidual(a, _transpose(star))
 
 
 def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
@@ -303,35 +339,24 @@ def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
     where x equals x* contribute their attainment sets, and the check passes
     iff those sets jointly cover every scalar equation of the system.
     """
-    if side == "right":
-        star = residual_right(a).x_star
-    elif side == "left":
-        star = residual_left(a).x_star
-    else:
+    if side == "left":
+        a, x = _transpose(a), _transpose(x)
+    elif side != "right":
         raise ValueError("side must be 'right' or 'left'")
+    flip, _ = _crossing(a.kind)
+    a, x = flip(a), flip(x)
+    star = residual_right(a).x_star
     n = a.dim
-    minplus = a.kind is SemiringKind.MIN_PLUS
-    for i in range(n):
-        for j in range(n):
-            lo, hi = (star.rows[i][j], x.rows[i][j])
-            if not minplus:
-                lo, hi = hi, lo
-            if s_lt(hi, lo):
-                raise ValueError("X escapes the principal solution's bound")
-    covered = set()
-    for i in range(n):
-        for j in range(n):
-            if x.rows[i][j] != star.rows[i][j]:
-                continue
-            for l in range(n):
-                if side == "right":
-                    d = s_sub(a.rows[l][j], a.rows[l][i])
-                    if d == star.rows[i][j]:
-                        covered.add((l, j))
-                else:
-                    d = s_sub(a.rows[i][l], a.rows[j][l])
-                    if d == star.rows[i][j]:
-                        covered.add((i, l))
+    if any(s_lt(x.rows[i][j], star.rows[i][j]) for i in range(n) for j in range(n)):
+        raise ValueError("X escapes the principal solution's bound")
+    covered = {
+        (l, j)
+        for i in range(n)
+        for j in range(n)
+        if x.rows[i][j] == star.rows[i][j]
+        for l in range(n)
+        if s_sub(a.rows[l][j], a.rows[l][i]) == star.rows[i][j]
+    }
     return len(covered) == n * n
 
 
@@ -342,65 +367,58 @@ def diagonal_pairs(n: int) -> frozenset[tuple[int, int]]:
 def max_possible_matrix(t_set, x_star: Matrix, l) -> Matrix:
     """Outer corner of the sampling box: x* on the pinned positions, the cap
     l pushed against x* elsewhere (max over min-plus, min over max-plus)."""
-    l = as_scalar(l)
+    flip, flip_cap = _crossing(x_star.kind)
+    l = flip_cap(as_scalar(l))
+    star = flip(x_star).rows
     pinned = set(t_set)
-    push = s_max if x_star.kind is SemiringKind.MIN_PLUS else s_min
     n = x_star.dim
     rows = tuple(
         tuple(
-            x_star.rows[i][j] if (i, j) in pinned else push(l, x_star.rows[i][j])
+            star[i][j] if (i, j) in pinned else s_max(l, star[i][j])
             for j in range(n)
         )
         for i in range(n)
     )
-    return Matrix(x_star.kind, rows)
+    return flip(Matrix(SemiringKind.MIN_PLUS, rows))
 
 
-def _box_draw(kind: SemiringKind, star: Scalar, outer: Scalar, rng: random.Random) -> Scalar:
-    """Uniform integer step from x* toward the outer corner (inclusive).
+def _box_draw(star: Scalar, outer: Scalar, rng: random.Random) -> Scalar:
+    """Uniform integer step from x* up toward the outer corner (inclusive).
 
     For integer bounds this is the uniform integer draw on [x*, x̂]; for
     rational bounds the step count is floor of the gap so tightness at x*
     stays reachable.
     """
-    gap = s_sub(outer, star) if kind is SemiringKind.MIN_PLUS else s_sub(star, outer)
+    gap = s_sub(outer, star)
     span = int(gap) if isinstance(gap, int) else int(gap.numerator // gap.denominator)
     if span <= 0:
         return star
-    step = rng.randint(0, span)
-    return s_mul(star, step) if kind is SemiringKind.MIN_PLUS else s_sub(star, step)
+    return s_mul(star, rng.randint(0, span))
 
 
 def _sample_one_sided(
     a: Matrix, n: int, l, rng: random.Random, side: str
 ) -> MarginalSet:
-    if n < 1:
-        raise ValueError("need n >= 1 tuples")
-    table = residual_right(a) if side == "right" else residual_left(a)
-    star = table.x_star
-    outer = max_possible_matrix(diagonal_pairs(a.dim), star, l)
-    tuples: dict[MarginalTuple, None] = {}
-    for _ in range(n):
-        for _attempt in range(RETRY_BUDGET):
-            rows = tuple(
-                tuple(
-                    _box_draw(a.kind, star.rows[i][j], outer.rows[i][j], rng)
-                    for j in range(a.dim)
-                )
-                for i in range(a.dim)
+    flip, flip_cap = _crossing(a.kind)
+    m = flip(a)
+    star = (residual_right(m) if side == "right" else residual_left(m)).x_star
+    outer = max_possible_matrix(diagonal_pairs(a.dim), star, flip_cap(as_scalar(l)))
+
+    def draw():
+        rows = tuple(
+            tuple(
+                _box_draw(star.rows[i][j], outer.rows[i][j], rng)
+                for j in range(a.dim)
             )
-            x = Matrix(a.kind, rows)
-            if side == "right":
-                assert mat_mul(a, x) == a
-            else:
-                assert mat_mul(x, a) == a
-            if (x,) not in tuples:
-                tuples.setdefault((x,))
-                break
-        else:
-            break  # box too small for n distinct tuples; return what exists
+            for i in range(a.dim)
+        )
+        x = Matrix(SemiringKind.MIN_PLUS, rows)
+        if (mat_mul(m, x) if side == "right" else mat_mul(x, m)) != m:
+            raise SelfCheckError(f"{side} sample breaks the one-sided product")
+        return (x,)
+
     word = right_word(a) if side == "right" else left_word(a)
-    return MarginalSet(word, tuple(tuples))
+    return _sample_set(word, n, draw, flip)
 
 
 def sample_right_marginal(a: Matrix, n: int, l, rng: random.Random) -> MarginalSet:
@@ -415,38 +433,88 @@ def sample_left_marginal(a: Matrix, n: int, l, rng: random.Random) -> MarginalSe
 
 
 # --------------------------------------------------------------------------
-# Two-sided systems (X⊗A⊗Y = A)
+# Bound tables of chains (A₁⊗X₁⊗A₂⊗...⊗Xₙ⊗A₍ₙ₊₁₎ = A₁⊗...⊗A₍ₙ₊₁₎)
 
 
 @dataclass(frozen=True)
-class TwoSidedResidual:
-    """Bounds tensor for X⊗A⊗Y = A: entry [i][p][q][j] bounds x_ip + y_qj.
+class BoundTable:
+    """Residuation bounds of an n-slot chain, stored as k×k factors only.
 
-    Over min-plus the constraints read x_ip + y_qj >= a_ij - a_pq, plus a
-    tightness cover; over max-plus the inequality flips.
+    Index (p₁,q₁,...,pₙ,qₙ) bounds x₁_{p₁q₁} + ... + xₙ_{pₙqₙ} by
+
+        bound = E[p₁][qₙ] - Σₜ Aₜ₊₁[qₜ][pₜ₊₁]
+        E[p][s] = extreme over i, j of (d_ij - A₁[i][p] - Aₙ₊₁[s][j])
+
+    with D the chain product and the extreme a max over min-plus (the sum
+    must reach the bound) and a min over max-plus (the sum must stay under
+    it).  `chain` holds A₁..Aₙ₊₁, with None standing for an identity end: the
+    two-sided word X⊗A⊗Y = A is (None, A, None), where E = A and every
+    diagonal pair is a zero pair.
     """
 
-    source: Matrix
-    bounds: tuple
+    product: Matrix
+    outer: Matrix
+    chain: tuple
 
-    def bound(self, i: int, p: int, q: int, j: int) -> Scalar:
-        return self.bounds[i][p][q][j]
+    @property
+    def n_slots(self) -> int:
+        return len(self.chain) - 1
 
+    def bound(self, *index: int) -> Scalar:
+        value = self.outer.rows[index[0]][index[-1]]
+        for t in range(1, len(self.chain) - 1):
+            value -= self.chain[t].rows[index[2 * t - 1]][index[2 * t]]
+        return value
 
-def two_sided_residual(a: Matrix) -> TwoSidedResidual:
-    _require_finite(a, "residuation")
-    n = a.dim
-    bounds = tuple(
-        tuple(
+    def block_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Flatten to k^n x k^n, rows indexed by (p₁..pₙ) and columns by
+        (q₁..qₙ); for two slots, blocks by (p, q) and positions inside a
+        block by (r, s)."""
+        k, n = self.product.dim, self.n_slots
+        ps = list(itertools.product(range(k), repeat=n))
+        return tuple(
             tuple(
-                tuple(s_sub(a.rows[i][j], a.rows[p][q]) for j in range(n))
-                for q in range(n)
+                self.bound(*itertools.chain.from_iterable(zip(p, q))) for q in ps
             )
-            for p in range(n)
+            for p in ps
         )
-        for i in range(n)
-    )
-    return TwoSidedResidual(a, bounds)
+
+    @functools.cached_property
+    def zero_pairs(self) -> frozenset[tuple[int, ...]]:
+        """Diagonal index tuples (p₁..pₙ) whose bound is 0.  Every
+        all-diagonal bound is <= 0 and each scalar equation has a zero pair
+        attaining it, which is what makes the equality-pinned sampler always
+        feasible."""
+        k, n = self.product.dim, self.n_slots
+        return frozenset(
+            p
+            for p in itertools.product(range(k), repeat=n)
+            if self.bound(*(i for i in p for _ in range(2))) == 0
+        )
+
+    @property
+    def px(self) -> frozenset[int]:
+        """Projection of the zero pairs on the first slot."""
+        return frozenset(p[0] for p in self.zero_pairs)
+
+    @property
+    def py(self) -> frozenset[int]:
+        """Projection of the zero pairs on the last slot."""
+        return frozenset(p[-1] for p in self.zero_pairs)
+
+    def holds(self, xs: Sequence[Matrix]) -> bool:
+        """Direct check that the slot values leave the chain product
+        unchanged.  Identity ends are skipped, so X⊗A⊗Y costs two
+        products."""
+        slots = itertools.chain.from_iterable(zip(xs, self.chain[1:]))
+        return _chain_product([self.chain[0], *slots]) == self.product
+
+
+def two_sided_residual(a: Matrix) -> BoundTable:
+    """Bounds for X⊗A⊗Y = A: index (i, p, q, j) bounds x_ip + y_qj by
+    a_ij - a_pq."""
+    _require_finite(a, "residuation")
+    return BoundTable(a, a, (None, a, None))
 
 
 def render_two_sided_constraints(a: Matrix) -> tuple[str, ...]:
@@ -454,302 +522,18 @@ def render_two_sided_constraints(a: Matrix) -> tuple[str, ...]:
     per (x_ip, y_qj) pair, with the always-tight diagonal pairs shown as
     equalities."""
     table = two_sided_residual(a)
-    n = a.dim
     lines = []
-    for i in range(n):
-        for p in range(n):
-            for q in range(n):
-                for j in range(n):
-                    lhs = f"x{i + 1}{p + 1} + y{q + 1}{j + 1}"
-                    if i == p and q == j:
-                        lines.append(f"{lhs} = 0")
-                    else:
-                        lines.append(f"{lhs} >= {table.bound(i, p, q, j)}")
+    for i, p, q, j in itertools.product(range(a.dim), repeat=4):
+        lhs = f"x{i + 1}{p + 1} + y{q + 1}{j + 1}"
+        if i == p and q == j:
+            lines.append(f"{lhs} = 0")
+        else:
+            lines.append(f"{lhs} >= {table.bound(i, p, q, j)}")
     return tuple(lines)
 
 
-def _two_sided_system(
-    table: TwoSidedResidual, r: list[list[int]], s: list[list[int]]
-) -> ConstraintSystem:
-    """Feasibility system of the two-slot sampler: the full inequality grid,
-    the diagonal equalities, and the drawn lower bounds."""
-    n = table.source.dim
-    sys = ConstraintSystem(negated_tags=("y",))
-    for i in range(n):
-        for p in range(n):
-            for q in range(n):
-                for j in range(n):
-                    sys.add_sum_ge(
-                        VarId("x", i, p), VarId("y", q, j), table.bound(i, p, q, j)
-                    )
-    for i in range(n):
-        for j in range(n):
-            sys.add_sum_eq(VarId("x", i, i), VarId("y", j, j), 0)
-    for i in range(n):
-        for j in range(n):
-            sys.set_lower(VarId("x", i, j), r[i][j])
-            sys.set_lower(VarId("y", i, j), s[i][j])
-    return sys
-
-
-def _assignment_to_pair(assignment: dict, n: int) -> tuple[Matrix, Matrix]:
-    x = Matrix(
-        SemiringKind.MIN_PLUS,
-        tuple(
-            tuple(assignment[VarId("x", i, j)] for j in range(n)) for i in range(n)
-        ),
-    )
-    y = Matrix(
-        SemiringKind.MIN_PLUS,
-        tuple(
-            tuple(assignment[VarId("y", i, j)] for j in range(n)) for i in range(n)
-        ),
-    )
-    return x, y
-
-
-def sample_sandwich_marginal(
-    a: Matrix, n: int, l1: int, l2: int, rng: random.Random
-) -> MarginalSet:
-    """n pairs (X, Y) with X⊗A⊗Y = A.
-
-    Per draw: a pin value d and off-diagonal lower bounds come uniformly from
-    [l1, l2]; the diagonal bounds force x_ii = d and y_jj = -d; the canonical
-    solver turns the bounds into a feasible pair.  Infeasible draws retry
-    within the budget.  Max-plus inputs run through the min-plus reduction by
-    negation, with l1..l2 read in the reduced coordinates.
-    """
-    if l1 > l2:
-        raise ValueError("empty bound range")
-    if n < 1:
-        raise ValueError("need n >= 1 tuples")
-    if a.kind is SemiringKind.MAX_PLUS:
-        inner = sample_sandwich_marginal(dual(a), n, l1, l2, rng)
-        return make_marginal_set(
-            sandwich_word(a),
-            [(dual(x), dual(y)) for (x, y) in inner.tuples],
-        )
-    table = two_sided_residual(a)
-    k = a.dim
-    tuples: dict[MarginalTuple, None] = {}
-    for _ in range(n):
-        for _attempt in range(RETRY_BUDGET):
-            d = rng.randint(l1, l2)
-            r = [[0] * k for _ in range(k)]
-            s = [[0] * k for _ in range(k)]
-            for i in range(k):
-                for j in range(k):
-                    if i != j:
-                        r[i][j] = rng.randint(l1, l2)
-                        s[i][j] = rng.randint(l1, l2)
-                    else:
-                        r[i][j] = d
-                        s[i][j] = -d
-            solved = solve_feasible_min(_two_sided_system(table, r, s))
-            if isinstance(solved, Infeasible):
-                continue
-            pair = _assignment_to_pair(solved, k)
-            assert mat_mul(mat_mul(pair[0], a), pair[1]) == a
-            if pair not in tuples:
-                tuples.setdefault(pair)
-                break
-        else:
-            if not tuples:
-                raise SamplerExhausted("two-slot sampler retry budget exhausted")
-            break
-    return MarginalSet(sandwich_word(a), tuple(tuples))
-
-
-# --------------------------------------------------------------------------
-# Five-factor systems (A⊗X⊗B⊗Y⊗C = A⊗B⊗C)
-
-
-@dataclass(frozen=True)
-class FiveFactorResidual:
-    """Bounds tensor for A⊗X⊗B⊗Y⊗C = A⊗B⊗C.
-
-    bounds[p][q][r][s] constrains x_pq + y_rs.  zero_pairs collects the
-    (p, r) with bounds[p][p][r][r] = 0 (0-based); px and py are its
-    projections.  Every diagonal-pair bound is <= 0, and each scalar
-    equation has a zero pair attaining it, which is what makes the
-    equality-pinned sampler always feasible.
-    """
-
-    product: Matrix
-    bounds: tuple
-    zero_pairs: frozenset[tuple[int, int]]
-    px: frozenset[int]
-    py: frozenset[int]
-
-    def bound(self, p: int, q: int, r: int, s: int) -> Scalar:
-        return self.bounds[p][q][r][s]
-
-    def block_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Flatten to the k^2 x k^2 layout with blocks indexed by (p, q) and
-        positions inside a block by (r, s)."""
-        k = self.product.dim
-        return tuple(
-            tuple(self.bounds[big_i // k][big_j // k][big_i % k][big_j % k]
-                  for big_j in range(k * k))
-            for big_i in range(k * k)
-        )
-
-
-def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> FiveFactorResidual:
-    for m in (b, c):
-        if m.kind is not a.kind or m.dim != a.dim:
-            raise ValueError("chain matrices must share kind and dimension")
-    _require_finite(a, "residuation")
-    _require_finite(b, "residuation")
-    _require_finite(c, "residuation")
-    if a.kind is SemiringKind.MAX_PLUS:
-        inner = five_factor_residual(dual(a), dual(b), dual(c))
-        k = a.dim
-        neg = tuple(
-            tuple(
-                tuple(
-                    tuple(-inner.bounds[p][q][r][s] for s in range(k))
-                    for r in range(k)
-                )
-                for q in range(k)
-            )
-            for p in range(k)
-        )
-        return FiveFactorResidual(
-            dual(inner.product), neg, inner.zero_pairs, inner.px, inner.py
-        )
-    k = a.dim
-    d = mat_mul(mat_mul(a, b), c)
-    bounds = []
-    for p in range(k):
-        bp = []
-        for q in range(k):
-            bq = []
-            for r in range(k):
-                br = []
-                for s in range(k):
-                    best = None
-                    for i in range(k):
-                        for j in range(k):
-                            v = (
-                                d.rows[i][j]
-                                - a.rows[i][p]
-                                - b.rows[q][r]
-                                - c.rows[s][j]
-                            )
-                            if best is None or v > best:
-                                best = v
-                    br.append(best)
-                bq.append(tuple(br))
-            bp.append(tuple(bq))
-        bounds.append(tuple(bp))
-    zero_pairs = frozenset(
-        (p, r)
-        for p in range(k)
-        for r in range(k)
-        if bounds[p][p][r][r] == 0
-    )
-    px = frozenset(p for p, _ in zero_pairs)
-    py = frozenset(r for _, r in zero_pairs)
-    return FiveFactorResidual(d, tuple(bounds), zero_pairs, px, py)
-
-
-def _five_factor_system(
-    table: FiveFactorResidual, r: list[list[int]], s: list[list[int]]
-) -> ConstraintSystem:
-    k = table.product.dim
-    sys = ConstraintSystem(negated_tags=("y",))
-    for p in range(k):
-        for q in range(k):
-            for rr in range(k):
-                for ss in range(k):
-                    sys.add_sum_ge(
-                        VarId("x", p, q), VarId("y", rr, ss), table.bound(p, q, rr, ss)
-                    )
-    for p, rr in sorted(table.zero_pairs):
-        sys.add_sum_eq(VarId("x", p, p), VarId("y", rr, rr), 0)
-    for i in range(k):
-        for j in range(k):
-            sys.set_lower(VarId("x", i, j), r[i][j])
-            sys.set_lower(VarId("y", i, j), s[i][j])
-    return sys
-
-
-def sample_five_factor_marginal(
-    a: Matrix, b: Matrix, c: Matrix, n: int, l1: int, l2: int, rng: random.Random
-) -> MarginalSet:
-    """n pairs (X, Y) with A⊗X⊗B⊗Y⊗C = A⊗B⊗C.
-
-    A pin value h and the free lower bounds are drawn from [l1, l2]; rows of
-    the zero-pair projections get their diagonal bounds pinned to h and -h,
-    the zero pairs themselves become equalities, and the canonical solver
-    produces the pair.  Always feasible, but a retry budget guards the loop.
-    """
-    if l1 > l2:
-        raise ValueError("empty bound range")
-    if n < 1:
-        raise ValueError("need n >= 1 tuples")
-    if a.kind is SemiringKind.MAX_PLUS:
-        inner = sample_five_factor_marginal(dual(a), dual(b), dual(c), n, l1, l2, rng)
-        return make_marginal_set(
-            five_factor_word(a, b, c),
-            [(dual(x), dual(y)) for (x, y) in inner.tuples],
-        )
-    table = five_factor_residual(a, b, c)
-    k = a.dim
-    d_full = table.product
-    tuples: dict[MarginalTuple, None] = {}
-    for _ in range(n):
-        for _attempt in range(RETRY_BUDGET):
-            h = rng.randint(l1, l2)
-            r = [[0] * k for _ in range(k)]
-            s = [[0] * k for _ in range(k)]
-            for i in range(k):
-                for j in range(k):
-                    if i == j:
-                        r[i][j] = h if i in table.px else rng.randint(l1, l2)
-                        s[i][j] = -h if i in table.py else rng.randint(l1, l2)
-                    else:
-                        r[i][j] = rng.randint(l1, l2)
-                        s[i][j] = rng.randint(l1, l2)
-            solved = solve_feasible_min(_five_factor_system(table, r, s))
-            if isinstance(solved, Infeasible):
-                continue
-            pair = _assignment_to_pair(solved, k)
-            chain = mat_prod(a.kind, k, [a, pair[0], b, pair[1], c])
-            assert chain == d_full
-            if pair not in tuples:
-                tuples.setdefault(pair)
-                break
-        else:
-            if not tuples:
-                raise SamplerExhausted("five-factor sampler retry budget exhausted")
-            break
-    return MarginalSet(five_factor_word(a, b, c), tuple(tuples))
-
-
-# --------------------------------------------------------------------------
-# General chains (A₁⊗X₁⊗A₂⊗...⊗Xₙ⊗A₍ₙ₊₁₎ = A₁⊗...⊗A₍ₙ₊₁₎)
-
-
-@dataclass(frozen=True)
-class NFactorResidual:
-    """Bounds tensor for an n-slot chain; index order (p₁,q₁,...,pₙ,qₙ)
-    nests left to right, constraining x₁_{p₁q₁} + ... + xₙ_{pₙqₙ}."""
-
-    product: Matrix
-    bounds: tuple
-    n_slots: int
-
-    def bound(self, index: tuple[int, ...]) -> Scalar:
-        node = self.bounds
-        for i in index:
-            node = node[i]
-        return node
-
-
-def n_factor_residual(chain: Sequence[Matrix]) -> NFactorResidual:
-    chain = list(chain)
+def n_factor_residual(chain: Sequence[Matrix]) -> BoundTable:
+    chain = tuple(chain)
     if len(chain) < 2:
         raise ValueError("chain needs at least two matrices")
     first = chain[0]
@@ -757,34 +541,128 @@ def n_factor_residual(chain: Sequence[Matrix]) -> NFactorResidual:
         if m.kind is not first.kind or m.dim != first.dim:
             raise ValueError("chain matrices must share kind and dimension")
         _require_finite(m, "residuation")
-    if first.kind is SemiringKind.MAX_PLUS:
-        inner = n_factor_residual([dual(m) for m in chain])
+    flip, _ = _crossing(first.kind)
+    lowered = [flip(m) for m in chain]
+    d = _chain_product(lowered)
+    a, c, k = lowered[0].rows, lowered[-1].rows, first.dim
+    outer = tuple(
+        tuple(
+            max(
+                d.rows[i][j] - a[i][p] - c[s][j]
+                for i in range(k)
+                for j in range(k)
+            )
+            for s in range(k)
+        )
+        for p in range(k)
+    )
+    return BoundTable(flip(d), flip(Matrix(SemiringKind.MIN_PLUS, outer)), chain)
 
-        def negate(node):
-            if isinstance(node, tuple):
-                return tuple(negate(x) for x in node)
-            return -node
 
-        return NFactorResidual(dual(inner.product), negate(inner.bounds), inner.n_slots)
-    n = len(chain) - 1
-    k = first.dim
-    d = mat_prod(first.kind, k, chain)
+def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
+    """Bounds for A⊗X⊗B⊗Y⊗C = A⊗B⊗C: the two-slot chain."""
+    return n_factor_residual((a, b, c))
 
-    def tensor(prefix: tuple[int, ...]):
-        if len(prefix) == 2 * n:
-            best = None
-            for i in range(k):
-                for j in range(k):
-                    v = d.rows[i][j] - chain[0].rows[i][prefix[0]]
-                    for t in range(1, n):
-                        v -= chain[t].rows[prefix[2 * t - 1]][prefix[2 * t]]
-                    v -= chain[n].rows[prefix[-1]][j]
-                    if best is None or v > best:
-                        best = v
-            return best
-        return tuple(tensor(prefix + (x,)) for x in range(k))
 
-    return NFactorResidual(d, tensor(()), n)
+# --------------------------------------------------------------------------
+# Two-slot sampler (X⊗A⊗Y = A and A⊗X⊗B⊗Y⊗C = A⊗B⊗C)
+
+
+def _pair_system(
+    table: BoundTable, r: list[list[int]], s: list[list[int]]
+) -> ConstraintSystem:
+    """Feasibility system of the two-slot sampler: the full inequality grid
+    x_pq + y_rs >= bound(p, q, r, s) = E[p][s] - B[q][r], the zero pairs as
+    diagonal equalities, and the drawn lower bounds."""
+    k = table.product.dim
+    e, b = table.outer.rows, table.chain[1].rows
+    sys = ConstraintSystem(negated_tags=("y",))
+    for p, q, rr, ss in itertools.product(range(k), repeat=4):
+        sys.add_sum_ge(VarId("x", p, q), VarId("y", rr, ss), e[p][ss] - b[q][rr])
+    for p, rr in sorted(table.zero_pairs):
+        sys.add_sum_eq(VarId("x", p, p), VarId("y", rr, rr), 0)
+    for i, j in itertools.product(range(k), repeat=2):
+        sys.set_lower(VarId("x", i, j), r[i][j])
+        sys.set_lower(VarId("y", i, j), s[i][j])
+    return sys
+
+
+def _assignment_to_pair(assignment: dict, n: int) -> tuple[Matrix, Matrix]:
+    return tuple(
+        Matrix(
+            SemiringKind.MIN_PLUS,
+            tuple(
+                tuple(assignment[VarId(tag, i, j)] for j in range(n))
+                for i in range(n)
+            ),
+        )
+        for tag in ("x", "y")
+    )
+
+
+def _sample_pairs(
+    word: WordTemplate, residual, n: int, l1: int, l2: int, rng: random.Random
+) -> MarginalSet:
+    """n pairs from the bound table residual(*constants) of the word's
+    constants in min-plus coordinates.
+
+    A pin value h and the free lower bounds are drawn from [l1, l2]; rows of
+    the zero-pair projections get their diagonal bounds pinned to h and -h,
+    the zero pairs themselves become equalities, and the canonical solver
+    produces the pair.  Infeasible draws retry within the budget.  Max-plus
+    inputs run through the min-plus reduction by negation, with l1..l2 read
+    in the reduced coordinates.
+    """
+    if l1 > l2:
+        raise ValueError("empty bound range")
+    flip, _ = _crossing(word.kind)
+    table = residual(*(flip(m) for m in word.constants))
+    k = table.product.dim
+    px, py = table.px, table.py
+
+    def draw():
+        h = rng.randint(l1, l2)
+        r = [[0] * k for _ in range(k)]
+        s = [[0] * k for _ in range(k)]
+        for i, j in itertools.product(range(k), repeat=2):
+            if i == j:
+                r[i][j] = h if i in px else rng.randint(l1, l2)
+                s[i][j] = -h if i in py else rng.randint(l1, l2)
+            else:
+                r[i][j] = rng.randint(l1, l2)
+                s[i][j] = rng.randint(l1, l2)
+        solved = solve_feasible_min(_pair_system(table, r, s))
+        if isinstance(solved, Infeasible):
+            return None
+        pair = _assignment_to_pair(solved, k)
+        if not table.holds(pair):
+            raise SelfCheckError("sampled pair changes the word's value")
+        return pair
+
+    return _sample_set(word, n, draw, flip)
+
+
+def sample_sandwich_marginal(
+    a: Matrix, n: int, l1: int, l2: int, rng: random.Random
+) -> MarginalSet:
+    """n pairs (X, Y) with X⊗A⊗Y = A.
+
+    Every diagonal pair is a zero pair here, so each draw pins x_ii = d and
+    y_jj = -d for one d and draws the off-diagonal bounds freely.
+    """
+    return _sample_pairs(sandwich_word(a), two_sided_residual, n, l1, l2, rng)
+
+
+def sample_five_factor_marginal(
+    a: Matrix, b: Matrix, c: Matrix, n: int, l1: int, l2: int, rng: random.Random
+) -> MarginalSet:
+    """n pairs (X, Y) with A⊗X⊗B⊗Y⊗C = A⊗B⊗C; always feasible, but a
+    retry budget guards the loop."""
+    return _sample_pairs(five_factor_word(a, b, c), five_factor_residual, n, l1, l2, rng)
+
+
+# --------------------------------------------------------------------------
+# General chains
 
 
 def sample_n_factor_marginal(
@@ -795,100 +673,69 @@ def sample_n_factor_marginal(
     Construction: split a zero sum h₁+...+hₙ = 0 with h₁..hₙ₋₁ uniform in
     [l1, l2] and pin every diagonal of Xₜ to hₜ; off-diagonal entries start
     at uniform lower bounds and one monotone repair pass lifts the first
-    off-diagonal position of each violated tensor constraint.  All-diagonal
-    index tuples sum to zero, which meets their bounds (those are never
-    positive) and realizes the tightness cover through the product's argmin
-    chains, so the repaired tuple always verifies.
+    off-diagonal position of each violated bound.  All-diagonal index tuples
+    sum to zero, which meets their bounds (those are never positive) and
+    realizes the tightness cover through the product's argmin chains, so the
+    repaired tuple always verifies.
     """
     if l1 > l2:
         raise ValueError("empty bound range")
-    if n_tuples < 1:
-        raise ValueError("need n >= 1 tuples")
     chain = list(chain)
-    first = chain[0]
-    if first.kind is SemiringKind.MAX_PLUS:
-        inner = sample_n_factor_marginal(
-            [dual(m) for m in chain], n_tuples, l1, l2, rng
-        )
-        return make_marginal_set(
-            chain_word(chain),
-            [tuple(dual(x) for x in t) for t in inner.tuples],
-        )
-    table = n_factor_residual(chain)
-    n = table.n_slots
-    k = first.dim
-    d = table.product
-    tuples: dict[MarginalTuple, None] = {}
-    for _ in range(n_tuples):
-        for _attempt in range(RETRY_BUDGET):
-            hs = [rng.randint(l1, l2) for _ in range(n - 1)]
-            hs.append(-sum(hs))
-            mats = [
-                [
-                    [hs[t] if i == j else rng.randint(l1, l2) for j in range(k)]
-                    for i in range(k)
-                ]
-                for t in range(n)
+    flip, _ = _crossing(chain[0].kind)
+    table = n_factor_residual([flip(m) for m in chain])
+    n, k = table.n_slots, table.product.dim
+
+    def draw():
+        hs = [rng.randint(l1, l2) for _ in range(n - 1)]
+        hs.append(-sum(hs))
+        mats = [
+            [
+                [hs[t] if i == j else rng.randint(l1, l2) for j in range(k)]
+                for i in range(k)
             ]
-            for index in itertools.product(range(k), repeat=2 * n):
-                need = table.bound(index)
-                have = sum(mats[t][index[2 * t]][index[2 * t + 1]] for t in range(n))
-                if have < need:
-                    for t in range(n):
-                        if index[2 * t] != index[2 * t + 1]:
-                            mats[t][index[2 * t]][index[2 * t + 1]] += need - have
-                            break
-                    else:
-                        raise AssertionError("all-diagonal constraint violated")
-            xs = tuple(
-                Matrix(first.kind, tuple(tuple(row) for row in m)) for m in mats
-            )
-            factors: list[Matrix] = [chain[0]]
-            for t in range(n):
-                factors.append(xs[t])
-                factors.append(chain[t + 1])
-            assert mat_prod(first.kind, k, factors) == d
-            if xs not in tuples:
-                tuples.setdefault(xs)
-                break
-        else:
-            break
-    return MarginalSet(chain_word(chain), tuple(tuples))
+            for t in range(n)
+        ]
+        for index in itertools.product(range(k), repeat=2 * n):
+            need = table.bound(*index)
+            have = sum(mats[t][index[2 * t]][index[2 * t + 1]] for t in range(n))
+            if have < need:
+                for t in range(n):
+                    if index[2 * t] != index[2 * t + 1]:
+                        mats[t][index[2 * t]][index[2 * t + 1]] += need - have
+                        break
+                else:
+                    raise SelfCheckError("all-diagonal bound violated")
+        xs = tuple(
+            Matrix(SemiringKind.MIN_PLUS, tuple(tuple(row) for row in m)) for m in mats
+        )
+        if not table.holds(xs):
+            raise SelfCheckError("sampled tuple changes the chain product")
+        return xs
+
+    return _sample_set(chain_word(chain), n_tuples, draw, flip)
 
 
 # --------------------------------------------------------------------------
 # Additive slots (A ⊕ ◯ = A)
 
 
-def additive_marginal_bound(a: Matrix) -> Matrix:
-    """The bound matrix itself: X is (A ⊕ ◯)-marginal iff X >= A over
-    min-plus (iff X <= A over max-plus)."""
-    return a
-
-
 def sample_additive_marginal(a: Matrix, n: int, l: int, rng: random.Random) -> MarginalSet:
     """n matrices A ⊕ X = A: nonnegative offsets up to l away from A, pushed
-    in the direction the semiring order allows."""
+    in the direction the semiring order allows.  X is (A ⊕ ◯)-marginal iff
+    X >= A over min-plus (iff X <= A over max-plus)."""
     if l < 0:
         raise ValueError("offset cap must be >= 0")
-    if n < 1:
-        raise ValueError("need n >= 1 tuples")
-    sign = 1 if a.kind is SemiringKind.MIN_PLUS else -1
-    tuples: dict[MarginalTuple, None] = {}
-    for _ in range(n):
-        for _attempt in range(RETRY_BUDGET):
-            rows = tuple(
-                tuple(
-                    s_mul(a.rows[i][j], sign * rng.randint(0, l))
-                    for j in range(a.dim)
-                )
-                for i in range(a.dim)
-            )
-            x = Matrix(a.kind, rows)
-            assert mat_add(a, x) == a
-            if (x,) not in tuples:
-                tuples.setdefault((x,))
-                break
-        else:
-            break
-    return MarginalSet(additive_word(a), tuple(tuples))
+    flip, _ = _crossing(a.kind)
+    m = flip(a)
+
+    def draw():
+        rows = tuple(
+            tuple(s_mul(m.rows[i][j], rng.randint(0, l)) for j in range(a.dim))
+            for i in range(a.dim)
+        )
+        x = Matrix(SemiringKind.MIN_PLUS, rows)
+        if mat_add(m, x) != m:
+            raise SelfCheckError("additive sample changes A ⊕ X")
+        return (x,)
+
+    return _sample_set(additive_word(a), n, draw, flip)

@@ -14,7 +14,7 @@ transcript whose public section never contains party secrets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .families import FamilySpec, commute_check, family_dim, family_kind, sample_family_member
@@ -33,7 +33,7 @@ from .marginal import (
     sandwich_word,
 )
 from .matrix import Matrix, mat_add, mat_mul, mat_pow, mat_prod, scalar_mul
-from .semiring import SemiringKind, s_max, s_min, s_sub
+from .semiring import SelfCheckError, SemiringKind, s_max, s_min, s_sub
 
 
 # --------------------------------------------------------------------------
@@ -146,18 +146,6 @@ class Message:
     payload: object  # Matrix | MarginalSet | tuple[Matrix, ...]
 
 
-@dataclass
-class PartyState:
-    """Per-run private state; only `published` ever leaves the party."""
-
-    role: str
-    secrets: dict = field(default_factory=dict)
-    published: dict = field(default_factory=dict)
-    received: dict = field(default_factory=dict)
-    chosen: dict = field(default_factory=dict)
-    key: Optional[Matrix] = None
-
-
 @dataclass(frozen=True)
 class ProtocolTranscript:
     protocol: str
@@ -201,6 +189,12 @@ def _require_commuting(kind: str, a: Matrix, b: Matrix) -> None:
         raise ValueError(f"{kind} secrets do not commute; family spec is broken")
 
 
+def _agreed(key_a: Matrix, key_b: Matrix) -> tuple[Matrix, Matrix]:
+    if key_a != key_b:
+        raise SelfCheckError("the two derived keys differ")
+    return key_a, key_b
+
+
 def _pick(rng: random.Random, s: MarginalSet, scripted: Optional[int]):
     index = rng.randrange(len(s.tuples)) if scripted is None else scripted
     t = s.tuples[index]
@@ -241,9 +235,9 @@ def run_sidelnikov(params: ProtocolParams, rng: random.Random) -> ProtocolTransc
     _require_commuting("right", q1, q2)
     u = mat_prod(w.kind, w.dim, [p1, w, q1])
     v = mat_prod(w.kind, w.dim, [p2, w, q2])
-    key_a = mat_prod(w.kind, w.dim, [p1, v, q1])
-    key_b = mat_prod(w.kind, w.dim, [p2, u, q2])
-    assert key_a == key_b
+    key_a, key_b = _agreed(
+        mat_prod(w.kind, w.dim, [p1, v, q1]), mat_prod(w.kind, w.dim, [p2, u, q2])
+    )
     return ProtocolTranscript(
         protocol="sidelnikov",
         params=params,
@@ -266,49 +260,33 @@ def run_protocol_one_sided(params: ProtocolParams, rng: random.Random) -> Protoc
         raise ValueError("one-sided exchange uses a single public matrix")
     w = params.publics[0]
     script = params.script
-    alice = PartyState(role="alice")
-    bob = PartyState(role="bob")
     if script is None:
-        alice.secrets["p1"] = sample_finite_member(params.left_families[0], rng)
-        alice.secrets["q1"] = sample_finite_member(params.right_families[0], rng)
-        m1 = sample_right_marginal(alice.secrets["p1"], params.n_tuples, params.l, rng)
-        n1 = sample_left_marginal(alice.secrets["q1"], params.n_tuples, params.l, rng)
-        bob.secrets["p2"] = sample_finite_member(params.left_families[0], rng)
-        bob.secrets["q2"] = sample_finite_member(params.right_families[0], rng)
-        m2 = sample_right_marginal(bob.secrets["p2"], params.n_tuples, params.l, rng)
-        n2 = sample_left_marginal(bob.secrets["q2"], params.n_tuples, params.l, rng)
+        p1 = sample_finite_member(params.left_families[0], rng)
+        q1 = sample_finite_member(params.right_families[0], rng)
+        m1 = sample_right_marginal(p1, params.n_tuples, params.l, rng)
+        n1 = sample_left_marginal(q1, params.n_tuples, params.l, rng)
+        p2 = sample_finite_member(params.left_families[0], rng)
+        q2 = sample_finite_member(params.right_families[0], rng)
+        m2 = sample_right_marginal(p2, params.n_tuples, params.l, rng)
+        n2 = sample_left_marginal(q2, params.n_tuples, params.l, rng)
         idx = [None, None, None, None]
     else:
-        alice.secrets["p1"], alice.secrets["q1"] = script.p1, script.q1
-        bob.secrets["p2"], bob.secrets["q2"] = script.p2, script.q2
-        m1 = make_marginal_set(right_word(script.p1), script.m1)
-        n1 = make_marginal_set(left_word(script.q1), script.n1)
-        m2 = make_marginal_set(right_word(script.p2), script.m2)
-        n2 = make_marginal_set(left_word(script.q2), script.n2)
+        p1, q1, p2, q2 = script.p1, script.q1, script.p2, script.q2
+        m1 = make_marginal_set(right_word(p1), script.m1)
+        n1 = make_marginal_set(left_word(q1), script.n1)
+        m2 = make_marginal_set(right_word(p2), script.m2)
+        n2 = make_marginal_set(left_word(q2), script.n2)
         idx = [script.c2_index, script.d2_index, script.c1_index, script.d1_index]
-    _require_commuting("left", alice.secrets["p1"], bob.secrets["p2"])
-    _require_commuting("right", alice.secrets["q1"], bob.secrets["q2"])
-    alice.published = {"M1": m1, "N1": n1}
-    bob.published = {"M2": m2, "N2": n2}
-    alice.received, bob.received = bob.published, alice.published
+    _require_commuting("left", p1, p2)
+    _require_commuting("right", q1, q2)
 
-    alice.chosen["c2"] = _pick(rng, m2, idx[0])
-    alice.chosen["d2"] = _pick(rng, n2, idx[1])
-    u = mat_prod(
-        w.kind,
-        w.dim,
-        [alice.chosen["c2"], alice.secrets["p1"], w, alice.secrets["q1"], alice.chosen["d2"]],
+    c2, d2 = _pick(rng, m2, idx[0]), _pick(rng, n2, idx[1])
+    u = mat_prod(w.kind, w.dim, [c2, p1, w, q1, d2])
+    c1, d1 = _pick(rng, m1, idx[2]), _pick(rng, n1, idx[3])
+    v = mat_prod(w.kind, w.dim, [c1, p2, w, q2, d1])
+    key_a, key_b = _agreed(
+        mat_prod(w.kind, w.dim, [p1, v, q1]), mat_prod(w.kind, w.dim, [p2, u, q2])
     )
-    bob.chosen["c1"] = _pick(rng, m1, idx[2])
-    bob.chosen["d1"] = _pick(rng, n1, idx[3])
-    v = mat_prod(
-        w.kind,
-        w.dim,
-        [bob.chosen["c1"], bob.secrets["p2"], w, bob.secrets["q2"], bob.chosen["d1"]],
-    )
-    alice.key = mat_prod(w.kind, w.dim, [alice.secrets["p1"], v, alice.secrets["q1"]])
-    bob.key = mat_prod(w.kind, w.dim, [bob.secrets["p2"], u, bob.secrets["q2"]])
-    assert alice.key == bob.key
     return ProtocolTranscript(
         protocol="one-sided",
         params=params,
@@ -321,8 +299,8 @@ def run_protocol_one_sided(params: ProtocolParams, rng: random.Random) -> Protoc
             Message("alice", "u", u),
             Message("bob", "v", v),
         ),
-        key_a=alice.key,
-        key_b=bob.key,
+        key_a=key_a,
+        key_b=key_b,
         annotations=(
             f"marginal sets hold {len(m1)}/{len(n1)}/{len(m2)}/{len(n2)} tuples",
             "keys agree",
@@ -341,43 +319,33 @@ def run_protocol_sandwich(params: ProtocolParams, rng: random.Random) -> Protoco
         raise ValueError("sandwich exchange uses a single public matrix")
     w = params.publics[0]
     script = params.script
-    alice = PartyState(role="alice")
-    bob = PartyState(role="bob")
     if script is None:
-        alice.secrets["p1"] = sample_finite_member(params.left_families[0], rng)
-        alice.secrets["q1"] = sample_finite_member(params.right_families[0], rng)
+        p1 = sample_finite_member(params.left_families[0], rng)
+        q1 = sample_finite_member(params.right_families[0], rng)
         m1 = sample_five_factor_marginal(
-            alice.secrets["p1"], w, alice.secrets["q1"],
-            params.n_tuples, params.l1, params.l2, rng,
+            p1, w, q1, params.n_tuples, params.l1, params.l2, rng
         )
-        bob.secrets["p2"] = sample_finite_member(params.left_families[0], rng)
-        bob.secrets["q2"] = sample_finite_member(params.right_families[0], rng)
+        p2 = sample_finite_member(params.left_families[0], rng)
+        q2 = sample_finite_member(params.right_families[0], rng)
         m2 = sample_five_factor_marginal(
-            bob.secrets["p2"], w, bob.secrets["q2"],
-            params.n_tuples, params.l1, params.l2, rng,
+            p2, w, q2, params.n_tuples, params.l1, params.l2, rng
         )
         idx = [None, None]
     else:
-        alice.secrets["p1"], alice.secrets["q1"] = script.p1, script.q1
-        bob.secrets["p2"], bob.secrets["q2"] = script.p2, script.q2
-        m1 = make_marginal_set(five_factor_word(script.p1, w, script.q1), script.m1)
-        m2 = make_marginal_set(five_factor_word(script.p2, w, script.q2), script.m2)
+        p1, q1, p2, q2 = script.p1, script.q1, script.p2, script.q2
+        m1 = make_marginal_set(five_factor_word(p1, w, q1), script.m1)
+        m2 = make_marginal_set(five_factor_word(p2, w, q2), script.m2)
         idx = [script.alice_choice, script.bob_choice]
-    _require_commuting("left", alice.secrets["p1"], bob.secrets["p2"])
-    _require_commuting("right", alice.secrets["q1"], bob.secrets["q2"])
-    alice.published = {"M1": m1}
-    bob.published = {"M2": m2}
-    alice.received, bob.received = bob.published, alice.published
+    _require_commuting("left", p1, p2)
+    _require_commuting("right", q1, q2)
 
     c2, d2 = _pick(rng, m2, idx[0])
-    alice.chosen["c2"], alice.chosen["d2"] = c2, d2
-    u = mat_prod(w.kind, w.dim, [alice.secrets["p1"], c2, w, d2, alice.secrets["q1"]])
+    u = mat_prod(w.kind, w.dim, [p1, c2, w, d2, q1])
     c1, d1 = _pick(rng, m1, idx[1])
-    bob.chosen["c1"], bob.chosen["d1"] = c1, d1
-    v = mat_prod(w.kind, w.dim, [bob.secrets["p2"], c1, w, d1, bob.secrets["q2"]])
-    alice.key = mat_prod(w.kind, w.dim, [alice.secrets["p1"], v, alice.secrets["q1"]])
-    bob.key = mat_prod(w.kind, w.dim, [bob.secrets["p2"], u, bob.secrets["q2"]])
-    assert alice.key == bob.key
+    v = mat_prod(w.kind, w.dim, [p2, c1, w, d1, q2])
+    key_a, key_b = _agreed(
+        mat_prod(w.kind, w.dim, [p1, v, q1]), mat_prod(w.kind, w.dim, [p2, u, q2])
+    )
     return ProtocolTranscript(
         protocol="sandwich",
         params=params,
@@ -388,8 +356,8 @@ def run_protocol_sandwich(params: ProtocolParams, rng: random.Random) -> Protoco
             Message("alice", "u", u),
             Message("bob", "v", v),
         ),
-        key_a=alice.key,
-        key_b=bob.key,
+        key_a=key_a,
+        key_b=key_b,
         annotations=(
             f"marginal sets hold {len(m1)}/{len(m2)} pairs",
             "keys agree",
@@ -460,8 +428,6 @@ def run_protocol_multiblock(params: ProtocolParams, rng: random.Random) -> Proto
     blocks.  n=2 is the four-set exchange from the worked example."""
     n = params.blocks
     script = params.script
-    alice = PartyState(role="alice")
-    bob = PartyState(role="bob")
     if script is None:
         ap, aq, bp, bq = [], [], [], []
         for i in range(n):
@@ -484,23 +450,16 @@ def run_protocol_multiblock(params: ProtocolParams, rng: random.Random) -> Proto
     for i in range(n):
         _require_commuting(f"left block {i + 1}", ap[i], bp[i])
         _require_commuting(f"right block {i + 1}", aq[i], bq[i])
-    alice.secrets = {"p": tuple(ap), "q": tuple(aq)}
-    bob.secrets = {"p": tuple(bp), "q": tuple(bq)}
     a_labels = _block_labels("alice", n)
     b_labels = _block_labels("bob", n)
-    alice.published = dict(zip(a_labels, a_sets))
-    bob.published = dict(zip(b_labels, b_sets))
-    alice.received, bob.received = bob.published, alice.published
 
     kind, dim = params.kind, params.dim
     a_cs, a_ds = _choose_blocks(b_sets, a_idx, rng, n)
-    alice.chosen = {"c": tuple(a_cs), "d": tuple(a_ds)}
     u = tuple(
         mat_prod(kind, dim, [a_cs[i], ap[i], params.publics[i], aq[i], a_ds[i]])
         for i in range(n)
     )
     b_cs, b_ds = _choose_blocks(a_sets, b_idx, rng, n)
-    bob.chosen = {"c": tuple(b_cs), "d": tuple(b_ds)}
     v = tuple(
         mat_prod(kind, dim, [b_cs[i], bp[i], params.publics[i], bq[i], b_ds[i]])
         for i in range(n)
@@ -510,9 +469,9 @@ def run_protocol_multiblock(params: ProtocolParams, rng: random.Random) -> Proto
     for i in range(n):
         key_a_factors += [ap[i], v[i], aq[i]]
         key_b_factors += [bp[i], u[i], bq[i]]
-    alice.key = mat_prod(kind, dim, key_a_factors)
-    bob.key = mat_prod(kind, dim, key_b_factors)
-    assert alice.key == bob.key
+    key_a, key_b = _agreed(
+        mat_prod(kind, dim, key_a_factors), mat_prod(kind, dim, key_b_factors)
+    )
     messages = [Message("alice", lbl, s) for lbl, s in zip(a_labels, a_sets)]
     messages += [Message("bob", lbl, s) for lbl, s in zip(b_labels, b_sets)]
     messages += [Message("alice", "u", u), Message("bob", "v", v)]
@@ -521,8 +480,8 @@ def run_protocol_multiblock(params: ProtocolParams, rng: random.Random) -> Proto
         params=params,
         seed=params.seed,
         messages=tuple(messages),
-        key_a=alice.key,
-        key_b=bob.key,
+        key_a=key_a,
+        key_b=key_b,
         annotations=(f"{n} block(s), {2 * (n + 1)} marginal sets", "keys agree"),
     )
 

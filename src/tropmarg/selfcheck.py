@@ -15,8 +15,7 @@ from .constraints import Infeasible, solve_feasible_min
 from .families import PolyFamily
 from .marginal import (
     _assignment_to_pair,
-    _five_factor_system,
-    _two_sided_system,
+    _pair_system,
     diagonal_pairs,
     five_factor_residual,
     max_possible_matrix,
@@ -93,7 +92,7 @@ def _check_pair_constraints():
 def _check_pair_solution():
     a = fx.BIL_A
     table = two_sided_residual(a)
-    sys = _two_sided_system(
+    sys = _pair_system(
         table, [list(r) for r in fx.BIL_R.rows], [list(r) for r in fx.BIL_S.rows]
     )
     solved = solve_feasible_min(sys)
@@ -126,7 +125,7 @@ def _check_five_factor_table():
 def _check_five_factor_solution():
     a, b, c, d = fx.FF_A, fx.FF_B, fx.FF_C, fx.FF_D
     table = five_factor_residual(a, b, c)
-    sys = _five_factor_system(
+    sys = _pair_system(
         table, [list(r) for r in fx.FF_R.rows], [list(r) for r in fx.FF_S.rows]
     )
     solved = solve_feasible_min(sys)

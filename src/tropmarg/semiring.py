@@ -14,6 +14,15 @@ from fractions import Fraction
 from typing import Union
 
 
+class SelfCheckError(RuntimeError):
+    """A result that the algorithm guarantees failed its direct check.
+
+    Raised by the solver's point check, the samplers' per-draw checks, the
+    family constructors and the protocols' key equality; it signals a bug,
+    never bad input.  Defined in the scalar layer because every layer that
+    raises it imports this one."""
+
+
 class SemiringKind(enum.Enum):
     MIN_PLUS = "min-plus"
     MAX_PLUS = "max-plus"

@@ -114,7 +114,7 @@ def from_canonical_bytes(data: bytes):
         return json.loads(data.decode("utf-8"), parse_float=_reject_float)
     except WireFormatError:
         raise
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise WireFormatError(f"not canonical JSON: {e}") from e
 
 
@@ -145,8 +145,15 @@ def _rows_out(m: Matrix):
     return [[scalar_to_token(x) for x in row] for row in m.rows]
 
 
+def _is_list_of_lists(obj, n=None) -> bool:
+    """With n given, also require exactly n lists of n items each."""
+    if not isinstance(obj, list) or not all(isinstance(x, list) for x in obj):
+        return False
+    return n is None or len(obj) == n and all(len(x) == n for x in obj)
+
+
 def _rows_in(kind: SemiringKind, rows) -> Matrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+    if not _is_list_of_lists(rows):
         raise WireFormatError("matrix rows must be nested arrays")
     try:
         return Matrix(
@@ -201,9 +208,12 @@ def _word_in(obj) -> WordTemplate:
     dim = obj.get("dim")
     if not isinstance(dim, int):
         raise WireFormatError("word dim must be an integer")
-    constants = tuple(_rows_in(kind, rows) for rows in obj.get("constants", []))
+    constants, raw_summands = obj.get("constants", []), obj.get("summands", [])
+    if not _is_list_of_lists(constants) or not _is_list_of_lists(raw_summands):
+        raise WireFormatError("word constants and summands must be arrays of arrays")
+    constants = tuple(_rows_in(kind, rows) for rows in constants)
     summands = []
-    for s in obj.get("summands", []):
+    for s in raw_summands:
         atoms = []
         for pair in s:
             if (
@@ -325,14 +335,14 @@ def _marginal_set_payload(obj) -> MarginalSet:
     kind = word.kind
     if encoding == "raw":
         raw = obj.get("tuples")
-        if not isinstance(raw, list):
-            raise WireFormatError("raw set needs a tuples array")
+        if not _is_list_of_lists(raw):
+            raise WireFormatError("raw set needs a tuples array of arrays")
         tuples = [tuple(_rows_in(kind, rows) for rows in t) for t in raw]
     elif encoding == "interval":
         box = obj.get("box")
-        if not isinstance(box, list):
-            raise WireFormatError("interval set needs a box")
         n = word.dim
+        if not _is_list_of_lists(box, n):
+            raise WireFormatError(f"interval set needs a {n}x{n} box")
         cells = []
         for i in range(n):
             for j in range(n):
@@ -355,8 +365,8 @@ def _marginal_set_payload(obj) -> MarginalSet:
         base = _rows_in(kind, obj.get("base"))
         mats = [base]
         diffs = obj.get("diffs")
-        if not isinstance(diffs, list):
-            raise WireFormatError("delta set needs a diffs array")
+        if not _is_list_of_lists(diffs):
+            raise WireFormatError("delta set needs a diffs array of arrays")
         for changes in diffs:
             rows = [list(r) for r in mats[-1].rows]
             for change in changes:
@@ -364,13 +374,16 @@ def _marginal_set_payload(obj) -> MarginalSet:
                     (i, j), tok = change
                 except (TypeError, ValueError) as e:
                     raise WireFormatError(f"bad delta cell {change!r}") from e
-                if not (1 <= i <= base.dim and 1 <= j <= base.dim):
-                    raise WireFormatError(f"delta position {(i, j)} out of range")
+                if not all(type(x) is int and 1 <= x <= base.dim for x in (i, j)):
+                    raise WireFormatError(f"delta position {(i, j)!r} out of range")
                 rows[i - 1][j - 1] = token_to_scalar(tok)
             mats.append(Matrix(kind, tuple(tuple(r) for r in rows)))
         tuples = [(m,) for m in mats]
     else:
         raise WireFormatError(f"unknown encoding {encoding!r}")
+    for t in tuples:
+        if len(t) != word.arity or any(m.dim != word.dim for m in t):
+            raise WireFormatError("a tuple does not fit the word's arity and dimension")
     bad = [k for k, t in enumerate(tuples) if not verify_marginal(word, t)]
     if bad:
         raise MarginalVerificationError(bad)

@@ -296,3 +296,77 @@ def test_selftest_all_green(run):
     code, out = run("selftest")
     assert code == 0
     assert "14/14 checks passed" in out
+
+
+_WORD = {
+    "kind": "min-plus",
+    "dim": 2,
+    "constants": [[[0, 1], [1, 0]]],
+    "summands": [[["const", 0], ["box", 0]]],
+}
+_PAIR_WORD = {**_WORD, "summands": [[["box", 0], ["const", 0], ["box", 1]]]}
+_ID = [[0, "inf"], ["inf", 0]]
+
+
+def _set(encoding, word=_WORD, **body):
+    return json.dumps({"type": "marginal-set", "encoding": encoding, "word": word, **body})
+
+
+_MALFORMED_SETS = {
+    "interval-short-row": _set("interval", box=[[0, 1], [1]]),
+    "interval-non-list-row": _set("interval", box=[[0, 1], 5]),
+    "interval-pair-word": _set("interval", word=_PAIR_WORD, box=[[0, 1], [1, 0]]),
+    "raw-item-not-a-list": _set("raw", tuples=[5]),
+    "raw-wrong-arity": _set("raw", tuples=[[_ID, _ID]]),
+    "raw-wrong-dimension": _set("raw", tuples=[[[[0]]]]),
+    "word-constants-not-a-list": _set("raw", word={**_WORD, "constants": 5}, tuples=[]),
+    "word-summands-not-a-list": _set("raw", word={**_WORD, "summands": 5}, tuples=[]),
+    "word-summand-not-a-list": _set("raw", word={**_WORD, "summands": [5]}, tuples=[]),
+    "delta-diff-not-a-list": _set("delta", base=_ID, diffs=[5]),
+    "delta-position-not-an-int": _set("delta", base=_ID, diffs=[[[["a", 1], 0]]]),
+    "delta-pair-word": _set("delta", word=_PAIR_WORD, base=_ID, diffs=[]),
+    "json-nested-100000-deep": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_SETS))
+def test_malformed_set_file_is_one_exit_2_record(run, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(_MALFORMED_SETS[name])
+    code, out = run("verify-marginal", "--set", str(path))
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["reason"] == "malformed-input"
+
+
+def test_failed_self_check_is_one_exit_1_record(run, tmp_path, params_file, monkeypatch):
+    import tropmarg.marginal as marginal
+    from tropmarg.matrix import scalar_mul
+
+    monkeypatch.setattr(marginal, "mat_mul", lambda a, b: scalar_mul(1, a))
+    code, out = run(
+        "gen-marginal", "--word", "right", "--in", str(params_file),
+        "--count", "2", "--out", str(tmp_path / "set.json"),
+    )
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["reason"] == "self-check-failed"
+
+
+def test_selftest_passes_under_python_dash_o():
+    import os
+    import subprocess
+    import sys
+
+    import tropmarg
+
+    src = os.path.dirname(os.path.dirname(tropmarg.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys; from tropmarg.cli import main; sys.exit(main(['selftest']))"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "14/14 checks passed" in proc.stdout

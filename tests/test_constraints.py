@@ -12,7 +12,6 @@ from tropmarg.constraints import (
     ConstraintSystem,
     Infeasible,
     VarId,
-    solve_feasible,
     solve_feasible_min,
 )
 
@@ -92,14 +91,6 @@ def test_lower_bounds_can_contradict_an_equality():
     got = solve_feasible_min(sys)
     assert isinstance(got, Infeasible)
     assert got.total() == -5
-
-
-def test_solve_feasible_is_the_canonical_solver():
-    sys = ConstraintSystem()
-    sys.add_sum_ge(X11, Y11, 5)
-    sys.set_lower(X11, 0)
-    sys.set_lower(Y11, 2)
-    assert solve_feasible(sys) == solve_feasible_min(sys)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from tropmarg.marginal import (
     Const,
     MarginalSet,
     WordTemplate,
-    additive_marginal_bound,
     additive_word,
     chain_word,
     cover_check,
@@ -52,7 +51,7 @@ from tropmarg.marginal import (
     verify_marginal,
 )
 from tropmarg.matrix import dual, make_matrix, mat_add, mat_mul, mat_prod, scalar_mul
-from tropmarg.semiring import POS_INF, SemiringKind, s_le
+from tropmarg.semiring import POS_INF, SelfCheckError, SemiringKind, s_le
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -229,7 +228,7 @@ class TestTwoSided:
             for p in range(2):
                 for q in range(2):
                     for j in range(2):
-                        assert table.bounds[i][p][q][j] == a[i][j] - a[p][q]
+                        assert table.bound(i, p, q, j) == a[i][j] - a[p][q]
 
     def test_rendered_constraints_golden(self):
         assert render_two_sided_constraints(BIL_A) == BIL_CONSTRAINTS
@@ -284,7 +283,7 @@ class TestNFactor:
             for q in range(k):
                 for r in range(k):
                     for s in range(k):
-                        assert tablen.bound((p, q, r, s)) == table5.bounds[p][q][r][s]
+                        assert tablen.bound(p, q, r, s) == table5.bound(p, q, r, s)
 
     def test_three_slot_sampler(self):
         rng = random.Random(31)
@@ -303,9 +302,6 @@ class TestNFactor:
 
 
 class TestAdditive:
-    def test_bound_is_the_matrix_itself(self):
-        assert additive_marginal_bound(DEF3_A) == DEF3_A
-
     def test_min_plus_samples_sit_above(self):
         rng = random.Random(41)
         s = sample_additive_marginal(DEF3_A, 6, 20, rng)
@@ -367,3 +363,28 @@ def test_sampler_outputs_always_verify_at_volume(name):
             assert verify_marginal(s.word, t)
             seen += 1
     assert seen >= 500
+
+
+@pytest.mark.parametrize("name", _SAMPLER_NAMES)
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_wrong_product_raises_self_check_error(monkeypatch, name, kind):
+    # the per-draw checks are real exceptions, so they survive python -O
+    import tropmarg.marginal as marginal
+
+    monkeypatch.setattr(marginal, "mat_mul", lambda a, b: scalar_mul(1, a))
+    monkeypatch.setattr(marginal, "mat_add", lambda a, b: scalar_mul(1, a))
+    rng = random.Random(7)
+    a, b, c = (_rand_square(kind, rng) for _ in range(3))
+    with pytest.raises(SelfCheckError):
+        if name == "right":
+            sample_right_marginal(a, 2, 20, rng)
+        elif name == "left":
+            sample_left_marginal(a, 2, 20, rng)
+        elif name == "additive":
+            sample_additive_marginal(a, 2, 5, rng)
+        elif name == "sandwich":
+            sample_sandwich_marginal(a, 2, -8, 8, rng)
+        elif name == "five_factor":
+            sample_five_factor_marginal(a, b, c, 2, -8, 8, rng)
+        else:
+            sample_n_factor_marginal([a, b, c], 2, -8, 8, rng)
