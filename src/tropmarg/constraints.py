@@ -20,14 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .semiring import Scalar, SelfCheckError, as_scalar, is_finite
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
-    """One scalar variable, addressed as tag + matrix position (0-based)."""
+class VarId(NamedTuple):
+    """One scalar variable, addressed as tag + matrix position (0-based).
+
+    A NamedTuple, so hashing and comparison run in C; it orders and hashes
+    exactly as the field tuple (tag, row, col)."""
 
     tag: str
     row: int
@@ -133,120 +135,155 @@ class ConstraintSystem:
 _ORIGIN = "origin"
 
 
-def _build_edges(sys: ConstraintSystem) -> list[Edge]:
-    edges = []
-    for v in sys.variables():
-        if v not in sys.lower:
-            raise ValueError(f"variable {v} has no lower bound")
-    for v, b in sys.lower.items():
-        if v.tag in sys.negated_tags:
-            # -v <= -b, anchored at the origin.
-            edges.append(Edge(_ORIGIN, ("z", v), -b, f"{v} >= {b}"))
-        else:
-            edges.append(Edge(("x", v), _ORIGIN, -b, f"{v} >= {b}"))
-    for x, y, c in sys.sum_ge:
-        edges.append(Edge(("x", x), ("z", y), -c, f"{x} + {y} >= {c}"))
-    for x, y, c in sys.sum_eq:
-        edges.append(Edge(("x", x), ("z", y), -c, f"{x} + {y} = {c}"))
-        edges.append(Edge(("z", y), ("x", x), c, f"{x} + {y} = {c}"))
-    return edges
-
-
 def solve_feasible_min(sys: ConstraintSystem) -> Union[dict, Infeasible]:
     """Canonical extreme feasible assignment, or an Infeasible certificate.
 
     The negated-side variables come out pointwise minimal over all feasible
     assignments; each plain-side variable then takes its least value
     compatible with those.  Deterministic, so golden tests can rely on it.
+
+    Nodes are ints: 0 is the origin, and the variables of sys.lower take
+    1, 2, ... in order (the z node of a negated variable, the x node of a
+    plain one).  The edges are parallel tail/head/weight lists in a fixed
+    order: the lower bounds, then sum_ge, then each sum_eq as a forward and
+    a backward edge.  Edge objects are built only for the cycle of a
+    certificate.
     """
-    edges = _build_edges(sys)
-    nodes = {_ORIGIN}
-    for e in edges:
-        nodes.add(e.tail)
-        nodes.add(e.head)
-    n_nodes = len(nodes)
+    variables = sys.variables()
+    lower = sys.lower
+    negated = sys.negated_tags
+    index = {v: i for i, v in enumerate(lower, 1)}
+    for v in variables:
+        if v not in index:
+            raise ValueError(f"variable {v} has no lower bound")
+
+    tails, heads, weights = [], [], []
+    for i, (v, b) in enumerate(lower.items(), 1):
+        if v.tag in negated:
+            # -v <= -b, anchored at the origin.
+            tails.append(0)
+            heads.append(i)
+        else:
+            tails.append(i)
+            heads.append(0)
+        weights.append(-b)
+    for x, y, c in sys.sum_ge:
+        tails.append(index[x])
+        heads.append(index[y])
+        weights.append(-c)
+    for x, y, c in sys.sum_eq:
+        xi, yi = index[x], index[y]
+        tails += (xi, yi)
+        heads += (yi, xi)
+        weights += (-c, c)
+    # (number, tail, head, weight) tuples: each pass iterates this list,
+    # which is faster than zipping the four sequences again.
+    edges = list(zip(range(len(tails)), tails, heads, weights))
+    n_nodes = len(index) + 1
 
     # Phase 1: negative-cycle detection with every node as a source (all
     # distances start at 0).  A negative cycle anywhere is a contradictory
     # constraint subset, reachable or not.
-    dist: dict = {n: 0 for n in nodes}
-    pred: dict = {}
-    last_relaxed = None
+    dist: list = [0] * n_nodes
+    pred: list = [None] * n_nodes
+    last_relaxed = -1
     for _ in range(n_nodes):
-        last_relaxed = None
-        for e in edges:
-            nd = dist[e.tail] + e.weight
-            if nd < dist[e.head]:
-                dist[e.head] = nd
-                pred[e.head] = e
-                last_relaxed = e.head
-        if last_relaxed is None:
+        last_relaxed = -1
+        for e, t, h, w in edges:
+            nd = dist[t] + w
+            if nd < dist[h]:
+                dist[h] = nd
+                pred[h] = e
+                last_relaxed = h
+        if last_relaxed < 0:
             break
-    if last_relaxed is not None:
-        return Infeasible(_extract_cycle(pred, last_relaxed, n_nodes))
+    if last_relaxed >= 0:
+        return Infeasible(_extract_cycle(sys, tails, pred, last_relaxed, n_nodes))
 
     # Phase 2: distances from the origin give the extreme assignment.
-    dist = {n: None for n in nodes}
-    dist[_ORIGIN] = 0
+    dist = [None] * n_nodes
+    dist[0] = 0
     for _ in range(n_nodes - 1):
         changed = False
-        for e in edges:
-            d = dist[e.tail]
+        for _e, t, h, w in edges:
+            d = dist[t]
             if d is None:
                 continue
-            nd = d + e.weight
-            if dist[e.head] is None or nd < dist[e.head]:
-                dist[e.head] = nd
+            nd = d + w
+            dh = dist[h]
+            if dh is None or nd < dh:
+                dist[h] = nd
                 changed = True
         if not changed:
             break
 
     assignment: dict[VarId, Scalar] = {}
-    for v in sys.variables():
-        if v.tag in sys.negated_tags:
-            d = dist[("z", v)]
+    for v in variables:
+        if v.tag in negated:
+            d = dist[index[v]]
             if d is None:
                 raise SelfCheckError("negated variable must be bound below")
             assignment[v] = _norm(-d)
-    for v in sys.variables():
-        if v.tag in sys.negated_tags:
-            continue
-        d = dist.get(("x", v))
-        if d is not None:
-            assignment[v] = _norm(d)
-        else:
-            best = sys.lower[v]
-            for x, y, c in sys.sum_ge:
-                if x == v:
-                    need = c - assignment[y]
-                    if need > best:
-                        best = need
-            assignment[v] = _norm(best)
+    # A plain variable the origin cannot reach takes the least value its
+    # sum_ge rows allow, lifted from its lower bound in one pass.
+    least = {
+        v: lower[v]
+        for v in variables
+        if v.tag not in negated and dist[index[v]] is None
+    }
+    for x, y, c in sys.sum_ge:
+        if x in least:
+            need = c - assignment[y]
+            if need > least[x]:
+                least[x] = need
+    for v in variables:
+        if v.tag not in negated:
+            d = dist[index[v]]
+            assignment[v] = _norm(least[v] if d is None else d)
 
     if not sys.check_assignment(assignment):
         raise SelfCheckError("solver produced an invalid point")
     return assignment
 
 
-def _extract_cycle(pred: dict, start, n_nodes: int) -> tuple[Edge, ...]:
+def _edge(sys: ConstraintSystem, e: int) -> Edge:
+    """Edge number e of the order solve_feasible_min relaxes them in."""
+    n_lower, n_ge = len(sys.lower), len(sys.sum_ge)
+    if e < n_lower:
+        v, b = list(sys.lower.items())[e]
+        if v.tag in sys.negated_tags:
+            return Edge(_ORIGIN, ("z", v), -b, f"{v} >= {b}")
+        return Edge(("x", v), _ORIGIN, -b, f"{v} >= {b}")
+    if e < n_lower + n_ge:
+        x, y, c = sys.sum_ge[e - n_lower]
+        return Edge(("x", x), ("z", y), -c, f"{x} + {y} >= {c}")
+    x, y, c = sys.sum_eq[(e - n_lower - n_ge) // 2]
+    if (e - n_lower - n_ge) % 2 == 0:
+        return Edge(("x", x), ("z", y), -c, f"{x} + {y} = {c}")
+    return Edge(("z", y), ("x", x), c, f"{x} + {y} = {c}")
+
+
+def _extract_cycle(
+    sys: ConstraintSystem, tails: list, pred: list, start: int, n_nodes: int
+) -> tuple[Edge, ...]:
     # start was relaxed on the final pass, so it is reachable from a negative
     # cycle; n predecessor hops land strictly inside that cycle.
     node = start
     for _ in range(n_nodes):
-        node = pred[node].tail
+        node = tails[pred[node]]
     loop = []
     cur = node
     while True:
         e = pred[cur]
         loop.append(e)
-        cur = e.tail
+        cur = tails[e]
         if cur == node:
             break
     loop.reverse()
-    total = sum(e.weight for e in loop)
-    if not total < 0:
+    cycle = tuple(_edge(sys, e) for e in loop)
+    if not sum(e.weight for e in cycle) < 0:
         raise SelfCheckError("extracted cycle is not negative")
-    return tuple(loop)
+    return cycle
 
 
 def _norm(x) -> Scalar:

@@ -30,6 +30,7 @@ from .matrix import (
     Matrix,
     dual,
     identity,
+    make_matrix,
     mat_add,
     mat_mul,
     mat_prod,
@@ -576,14 +577,16 @@ def _pair_system(
     diagonal equalities, and the drawn lower bounds."""
     k = table.product.dim
     e, b = table.outer.rows, table.chain[1].rows
+    x = [[VarId("x", i, j) for j in range(k)] for i in range(k)]
+    y = [[VarId("y", i, j) for j in range(k)] for i in range(k)]
     sys = ConstraintSystem(negated_tags=("y",))
     for p, q, rr, ss in itertools.product(range(k), repeat=4):
-        sys.add_sum_ge(VarId("x", p, q), VarId("y", rr, ss), e[p][ss] - b[q][rr])
+        sys.add_sum_ge(x[p][q], y[rr][ss], e[p][ss] - b[q][rr])
     for p, rr in sorted(table.zero_pairs):
-        sys.add_sum_eq(VarId("x", p, p), VarId("y", rr, rr), 0)
+        sys.add_sum_eq(x[p][p], y[rr][rr], 0)
     for i, j in itertools.product(range(k), repeat=2):
-        sys.set_lower(VarId("x", i, j), r[i][j])
-        sys.set_lower(VarId("y", i, j), s[i][j])
+        sys.set_lower(x[i][j], r[i][j])
+        sys.set_lower(y[i][j], s[i][j])
     return sys
 
 
@@ -705,9 +708,9 @@ def sample_n_factor_marginal(
                         break
                 else:
                     raise SelfCheckError("all-diagonal bound violated")
-        xs = tuple(
-            Matrix(SemiringKind.MIN_PLUS, tuple(tuple(row) for row in m)) for m in mats
-        )
+        # make_matrix keeps the entries canonical: the repair pass can leave
+        # Fraction(k, 1) behind on a chain with Fraction entries.
+        xs = tuple(make_matrix(SemiringKind.MIN_PLUS, m) for m in mats)
         if not table.holds(xs):
             raise SelfCheckError("sampled tuple changes the chain product")
         return xs

@@ -506,6 +506,8 @@ def encode_params(p: ProtocolParams) -> bytes:
 
 
 def _params_in(obj) -> ProtocolParams:
+    if not isinstance(obj, dict):
+        raise WireFormatError("params must be an object")
     kind = _kind_in(obj.get("kind"))
     dim = obj.get("dim")
     if not isinstance(dim, int):
@@ -569,7 +571,10 @@ def _payload_in(obj, kind: SemiringKind):
             {"word": obj.get("word"), "encoding": "raw", "tuples": obj.get("tuples")}
         )
     if what == "matrix-tuple":
-        return tuple(_rows_in(kind, rows) for rows in obj.get("items", []))
+        items = obj.get("items", [])
+        if not isinstance(items, list):
+            raise WireFormatError("matrix-tuple items must be an array")
+        return tuple(_rows_in(kind, rows) for rows in items)
     raise WireFormatError(f"unknown payload kind {what!r}")
 
 
@@ -604,8 +609,11 @@ def decode_transcript(data: bytes) -> ProtocolTranscript:
     seed = obj.get("seed")
     if not isinstance(seed, int):
         raise WireFormatError("transcript seed must be an integer")
+    records = obj.get("messages", [])
+    if not isinstance(records, list):
+        raise WireFormatError("transcript messages must be an array")
     messages = []
-    for m in obj.get("messages", []):
+    for m in records:
         if not isinstance(m, dict) or m.get("sender") not in ("alice", "bob"):
             raise WireFormatError("bad message record")
         label = m.get("label")
@@ -618,8 +626,10 @@ def decode_transcript(data: bytes) -> ProtocolTranscript:
     if not isinstance(keys, dict):
         raise WireFormatError("transcript needs a keys object")
     annotations = obj.get("annotations", [])
-    if not all(isinstance(a, str) for a in annotations):
-        raise WireFormatError("annotations must be strings")
+    if not isinstance(annotations, list) or not all(
+        isinstance(a, str) for a in annotations
+    ):
+        raise WireFormatError("annotations must be an array of strings")
     return ProtocolTranscript(
         protocol=protocol,
         params=params,

@@ -370,3 +370,35 @@ def test_selftest_passes_under_python_dash_o():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "14/14 checks passed" in proc.stdout
+
+
+def _transcript_mutations():
+    def message_items(t):
+        t["messages"][0]["payload"] = {"kind": "matrix-tuple", "items": 5}
+
+    return {
+        "messages-not-an-array": lambda t: t.update(messages=5),
+        "messages-an-object": lambda t: t.update(messages={"u": t["messages"][0]}),
+        "annotations-not-an-array": lambda t: t.update(annotations=5),
+        "annotations-a-string": lambda t: t.update(annotations="keys agree"),
+        "params-not-an-object": lambda t: t.update(params=5),
+        "params-an-array": lambda t: t.update(params=[]),
+        "matrix-tuple-items-not-an-array": message_items,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_transcript_mutations()))
+def test_malformed_transcript_file_is_one_exit_2_record(run, tmp_path, name):
+    t_file = tmp_path / "t.json"
+    assert run(
+        "run-protocol", "sidelnikov", "--params", "builtin:attack-demo",
+        "--out", str(t_file),
+    )[0] == 0
+    transcript = json.loads(t_file.read_text())
+    _transcript_mutations()[name](transcript)
+    t_file.write_text(json.dumps(transcript))
+    code, out = run("attack", "--transcript", str(t_file), "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["reason"] == "malformed-input"

@@ -17,6 +17,7 @@ from tropmarg.marginal import (
     additive_word,
     make_marginal_set,
     right_word,
+    sample_n_factor_marginal,
     sandwich_word,
 )
 from tropmarg.matrix import make_matrix
@@ -319,3 +320,24 @@ class TestReportCodec:
         )
         obj = json.loads(data)
         assert obj["type"] == "report"
+
+
+@pytest.mark.parametrize("kind", [SemiringKind.MIN_PLUS, SemiringKind.MAX_PLUS])
+@pytest.mark.parametrize("slots", [2, 3])
+def test_fraction_chain_sets_round_trip_byte_equal(kind, slots):
+    """The n-factor repair pass adds Fraction bounds to int entries; the
+    entries must still come out canonical (Fraction(k, 1) is k)."""
+    rng = random.Random(3)
+    for _ in range(3):
+        chain = [
+            make_matrix(kind, [[Fraction(rng.randint(-20, 20), 2) for _ in range(2)]
+                               for _ in range(2)])
+            for _ in range(slots + 1)
+        ]
+        s = sample_n_factor_marginal(chain, 3, -8, 8, rng)
+        data = encode_marginal_set(s)
+        assert encode_marginal_set(decode_marginal_set(data)) == data
+        assert not any(
+            isinstance(x, Fraction) and x.denominator == 1
+            for t in s.tuples for m in t for row in m.rows for x in row
+        )
