@@ -30,14 +30,17 @@ from tropmarg.marginal import (
 )
 from tropmarg.matrix import make_matrix
 from tropmarg.protocols import (
+    NoDecomposition,
     ProtocolParams,
+    attack_decomposition,
+    power_basis,
     run_protocol_multiblock,
     run_protocol_one_sided,
     run_protocol_sandwich,
     run_sidelnikov,
 )
 from tropmarg.semiring import SemiringKind
-from tropmarg.wire import encode_marginal_set, encode_transcript
+from tropmarg.wire import encode_marginal_set, encode_report, encode_transcript
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -186,3 +189,114 @@ def test_every_sampler_and_runner_is_pinned():
     assert samplers == {"right", "left", "sandwich", "five-factor", "n-factor", "additive"}
     assert len(SET_DIGESTS) == 6 * 2 * 2
     assert {c.split(":")[0] for c in TRANSCRIPT_DIGESTS} == set(_RUNNERS)
+
+
+# --------------------------------------------------------------------------
+# Degree-3 baseline runs at dim 8, the decomposition attack on them, and a
+# max-plus one-sided run with Fraction entries: the inputs whose products
+# dominate the exchanges' cost.
+
+ATTACK_DEGREE = 3
+
+
+def _sidelnikov_deg3(label: str):
+    rng = random.Random(f"golden/sidelnikov-deg3/{label}")
+    n = 8
+    left = PolyFamily(_square(MIN, rng, n), ATTACK_DEGREE, -9, 9)
+    right = PolyFamily(_square(MIN, rng, n), ATTACK_DEGREE, -9, 9)
+    params = ProtocolParams(
+        kind=MIN,
+        dim=n,
+        publics=(_square(MIN, rng, n),),
+        left_families=(left,),
+        right_families=(right,),
+        n_tuples=3,
+        l=40,
+        l1=-8,
+        l2=8,
+        seed=rng.randrange(2**31),
+    )
+    t = run_sidelnikov(params, random.Random(params.seed))
+    assert t.agreed
+    return params, t
+
+
+def _report_bytes(case: str) -> bytes:
+    """The CLI's attack report; "decomposed" attacks with power bases of the
+    secrets' own bases, "no-decomposition" with those of unrelated matrices."""
+    params, t = _sidelnikov_deg3(case)
+    if case == "decomposed":
+        left_base = params.left_families[0].base
+        right_base = params.right_families[0].base
+    else:
+        rng = random.Random("golden/attack/unrelated")
+        left_base, right_base = _square(MIN, rng, 8), _square(MIN, rng, 8)
+    left = power_basis(left_base, ATTACK_DEGREE)
+    right = power_basis(right_base, ATTACK_DEGREE)
+    u, v = t.message("u"), t.message("v")
+    candidate = None
+    try:
+        candidate, z = attack_decomposition(params.publics[0], u, v, left, right)
+        decomposed = True
+    except NoDecomposition as e:
+        z, decomposed = e.z_table, False
+    assert decomposed == (case == "decomposed")
+    return encode_report(
+        {
+            "protocol": t.protocol,
+            "degree": ATTACK_DEGREE,
+            "kind": MIN,
+            "decomposed": decomposed,
+            "match": decomposed and candidate == t.key_a,
+            "z": z,
+            "candidate": candidate,
+            "expected": t.key_a,
+        }
+    )
+
+
+def _jones_one_sided_bytes() -> bytes:
+    rng = random.Random("golden/one-sided-jones/max")
+    n = 5
+    left = JonesDeformFamily(sample_jones(n, -20, 20, rng))
+    right = JonesDeformFamily(sample_jones(n, -20, 20, rng))
+    params = ProtocolParams(
+        kind=MAX,
+        dim=n,
+        publics=(_square(MAX, rng, n),),
+        left_families=(left,),
+        right_families=(right,),
+        n_tuples=3,
+        l=-40,
+        l1=-8,
+        l2=8,
+        seed=rng.randrange(2**31),
+    )
+    t = run_protocol_one_sided(params, random.Random(params.seed))
+    assert t.agreed
+    assert any(isinstance(x, Fraction) for row in t.key_a.rows for x in row)
+    return encode_transcript(t)
+
+
+REPORT_DIGESTS = {
+    "decomposed": "30d7f60188c1cf8b92653a949af0f08f1a09c690860b6b970441869291b65ef2",
+    "no-decomposition": "0c944e334495f699b5d7728673a536c7adcf22165de2e30a346d32a2a70fdae5",
+}
+
+SIDELNIKOV_DEG3_DIGEST = "3d72f31a91d3f3d8e8305830a7fb7c4ec0392bba5c4fa5908eef58b3bc59005a"
+
+JONES_ONE_SIDED_DIGEST = "db00c7ac630f083540c21a1a6fae3841b9390e34b0f7d5213edd7137f83cf1b0"
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_DIGESTS))
+def test_attack_report_bytes_pinned(case):
+    assert _sha(_report_bytes(case)) == REPORT_DIGESTS[case]
+
+
+def test_sidelnikov_degree3_dim8_bytes_pinned():
+    _, t = _sidelnikov_deg3("transcript")
+    assert _sha(encode_transcript(t)) == SIDELNIKOV_DEG3_DIGEST
+
+
+def test_fraction_jones_one_sided_transcript_pinned():
+    assert _sha(_jones_one_sided_bytes()) == JONES_ONE_SIDED_DIGEST
