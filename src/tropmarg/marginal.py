@@ -152,7 +152,11 @@ class WordTemplate:
 
     def neutral_value(self) -> Matrix:
         """Word value with identity in every box and all-infinity in every
-        circle slot."""
+        circle slot; computed once per template."""
+        return self._neutral_value
+
+    @functools.cached_property
+    def _neutral_value(self) -> Matrix:
         e = identity(self.kind, self.dim)
         o = neutral_matrix(self.kind, self.dim)
         return self.evaluate([e] * self.n_box + [o] * self.n_circle)

@@ -10,7 +10,10 @@ can never hit the undefined +inf + -inf case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from math import lcm
+from operator import add
+from typing import Iterable
 
 from .semiring import (
     NEG_INF,
@@ -84,11 +87,15 @@ def neutral_matrix(kind: SemiringKind, n: int) -> Matrix:
     return Matrix(kind, tuple(tuple(o for _ in range(n)) for _ in range(n)))
 
 
+def _check_fits(kind: SemiringKind, n: int, b: Matrix) -> None:
+    if kind is not b.kind:
+        raise TypeError(f"semiring mismatch: {kind} vs {b.kind}")
+    if n != b.dim:
+        raise ValueError(f"dimension mismatch: {n} vs {b.dim}")
+
+
 def _check_same(a: Matrix, b: Matrix) -> None:
-    if a.kind is not b.kind:
-        raise TypeError(f"semiring mismatch: {a.kind} vs {b.kind}")
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_fits(a.kind, a.dim, b)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -105,31 +112,73 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Tropical product: (a ⊗ b)_ij = sum-reduce over l of a_il + b_lj."""
+    """Tropical product: (a ⊗ b)_ij = sum-reduce over l of a_il + b_lj.
+
+    One exact kernel for every input.  A single scan of both operands finds
+    whether they hold the semiring's infinity and the lcm d of their
+    Fraction denominators; with d > 1 every finite entry is scaled by d to
+    an int, so each entry is the builtin min or max over int sums, skipping
+    terms with an infinite factor (an infinite term never wins the pick).
+    Results are mapped back by Fraction(v, d), collapsing to int at
+    denominator 1, so entries stay canonical.
+    """
     _check_same(a, b)
     k = a.kind
-    n = a.dim
-    cols = tuple(zip(*b.rows))
-    out = []
-    for i in range(n):
-        ra = a.rows[i]
-        out_row = []
-        for j in range(n):
-            cb = cols[j]
-            acc = s_mul(ra[0], cb[0])
-            for l in range(1, n):
-                acc = s_add(k, acc, s_mul(ra[l], cb[l]))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return Matrix(k, tuple(out))
+    o = add_neutral(k)
+    pick = min if k is SemiringKind.MIN_PLUS else max
+    has_inf = False
+    d = 1
+    for row in (*a.rows, *b.rows):
+        for x in row:
+            if type(x) is not int:
+                if x is o:
+                    has_inf = True
+                else:
+                    d = lcm(d, x.denominator)
+    rows, cols = a.rows, tuple(zip(*b.rows))
+    if d > 1:
+        rows, cols = _scaled(rows, d, o), _scaled(cols, d, o)
+    if has_inf:
+        out = tuple(
+            tuple(
+                pick(
+                    [x + y for x, y in zip(row, col) if x is not o and y is not o],
+                    default=o,
+                )
+                for col in cols
+            )
+            for row in rows
+        )
+    else:
+        out = tuple(tuple(pick(map(add, row, col)) for col in cols) for row in rows)
+    if d > 1:
+        out = tuple(
+            tuple(v if v is o else _unscaled(v, d) for v in row) for row in out
+        )
+    return Matrix(k, out)
+
+
+def _scaled(rows, d: int, o) -> tuple:
+    """Every finite entry times d, as an int (d is a common denominator)."""
+    return tuple(
+        tuple(x if x is o else x.numerator * (d // x.denominator) for x in row)
+        for row in rows
+    )
+
+
+def _unscaled(v: int, d: int) -> Scalar:
+    q, r = divmod(v, d)
+    return q if r == 0 else Fraction(v, d)
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
     """e-fold tropical power; e = 0 gives the identity."""
     if e < 0:
         raise ValueError("negative power")
-    acc = identity(a.kind, a.dim)
-    for _ in range(e):
+    if e == 0:
+        return identity(a.kind, a.dim)
+    acc = a
+    for _ in range(e - 1):
         acc = mat_mul(acc, a)
     return acc
 
@@ -140,12 +189,16 @@ def scalar_mul(c, a: Matrix) -> Matrix:
     return Matrix(a.kind, tuple(tuple(s_mul(c, x) for x in row) for row in a.rows))
 
 
-def mat_prod(kind: SemiringKind, n: int, factors: Sequence[Matrix]) -> Matrix:
+def mat_prod(kind: SemiringKind, n: int, factors: Iterable[Matrix]) -> Matrix:
     """Product of a possibly empty sequence of matrices (empty = identity)."""
-    acc = identity(kind, n)
+    acc = None
     for f in factors:
-        acc = mat_mul(acc, f)
-    return acc
+        if acc is None:
+            _check_fits(kind, n, f)
+            acc = f
+        else:
+            acc = mat_mul(acc, f)
+    return identity(kind, n) if acc is None else acc
 
 
 def dual(a: Matrix) -> Matrix:
@@ -193,8 +246,8 @@ def poly_eval(p: TropPolynomial, a: Matrix) -> Matrix:
     if p.kind is not a.kind:
         raise TypeError("polynomial and matrix live in different semirings")
     acc = scalar_mul(p.coeffs[0], identity(a.kind, a.dim))
-    power = identity(a.kind, a.dim)
+    power = None
     for c in p.coeffs[1:]:
-        power = mat_mul(power, a)
+        power = a if power is None else mat_mul(power, a)
         acc = mat_add(acc, scalar_mul(c, power))
     return acc

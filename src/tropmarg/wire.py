@@ -219,6 +219,7 @@ def _word_in(obj) -> WordTemplate:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
+                or not isinstance(pair[0], str)
                 or pair[0] not in _ATOM_TAGS
                 or not isinstance(pair[1], int)
             ):
@@ -249,6 +250,12 @@ def _expect_type(obj, expected: str) -> None:
 # --------------------------------------------------------------------------
 # Marginal sets: raw / interval / delta
 
+# Most tuples an interval box may stand for.  The decoder expands and
+# verifies every member, so it rejects a larger box before expanding it,
+# and the encoder writes such a set in delta form instead.  A few hundred
+# bytes of box could otherwise stand for billions of tuples.
+MAX_BOX_TUPLES = 4096
+
 
 def _box_form(s: MarginalSet):
     """Interval body if the set is exactly an integer box of single matrices,
@@ -272,7 +279,7 @@ def _box_form(s: MarginalSet):
             if max(vals) - min(vals) + 1 != len(vals):
                 return None  # gaps: not a contiguous range
             total *= len(vals)
-    if total != len(s.tuples):
+    if total != len(s.tuples) or total > MAX_BOX_TUPLES:
         return None
     return [
         [
@@ -357,6 +364,12 @@ def _marginal_set_payload(obj) -> MarginalSet:
                     cells.append(range(cell[0], cell[1] + 1))
                 else:
                     raise WireFormatError(f"bad interval cell {cell!r}")
+        volume = 1
+        for c in cells:
+            # clamped, so a huge cell costs one multiplication
+            volume = min(volume * max(0, c.stop - c.start), MAX_BOX_TUPLES + 1)
+        if volume > MAX_BOX_TUPLES:
+            raise WireFormatError(f"interval box holds more than {MAX_BOX_TUPLES} tuples")
         tuples = []
         for combo in itertools.product(*cells):
             rows = tuple(tuple(combo[i * n + j] for j in range(n)) for i in range(n))
@@ -438,6 +451,20 @@ def _family_out(spec: FamilySpec):
     raise WireFormatError(f"unknown family spec {spec!r}")
 
 
+def _int_field(obj: dict, key: str, least=None) -> int:
+    value = obj.get(key)
+    if type(value) is not int or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise WireFormatError(f"family field {key} must be an integer{bound}")
+    return value
+
+
+def _draw_range(obj: dict) -> tuple[int, int]:
+    """The lo..hi range a circulant family draws its entries from."""
+    lo = _int_field(obj, "lo")
+    return lo, _int_field(obj, "hi", least=lo)
+
+
 def _family_in(obj, kind: SemiringKind, dim: int) -> FamilySpec:
     if not isinstance(obj, dict):
         raise WireFormatError("family spec must be an object")
@@ -446,29 +473,25 @@ def _family_in(obj, kind: SemiringKind, dim: int) -> FamilySpec:
         if name == "poly":
             return PolyFamily(
                 base=_rows_in(kind, obj.get("base")),
-                max_degree=obj["max_degree"],
-                coeff_lo=obj["coeff_lo"],
-                coeff_hi=obj["coeff_hi"],
+                max_degree=_int_field(obj, "max_degree"),
+                coeff_lo=_int_field(obj, "coeff_lo"),
+                coeff_hi=_int_field(obj, "coeff_hi"),
             )
         if name == "circulant":
-            return CirculantFamily(kind=kind, dim=dim, lo=obj["lo"], hi=obj["hi"])
+            return CirculantFamily(kind, dim, *_draw_range(obj))
         if name == "upper-t":
-            return UpperTCirculantFamily(
-                kind=kind, dim=dim, t=token_to_scalar(obj["t"]),
-                lo=obj["lo"], hi=obj["hi"],
-            )
+            t = token_to_scalar(obj.get("t"))
+            return UpperTCirculantFamily(kind, dim, t, *_draw_range(obj))
         if name == "lower-s":
-            return LowerSCirculantFamily(
-                kind=kind, dim=dim, s=token_to_scalar(obj["s"]),
-                lo=obj["lo"], hi=obj["hi"],
-            )
+            s = token_to_scalar(obj.get("s"))
+            return LowerSCirculantFamily(kind, dim, s, *_draw_range(obj))
         if name == "jones-deform":
             lo, hi = token_to_scalar(obj["alpha_lo"]), token_to_scalar(obj["alpha_hi"])
             return JonesDeformFamily(
                 base=_rows_in(kind, obj.get("base")),
                 alpha_lo=Fraction(lo),
                 alpha_hi=Fraction(hi),
-                max_denominator=obj["max_denominator"],
+                max_denominator=_int_field(obj, "max_denominator", least=1),
             )
         if name == "ldp":
             if kind is not SemiringKind.MIN_PLUS:
@@ -675,6 +698,8 @@ def decode_report(data: bytes) -> dict:
     out = dict(obj)
     out["kind"] = kind
     if obj.get("z") is not None:
+        if not _is_list_of_lists(obj["z"]):
+            raise WireFormatError("report z must be an array of arrays")
         out["z"] = tuple(
             tuple(token_to_scalar(x) for x in row) for row in obj["z"]
         )

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end, in process via main()."""
 
 import json
+import time
 
 import pytest
 
@@ -334,6 +335,22 @@ def test_malformed_set_file_is_one_exit_2_record(run, tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(_MALFORMED_SETS[name])
     code, out = run("verify-marginal", "--set", str(path))
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["reason"] == "malformed-input"
+
+
+def test_oversized_interval_box_is_rejected_fast(run, tmp_path):
+    # a 3x3 box with every cell [0, 3] stands for 4**9 = 262,144 tuples
+    word = {**_WORD, "dim": 3, "constants": [[[0, 0, 0]] * 3],
+            "summands": [[["const", 0]], [["circle", 0]]]}
+    path = tmp_path / "box.json"
+    path.write_text(_set("interval", word=word, box=[[[0, 3]] * 3] * 3))
+    assert len(path.read_bytes()) < 300
+    start = time.perf_counter()
+    code, out = run("verify-marginal", "--set", str(path))
+    assert time.perf_counter() - start < 0.5
     assert code == 2
     lines = out.strip().splitlines()
     assert len(lines) == 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import tropmarg.fixtures as fx
+import tropmarg.wire as wire
 from tropmarg.families import (
     CirculantFamily,
     JonesDeformFamily,
@@ -183,6 +184,30 @@ class TestMarginalSetCodec:
         s = fx.compression_box_set()
         with pytest.raises(WireFormatError):
             encode_marginal_set(s, encoding="zip")
+
+    def test_interval_box_above_the_bound_is_rejected_unexpanded(self):
+        obj = from_canonical_bytes(
+            encode_marginal_set(fx.compression_box_set(), encoding="interval")
+        )
+        obj["box"][0][1] = [0, 10**30]
+        with pytest.raises(WireFormatError, match="more than"):
+            decode_marginal_set(to_canonical_bytes(obj))
+
+    def test_interval_bound_is_inclusive(self, monkeypatch):
+        s = fx.compression_box_set()  # ten tuples
+        data = encode_marginal_set(s, encoding="interval")
+        monkeypatch.setattr(wire, "MAX_BOX_TUPLES", 10)
+        assert set(decode_marginal_set(data).tuples) == set(s.tuples)
+        monkeypatch.setattr(wire, "MAX_BOX_TUPLES", 9)
+        with pytest.raises(WireFormatError, match="more than 9 tuples"):
+            decode_marginal_set(data)
+
+    def test_interval_falls_back_to_delta_above_the_bound(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_BOX_TUPLES", 9)
+        s = fx.compression_box_set()
+        data = encode_marginal_set(s, encoding="interval")
+        assert from_canonical_bytes(data)["encoding"] == "delta"
+        assert decode_marginal_set(data).tuples == s.tuples
 
     def test_tampered_tuple_is_flagged_with_its_index(self):
         s = make_marginal_set(right_word(fx.DEF3_A), [fx.DEF3_C1, fx.DEF3_C2])
