@@ -94,13 +94,9 @@ def _check_fits(kind: SemiringKind, n: int, b: Matrix) -> None:
         raise ValueError(f"dimension mismatch: {n} vs {b.dim}")
 
 
-def _check_same(a: Matrix, b: Matrix) -> None:
-    _check_fits(a.kind, a.dim, b)
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise semiring sum (min or max)."""
-    _check_same(a, b)
+    _check_fits(a.kind, a.dim, b)
     k = a.kind
     return Matrix(
         k,
@@ -122,7 +118,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     Results are mapped back by Fraction(v, d), collapsing to int at
     denominator 1, so entries stay canonical.
     """
-    _check_same(a, b)
+    _check_fits(a.kind, a.dim, b)
     k = a.kind
     o = add_neutral(k)
     pick = min if k is SemiringKind.MIN_PLUS else max

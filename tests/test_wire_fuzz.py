@@ -61,14 +61,15 @@ from tropmarg.wire import (
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
 
-DECODERS = (
-    decode_matrix,
-    decode_word,
-    decode_marginal_set,
-    decode_params,
-    decode_transcript,
-    decode_report,
-)
+# by the first word of a valid file's name
+DECODERS = {
+    "matrix": decode_matrix,
+    "word": decode_word,
+    "set": decode_marginal_set,
+    "params": decode_params,
+    "transcript": decode_transcript,
+    "report": decode_report,
+}
 TYPED = (WireFormatError, MarginalVerificationError)
 FUZZ = settings(
     max_examples=250,
@@ -219,11 +220,13 @@ def mutants(names):
 # Decoders
 
 
+def _decoder(name):
+    return DECODERS[name.split("-")[0]]
+
+
 def test_valid_files_decode():
     for name, data in VALID.items():
-        kind = name.split("-")[0]
-        decoder = {"set": decode_marginal_set}.get(kind) or globals()[f"decode_{kind}"]
-        decoder(data)
+        _decoder(name)(data)
 
 
 def _edit(name, change):
@@ -259,17 +262,14 @@ REGRESSIONS = {
 @pytest.mark.parametrize("case", sorted(REGRESSIONS))
 def test_found_escapes_are_format_errors(case):
     name, change = REGRESSIONS[case]
-    decoder = decode_marginal_set if name.startswith("set") else globals()[
-        "decode_" + name.split("-")[0]
-    ]
     with pytest.raises(WireFormatError):
-        decoder(_edit(name, change))
+        _decoder(name)(_edit(name, change))
 
 
 @settings(FUZZ, max_examples=600)
 @given(mutants(VALID))
 def test_decoders_return_or_raise_typed_errors(data):
-    for decode in DECODERS:
+    for decode in DECODERS.values():
         try:
             decode(data)
         except TYPED:
