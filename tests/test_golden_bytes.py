@@ -300,3 +300,79 @@ def test_sidelnikov_degree3_dim8_bytes_pinned():
 
 def test_fraction_jones_one_sided_transcript_pinned():
     assert _sha(_jones_one_sided_bytes()) == JONES_ONE_SIDED_DIGEST
+
+
+# --------------------------------------------------------------------------
+# Two-slot sets at k = 5 and 6, where the pair systems are largest: both
+# samplers over both semirings, one case each on Fraction constants, and a
+# 2-block transcript at dim 6 (its seam sets are sandwich sets).
+
+
+def _fraction_square(kind, rng, n):
+    return make_matrix(
+        kind,
+        [
+            [Fraction(rng.randint(-27, 27), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
+        ],
+    )
+
+
+def _large_pair_set_bytes(case: str) -> bytes:
+    sampler, kind, k, scalars = case.split(":")
+    kind, k = KINDS[kind], int(k)
+    rng = random.Random(f"golden/{case}")
+    square = _fraction_square if scalars == "fraction" else _square
+    a, b, c = (square(kind, rng, k) for _ in range(3))
+    if sampler == "sandwich":
+        s = sample_sandwich_marginal(a, 3, -20, 20, rng)
+    else:
+        s = sample_five_factor_marginal(a, b, c, 3, -20, 20, rng)
+    assert len(s) == 3
+    if scalars == "fraction":
+        entries = (x for t in s.tuples for m in t for row in m.rows for x in row)
+        assert any(isinstance(x, Fraction) for x in entries)
+    return encode_marginal_set(s)
+
+
+LARGE_PAIR_SET_DIGESTS = {
+    "five-factor:max:5:int": "492b0a642fff0d11d933d2fcf94b2e02847407c6c5e3fb3633fe573229233068",
+    "five-factor:max:6:int": "2a17b5ba9b8c347f34e713aeabc6186082552b5ad1cd0fe632e3810d270b2ba7",
+    "five-factor:min:5:fraction": "88ac7b92c80d67b4761ec86afde4cb40dcaf062cf25b8d1c0cc688bdc005013b",
+    "five-factor:min:5:int": "bf40d527dcbdbdac9d5c58b2762ec2036aa8054c4789ccba7aa762aacc0e7268",
+    "five-factor:min:6:int": "129e60cf88484c2d74b6a6d878bd17982380cab42005d96955c64ee2f49bcecd",
+    "sandwich:max:5:int": "0b299be1b89d418d9fa4b8de24cf7952ef2ef76d1bc629ec6aba7f36716ebc01",
+    "sandwich:max:6:fraction": "f40b0721edf41625ee4217fe45eeb1c05db4112965bf4c3ad48eff2b04332d75",
+    "sandwich:max:6:int": "cc2099a7843574a3225226362b8db8b7158ce7dd3fe4994d947e4cbf058841be",
+    "sandwich:min:5:int": "0cc54843a9ec3721f17f372840a4f6ce6ded511c2108ec70f601cca21f7d5039",
+    "sandwich:min:6:int": "11a45f60fb52ee4e6a9cac0a8f54964e1e58a88297f65e2dfd3368f520eec52c",
+}
+
+MULTIBLOCK_DIM6_DIGEST = "d1684cedac4b4b4c6a724cdc4e8adaf1c73c6c9168ac1d17c3c92fc3204e49ec"
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_PAIR_SET_DIGESTS))
+def test_large_pair_set_bytes_pinned(case):
+    assert _sha(_large_pair_set_bytes(case)) == LARGE_PAIR_SET_DIGESTS[case]
+
+
+def test_multiblock_dim6_transcript_pinned():
+    rng = random.Random("golden/multiblock-dim6/min")
+    n = 6
+    left = PolyFamily(_square(MIN, rng, n), 2, -9, 9)
+    right = PolyFamily(_square(MIN, rng, n), 2, -9, 9)
+    params = ProtocolParams(
+        kind=MIN,
+        dim=n,
+        publics=tuple(_square(MIN, rng, n) for _ in range(2)),
+        left_families=(left,) * 2,
+        right_families=(right,) * 2,
+        n_tuples=3,
+        l=40,
+        l1=-20,
+        l2=20,
+        seed=rng.randrange(2**31),
+    )
+    t = run_protocol_multiblock(params, random.Random(params.seed))
+    assert t.agreed
+    assert _sha(encode_transcript(t)) == MULTIBLOCK_DIM6_DIGEST
