@@ -239,7 +239,11 @@ def _cmd_gen_params(args) -> int:
         )
     except ValueError as e:
         raise CliError(2, "bad-arguments", str(e))
-    write_bytes(args.out, encode_params(params))
+    try:
+        data = encode_params(params)
+    except WireFormatError as e:
+        raise CliError(2, "bad-arguments", str(e))
+    write_bytes(args.out, data)
     _print(f"params written to {args.out}: {kind} dim {args.dim}, family {name}, seed {args.seed}")
     return 0
 

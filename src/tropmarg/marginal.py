@@ -23,9 +23,10 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from operator import sub
+from typing import Iterable, Optional, Sequence, Union
 
-from .constraints import ConstraintSystem, Infeasible, VarId, solve_feasible_min
+from .constraints import ConstraintSystem, VarId
 from .matrix import (
     Matrix,
     dual,
@@ -497,12 +498,12 @@ class BoundTable:
             if self.bound(*(i for i in p for _ in range(2))) == 0
         )
 
-    @property
+    @functools.cached_property
     def px(self) -> frozenset[int]:
         """Projection of the zero pairs on the first slot."""
         return frozenset(p[0] for p in self.zero_pairs)
 
-    @property
+    @functools.cached_property
     def py(self) -> frozenset[int]:
         """Projection of the zero pairs on the last slot."""
         return frozenset(p[-1] for p in self.zero_pairs)
@@ -576,9 +577,11 @@ def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
 def _pair_system(
     table: BoundTable, r: list[list[int]], s: list[list[int]]
 ) -> ConstraintSystem:
-    """Feasibility system of the two-slot sampler: the full inequality grid
-    x_pq + y_rs >= bound(p, q, r, s) = E[p][s] - B[q][r], the zero pairs as
-    diagonal equalities, and the drawn lower bounds."""
+    """The two-slot system as an explicit ConstraintSystem: the full
+    inequality grid x_pq + y_rs >= bound(p, q, r, s) = E[p][s] - B[q][r], the
+    zero pairs as diagonal equalities, and the drawn lower bounds.  The
+    sampler solves it without building it (_solve_pair); solve_feasible_min
+    on this form is the reference for the worked instances and the tests."""
     k = table.product.dim
     e, b = table.outer.rows, table.chain[1].rows
     x = [[VarId("x", i, j) for j in range(k)] for i in range(k)]
@@ -607,6 +610,89 @@ def _assignment_to_pair(assignment: dict, n: int) -> tuple[Matrix, Matrix]:
     )
 
 
+def _solve_pair(
+    table: BoundTable, r: list[list], s: list[list]
+) -> Optional[tuple[Matrix, Matrix]]:
+    """Canonical point of the two-slot system, or None when it is infeasible.
+
+    The system is _pair_system(table, r, s): x_pq + y_rs >= E[p][s] - B[q][r]
+    for all p, q, r, s, x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S.
+    It is solved from the k×k factors E and B alone, to the point that
+    solve_feasible_min returns for it: Y pointwise least, X least given Y.
+
+    In the solver's graph (z = -y) the only edges into a plain variable are
+    the zero pairs' z_rr -> x_pp, so every cycle lies on the origin and the
+    diagonal nodes x_pp (p in px) and z_rr (r in py):
+
+    - Bellman-Ford settles those diagonals.  One round reads each x_pp off
+      its partners' y_rr, then each y_rr off the x_pp.  A simple path meets
+      at most |px| of the x_pp, so a system still changing after |px| + 1
+      rounds has a negative cycle.
+    - An x_pp below its lower bound closes a negative cycle through the
+      origin.
+    - Every y_rs is then the largest of S_rs and E[p][s] - B[p][r] - x_pp
+      over p in px.
+    - Every other x_pq is the least value its lower bound and its rows
+      allow: the largest of R_pq and E[p][s] - (B⊗Y)[q][s] over s.
+    """
+    k = table.product.dim
+    e, b = table.outer.rows, table.chain[1].rows
+    px = sorted(table.px)
+    partners = {p: [rr for pp, rr in table.zero_pairs if pp == p] for p in px}
+    y = {rr: s[rr][rr] for rr in table.py}
+    for _ in range(len(px) + 1):
+        x = {p: -max(y[rr] for rr in partners[p]) for p in px}
+        settled = {
+            rr: max(s[rr][rr], *(e[p][rr] - b[p][rr] - x[p] for p in px)) for rr in y
+        }
+        if settled == y:
+            break
+        y = settled
+    else:
+        return None
+    if any(x[p] < r[p][p] for p in px):
+        return None
+    ys = Matrix(
+        SemiringKind.MIN_PLUS,
+        tuple(
+            tuple(
+                as_scalar(max(column))
+                for column in zip(s[i], *([v - b[p][i] - x[p] for v in e[p]] for p in px))
+            )
+            for i in range(k)
+        ),
+    )
+    by = mat_mul(table.chain[1], ys).rows
+    xs = Matrix(
+        SemiringKind.MIN_PLUS,
+        tuple(
+            tuple(
+                as_scalar(x[p]) if p == q and p in x else
+                as_scalar(max(r[p][q], max(map(sub, e[p], by[q]))))
+                for q in range(k)
+            )
+            for p in range(k)
+        ),
+    )
+    _check_pair_point(table, r, s, xs, ys)
+    return xs, ys
+
+
+def _check_pair_point(table: BoundTable, r, s, xs: Matrix, ys: Matrix) -> None:
+    """The solver's point check on a pair: X⊗B⊗Y >= E entrywise (which is
+    the whole grid x_pq + y_rs >= E[p][s] - B[q][r]), the zero-pair
+    equalities and both lower bounds."""
+    x, y = xs.rows, ys.rows
+    xby = mat_mul(mat_mul(xs, table.chain[1]), ys).rows
+    if (
+        any(v < w for row, bound in zip(xby, table.outer.rows) for v, w in zip(row, bound))
+        or any(x[p][p] + y[rr][rr] != 0 for p, rr in table.zero_pairs)
+        or any(v < w for row, low in zip(x, r) for v, w in zip(row, low))
+        or any(v < w for row, low in zip(y, s) for v, w in zip(row, low))
+    ):
+        raise SelfCheckError("pair solve produced an invalid point")
+
+
 def _sample_pairs(
     word: WordTemplate, residual, n: int, l1: int, l2: int, rng: random.Random
 ) -> MarginalSet:
@@ -615,8 +701,8 @@ def _sample_pairs(
 
     A pin value h and the free lower bounds are drawn from [l1, l2]; rows of
     the zero-pair projections get their diagonal bounds pinned to h and -h,
-    the zero pairs themselves become equalities, and the canonical solver
-    produces the pair.  Infeasible draws retry within the budget.  Max-plus
+    the zero pairs themselves become equalities, and _solve_pair produces
+    the canonical pair.  Infeasible draws retry within the budget.  Max-plus
     inputs run through the min-plus reduction by negation, with l1..l2 read
     in the reduced coordinates.
     """
@@ -638,11 +724,8 @@ def _sample_pairs(
             else:
                 r[i][j] = rng.randint(l1, l2)
                 s[i][j] = rng.randint(l1, l2)
-        solved = solve_feasible_min(_pair_system(table, r, s))
-        if isinstance(solved, Infeasible):
-            return None
-        pair = _assignment_to_pair(solved, k)
-        if not table.holds(pair):
+        pair = _solve_pair(table, r, s)
+        if pair is not None and not table.holds(pair):
             raise SelfCheckError("sampled pair changes the word's value")
         return pair
 

@@ -32,7 +32,7 @@ from .marginal import (
     sample_sandwich_marginal,
     sandwich_word,
 )
-from .matrix import Matrix, mat_add, mat_mul, mat_pow, mat_prod, scalar_mul
+from .matrix import Matrix, identity, mat_add, mat_mul, mat_prod, scalar_mul
 from .semiring import SelfCheckError, SemiringKind, s_max, s_min, s_sub
 
 
@@ -500,10 +500,13 @@ class NoDecomposition(RuntimeError):
 
 
 def power_basis(a: Matrix, degree: int) -> list[Matrix]:
-    """[I, A, A^⊗2, ..., A^⊗degree]"""
+    """[I, A, A^⊗2, ..., A^⊗degree], each power one product from the last."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    return [mat_pow(a, e) for e in range(degree + 1)]
+    basis = [identity(a.kind, a.dim)]
+    for e in range(degree):
+        basis.append(mat_mul(basis[-1], a) if e else a)
+    return basis
 
 
 def attack_decomposition(
@@ -531,8 +534,15 @@ def attack_decomposition(
         if not m.is_finite():
             raise ValueError("attack requires finite public values")
     pick = s_max if kind is SemiringKind.MIN_PLUS else s_min
+    e = identity(kind, dim)
+
+    def times(x: Matrix, y: Matrix) -> Matrix:
+        """x⊗y, without a product when either factor is the identity (power
+        bases start with it)."""
+        return y if x == e else x if y == e else mat_mul(x, y)
+
     conjugates = [
-        [mat_prod(kind, dim, [a, w, b]) for b in right_basis] for a in left_basis
+        [times(aw, b) for b in right_basis] for aw in (times(a, w) for a in left_basis)
     ]
     # basis elements themselves may hold infinities (the identity does); only
     # their conjugates enter subtractions and those must be finite
@@ -561,7 +571,8 @@ def attack_decomposition(
         raise NoDecomposition(z_table)
     candidate = None
     for i, a in enumerate(left_basis):
+        av = times(a, v)
         for j, b in enumerate(right_basis):
-            term = scalar_mul(z_table[i][j], mat_prod(kind, dim, [a, v, b]))
+            term = scalar_mul(z_table[i][j], times(av, b))
             candidate = term if candidate is None else mat_add(candidate, term)
     return candidate, z_table

@@ -16,6 +16,7 @@ from .families import PolyFamily
 from .marginal import (
     _assignment_to_pair,
     _pair_system,
+    _solve_pair,
     diagonal_pairs,
     five_factor_residual,
     max_possible_matrix,
@@ -89,23 +90,36 @@ def _check_pair_constraints():
     return True, "16 constraint lines reproduced"
 
 
+def _check_canonical_pair(table, r, s, expected):
+    """Both the general solver on the full system and the sampler's pair
+    solve must give the recorded pair for the recorded bounds; returns the
+    failure, or None."""
+    r, s = [list(row) for row in r.rows], [list(row) for row in s.rows]
+    solved = solve_feasible_min(_pair_system(table, r, s))
+    if isinstance(solved, Infeasible):
+        return "recorded bounds came out infeasible"
+    pair = _assignment_to_pair(solved, table.product.dim)
+    if pair != expected:
+        return f"canonical pair differs: {pair[0]!r}, {pair[1]!r}"
+    pair = _solve_pair(table, r, s)
+    if pair != expected:
+        return f"sampler's pair solve differs: {pair!r}"
+    return None
+
+
 def _check_pair_solution():
     a = fx.BIL_A
-    table = two_sided_residual(a)
-    sys = _pair_system(
-        table, [list(r) for r in fx.BIL_R.rows], [list(r) for r in fx.BIL_S.rows]
+    fail = _check_canonical_pair(
+        two_sided_residual(a), fx.BIL_R, fx.BIL_S, (fx.BIL_X, fx.BIL_Y)
     )
-    solved = solve_feasible_min(sys)
-    if isinstance(solved, Infeasible):
-        return False, "recorded bounds came out infeasible"
-    x, y = _assignment_to_pair(solved, 2)
-    if (x, y) != (fx.BIL_X, fx.BIL_Y):
-        return False, f"canonical pair differs: {x!r}, {y!r}"
+    if fail:
+        return False, fail
+    x, y = fx.BIL_X, fx.BIL_Y
     if mat_prod(MIN, 2, [x, a, y]) != a:
         return False, "X⊗A⊗Y != A"
     if mat_mul(x, a) == a or mat_mul(a, y) == a:
         return False, "a one-sided product unexpectedly equals A"
-    return True, "canonical pair reproduced; sandwich holds, one-sided does not"
+    return True, "both solves give the canonical pair; sandwich holds, one-sided does not"
 
 
 def _check_five_factor_table():
@@ -124,16 +138,12 @@ def _check_five_factor_table():
 
 def _check_five_factor_solution():
     a, b, c, d = fx.FF_A, fx.FF_B, fx.FF_C, fx.FF_D
-    table = five_factor_residual(a, b, c)
-    sys = _pair_system(
-        table, [list(r) for r in fx.FF_R.rows], [list(r) for r in fx.FF_S.rows]
+    fail = _check_canonical_pair(
+        five_factor_residual(a, b, c), fx.FF_R, fx.FF_S, (fx.FF_X, fx.FF_Y)
     )
-    solved = solve_feasible_min(sys)
-    if isinstance(solved, Infeasible):
-        return False, "recorded bounds came out infeasible"
-    x, y = _assignment_to_pair(solved, 3)
-    if (x, y) != (fx.FF_X, fx.FF_Y):
-        return False, f"canonical pair differs: {x!r}, {y!r}"
+    if fail:
+        return False, fail
+    x, y = fx.FF_X, fx.FF_Y
     if mat_prod(MIN, 3, [a, x, b, y, c]) != d:
         return False, "A⊗X⊗B⊗Y⊗C != A⊗B⊗C"
     ab = mat_mul(a, b)
@@ -150,7 +160,7 @@ def _check_five_factor_solution():
     for got, ref, label in strict:
         if got == ref:
             return False, f"{label} unexpectedly holds"
-    return True, "canonical pair reproduced; only the full chain is preserved"
+    return True, "both solves give the canonical pair; only the full chain is preserved"
 
 
 def _check_one_sided_replay():

@@ -256,6 +256,16 @@ def _expect_type(obj, expected: str) -> None:
 # bytes of box could otherwise stand for billions of tuples.
 MAX_BOX_TUPLES = 4096
 
+# Largest polynomial degree and tuple count a params file may ask for.  A
+# few bytes can name any number, and the work grows with both: drawing a
+# family member of degree D costs D matrix products, and a run draws
+# n_tuples tuples per published set.  The CLI defaults, the builtin fixtures
+# and the benchmark use at most degree 3 and 3 tuples.  The encoder refuses
+# what the decoder would reject, so no params file is written that cannot
+# be read back.
+MAX_POLY_DEGREE = 64
+MAX_TUPLES = 256
+
 
 def _box_form(s: MarginalSet):
     """Interval body if the set is exactly an integer box of single matrices,
@@ -415,6 +425,8 @@ def decode_marginal_set(data: bytes) -> MarginalSet:
 
 def _family_out(spec: FamilySpec):
     if isinstance(spec, PolyFamily):
+        if spec.max_degree > MAX_POLY_DEGREE:
+            raise WireFormatError(f"polynomial degree above {MAX_POLY_DEGREE}")
         return {
             "family": "poly",
             "base": _rows_out(spec.base),
@@ -451,10 +463,15 @@ def _family_out(spec: FamilySpec):
     raise WireFormatError(f"unknown family spec {spec!r}")
 
 
-def _int_field(obj: dict, key: str, least=None) -> int:
+def _int_field(obj: dict, key: str, least=None, most=None) -> int:
     value = obj.get(key)
-    if type(value) is not int or least is not None and value < least:
+    if (
+        type(value) is not int
+        or least is not None and value < least
+        or most is not None and value > most
+    ):
         bound = "" if least is None else f" >= {least}"
+        bound += "" if most is None else f" <= {most}"
         raise WireFormatError(f"family field {key} must be an integer{bound}")
     return value
 
@@ -473,7 +490,7 @@ def _family_in(obj, kind: SemiringKind, dim: int) -> FamilySpec:
         if name == "poly":
             return PolyFamily(
                 base=_rows_in(kind, obj.get("base")),
-                max_degree=_int_field(obj, "max_degree"),
+                max_degree=_int_field(obj, "max_degree", most=MAX_POLY_DEGREE),
                 coeff_lo=_int_field(obj, "coeff_lo"),
                 coeff_hi=_int_field(obj, "coeff_hi"),
             )
@@ -507,6 +524,8 @@ def _family_in(obj, kind: SemiringKind, dim: int) -> FamilySpec:
 
 
 def _params_body(p: ProtocolParams):
+    if p.n_tuples > MAX_TUPLES:
+        raise WireFormatError(f"params n_tuples above {MAX_TUPLES}")
     return {
         "kind": str(p.kind),
         "dim": p.dim,
@@ -538,6 +557,8 @@ def _params_in(obj) -> ProtocolParams:
     for key in ("n_tuples", "l", "l1", "l2", "seed"):
         if not isinstance(obj.get(key), int):
             raise WireFormatError(f"params field {key} must be an integer")
+    if obj["n_tuples"] > MAX_TUPLES:
+        raise WireFormatError(f"params n_tuples above {MAX_TUPLES}")
     try:
         return ProtocolParams(
             kind=kind,

@@ -7,6 +7,8 @@ import pytest
 
 from tropmarg.cli import main
 from tropmarg.wire import (
+    MAX_POLY_DEGREE,
+    MAX_TUPLES,
     decode_marginal_set,
     decode_params,
     decode_report,
@@ -419,3 +421,59 @@ def test_malformed_transcript_file_is_one_exit_2_record(run, tmp_path, name):
     lines = out.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["reason"] == "malformed-input"
+
+
+@pytest.mark.parametrize("value", [MAX_POLY_DEGREE + 1, 10**30])
+def test_params_file_degree_above_cap_is_rejected_fast(run, tmp_path, params_file, value):
+    params = json.loads(params_file.read_text())
+    params["left"][0]["max_degree"] = value
+    params_file.write_text(json.dumps(params))
+    start = time.perf_counter()
+    code, out = run(
+        "gen-marginal", "--word", "right", "--in", str(params_file),
+        "--count", "1", "--out", str(tmp_path / "set.json"),
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["reason"] == "malformed-input"
+
+
+@pytest.mark.parametrize("value", [MAX_TUPLES + 1, 10**30])
+def test_params_file_tuple_count_above_cap_is_rejected_fast(run, tmp_path, params_file, value):
+    params = json.loads(params_file.read_text())
+    params["n_tuples"] = value
+    params_file.write_text(json.dumps(params))
+    start = time.perf_counter()
+    code, out = run(
+        "run-protocol", "sandwich", "--params", str(params_file),
+        "--out", str(tmp_path / "t.json"),
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["reason"] == "malformed-input"
+
+
+@pytest.mark.parametrize("option", ["--family", "--tuples"])
+def test_gen_params_writes_only_what_reads_back(run, tmp_path, option):
+    def gen(value, path):
+        family = f"poly:deg={value}" if option == "--family" else "poly"
+        tuples = str(value) if option == "--tuples" else "3"
+        return run(
+            "gen-params", "--semiring", "min-plus", "--dim", "2", "--range", "0..9",
+            "--family", family, "--tuples", tuples, "--seed", "1", "--out", str(path),
+        )
+
+    cap = MAX_POLY_DEGREE if option == "--family" else MAX_TUPLES
+    at_cap = tmp_path / "at-cap.json"
+    assert gen(cap, at_cap)[0] == 0
+    decode_params(read_bytes(str(at_cap)))
+    above = tmp_path / "above.json"
+    code, out = gen(cap + 1, above)
+    assert code == 2 and not above.exists()
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["reason"] == "bad-arguments"
