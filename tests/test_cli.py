@@ -239,6 +239,25 @@ class TestRunProtocol:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "protocol,detail",
+        [
+            ("sidelnikov", "baseline exchange uses a single public matrix"),
+            ("one-sided", "one-sided exchange uses a single public matrix"),
+            ("sandwich", "sandwich exchange uses a single public matrix"),
+        ],
+    )
+    def test_single_block_protocol_on_two_block_params(self, run, tmp_path, protocol, detail):
+        code, out = run(
+            "run-protocol", protocol, "--params", "builtin:two-block-3x3",
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["reason"] == "bad-arguments" and record["detail"] == detail
+
     def test_unknown_builtin(self, run, tmp_path):
         code, out = run(
             "run-protocol", "sidelnikov", "--params", "builtin:nothing",

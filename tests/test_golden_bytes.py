@@ -20,6 +20,7 @@ from tropmarg.families import (
     deform,
     sample_jones,
 )
+from tropmarg.fixtures import builtin_params
 from tropmarg.marginal import (
     sample_additive_marginal,
     sample_five_factor_marginal,
@@ -376,3 +377,54 @@ def test_multiblock_dim6_transcript_pinned():
     t = run_protocol_multiblock(params, random.Random(params.seed))
     assert t.agreed
     assert _sha(encode_transcript(t)) == MULTIBLOCK_DIM6_DIGEST
+
+
+# --------------------------------------------------------------------------
+# The scripted builtin replays, and a 3-block run whose chain has two seams.
+
+_BUILTIN_RUNNERS = {
+    "one-sided-3x3": run_protocol_one_sided,
+    "sandwich4x4": run_protocol_sandwich,
+    "two-block-3x3": run_protocol_multiblock,
+}
+
+BUILTIN_REPLAY_DIGESTS = {
+    "one-sided-3x3": "05c087a173b27beebf7f2c12370e437086eb553daa6a88b89c6172e8c335a270",
+    "sandwich4x4": "16076070805c6ecedacd342d97ae44aa1006aeff96871195bc18ef923053e40d",
+    "two-block-3x3": "23d4596e94acd0bfa93e6618f9d27953ad3c0f6b30a975ad1537c97f0e7916a6",
+}
+
+MULTIBLOCK_3_BLOCK_DIGEST = "274667966d6fd655ed871476abcac26e513a449975d7d827063f7953f5ca10a5"
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_REPLAY_DIGESTS))
+def test_builtin_replay_transcript_pinned(name):
+    params = builtin_params(name)
+    t = _BUILTIN_RUNNERS[name](params, random.Random(params.seed))
+    assert t.agreed
+    assert _sha(encode_transcript(t)) == BUILTIN_REPLAY_DIGESTS[name]
+
+
+def test_multiblock_three_block_transcript_pinned():
+    rng = random.Random("golden/multiblock-3-blocks/min")
+    n = 3
+    left = PolyFamily(_square(MIN, rng, n), 2, -9, 9)
+    right = PolyFamily(_square(MIN, rng, n), 2, -9, 9)
+    params = ProtocolParams(
+        kind=MIN,
+        dim=n,
+        publics=tuple(_square(MIN, rng, n) for _ in range(3)),
+        left_families=(left,) * 3,
+        right_families=(right,) * 3,
+        n_tuples=3,
+        l=40,
+        l1=-20,
+        l2=20,
+        seed=rng.randrange(2**31),
+    )
+    t = run_protocol_multiblock(params, random.Random(params.seed))
+    assert t.agreed
+    assert [m.label for m in t.messages if m.label not in ("u", "v")] == [
+        "M11", "M12", "M13", "M14", "M21", "M22", "M23", "M24"
+    ]
+    assert _sha(encode_transcript(t)) == MULTIBLOCK_3_BLOCK_DIGEST

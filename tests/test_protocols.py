@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -127,6 +128,20 @@ class TestUnscriptedRuns:
         params = fx.builtin_params("two-block-3x3")
         with pytest.raises(ValueError):
             run_sidelnikov(params, random.Random(0))
+
+    @pytest.mark.parametrize(
+        "runner,detail",
+        [
+            (run_sidelnikov, "baseline exchange uses a single public matrix"),
+            (run_protocol_one_sided, "one-sided exchange uses a single public matrix"),
+            (run_protocol_sandwich, "sandwich exchange uses a single public matrix"),
+        ],
+    )
+    def test_single_block_runners_reject_two_block_params(self, runner, detail):
+        params = replace(fx.builtin_params("two-block-3x3"), script=None)
+        with pytest.raises(ValueError) as exc:
+            runner(params, random.Random(0))
+        assert str(exc.value) == detail
 
     def test_multiblock_three_blocks(self):
         fam = LdpFamily(3, 40, -7)
