@@ -11,12 +11,7 @@ from __future__ import annotations
 from .families import LdpFamily, PolyFamily
 from .marginal import MarginalSet, additive_word, make_marginal_set
 from .matrix import Matrix, make_matrix
-from .protocols import (
-    MultiblockScript,
-    OneSidedScript,
-    ProtocolParams,
-    SandwichScript,
-)
+from .protocols import ProtocolParams, ProtocolScript
 from .semiring import SemiringKind
 
 MIN = SemiringKind.MIN_PLUS
@@ -310,20 +305,20 @@ def builtin_params(name: str) -> ProtocolParams:
     if name == "one-sided-3x3":
         return _poly_params(
             3, OS_W, OS_A, OS_B, seed=1,
-            script=OneSidedScript(
-                p1=OS_P1, q1=OS_Q1, p2=OS_P2, q2=OS_Q2,
-                m1=OS_M1, n1=OS_N1, m2=OS_M2, n2=OS_N2,
-                c2_index=OS_C2_INDEX, d2_index=OS_D2_INDEX,
-                c1_index=OS_C1_INDEX, d1_index=OS_D1_INDEX,
+            script=ProtocolScript(
+                alice_p=(OS_P1,), alice_q=(OS_Q1,), bob_p=(OS_P2,), bob_q=(OS_Q2,),
+                alice_sets=(OS_M1, OS_N1), bob_sets=(OS_M2, OS_N2),
+                alice_choices=(OS_C2_INDEX, OS_D2_INDEX),
+                bob_choices=(OS_C1_INDEX, OS_D1_INDEX),
             ),
         )
     if name == "sandwich4x4":
         return _poly_params(
             4, SW_W, SW_A, SW_B, seed=1,
-            script=SandwichScript(
-                p1=SW_P1, q1=SW_Q1, p2=SW_P2, q2=SW_Q2,
-                m1=SW_M1, m2=SW_M2,
-                alice_choice=SW_ALICE_CHOICE, bob_choice=SW_BOB_CHOICE,
+            script=ProtocolScript(
+                alice_p=(SW_P1,), alice_q=(SW_Q1,), bob_p=(SW_P2,), bob_q=(SW_Q2,),
+                alice_sets=(SW_M1,), bob_sets=(SW_M2,),
+                alice_choices=(SW_ALICE_CHOICE,), bob_choices=(SW_BOB_CHOICE,),
             ),
         )
     if name == "two-block-3x3":
@@ -335,7 +330,7 @@ def builtin_params(name: str) -> ProtocolParams:
             left_families=ldp,
             right_families=ldp,
             seed=1,
-            script=MultiblockScript(
+            script=ProtocolScript(
                 alice_p=(TB_P11, TB_P12), alice_q=(TB_Q11, TB_Q12),
                 bob_p=(TB_P21, TB_P22), bob_q=(TB_Q21, TB_Q22),
                 alice_sets=(TB_M11, TB_M12, TB_M13),

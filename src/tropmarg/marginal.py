@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Iterable, Optional, Sequence, Union
 
-from .constraints import ConstraintSystem, VarId
 from .matrix import (
     Matrix,
     dual,
@@ -574,49 +573,14 @@ def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
 # Two-slot sampler (X⊗A⊗Y = A and A⊗X⊗B⊗Y⊗C = A⊗B⊗C)
 
 
-def _pair_system(
-    table: BoundTable, r: list[list[int]], s: list[list[int]]
-) -> ConstraintSystem:
-    """The two-slot system as an explicit ConstraintSystem: the full
-    inequality grid x_pq + y_rs >= bound(p, q, r, s) = E[p][s] - B[q][r], the
-    zero pairs as diagonal equalities, and the drawn lower bounds.  The
-    sampler solves it without building it (_solve_pair); solve_feasible_min
-    on this form is the reference for the worked instances and the tests."""
-    k = table.product.dim
-    e, b = table.outer.rows, table.chain[1].rows
-    x = [[VarId("x", i, j) for j in range(k)] for i in range(k)]
-    y = [[VarId("y", i, j) for j in range(k)] for i in range(k)]
-    sys = ConstraintSystem(negated_tags=("y",))
-    for p, q, rr, ss in itertools.product(range(k), repeat=4):
-        sys.add_sum_ge(x[p][q], y[rr][ss], e[p][ss] - b[q][rr])
-    for p, rr in sorted(table.zero_pairs):
-        sys.add_sum_eq(x[p][p], y[rr][rr], 0)
-    for i, j in itertools.product(range(k), repeat=2):
-        sys.set_lower(x[i][j], r[i][j])
-        sys.set_lower(y[i][j], s[i][j])
-    return sys
-
-
-def _assignment_to_pair(assignment: dict, n: int) -> tuple[Matrix, Matrix]:
-    return tuple(
-        Matrix(
-            SemiringKind.MIN_PLUS,
-            tuple(
-                tuple(assignment[VarId(tag, i, j)] for j in range(n))
-                for i in range(n)
-            ),
-        )
-        for tag in ("x", "y")
-    )
-
-
 def _solve_pair(
     table: BoundTable, r: list[list], s: list[list]
 ) -> Optional[tuple[Matrix, Matrix]]:
     """Canonical point of the two-slot system, or None when it is infeasible.
 
-    The system is _pair_system(table, r, s): x_pq + y_rs >= E[p][s] - B[q][r]
-    for all p, q, r, s, x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S.
+    The system is x_pq + y_rs >= E[p][s] - B[q][r] for all p, q, r, s,
+    x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S; selfcheck builds it
+    in full (_pair_system) as the reference for the worked instances.
     It is solved from the k×k factors E and B alone, to the point that
     solve_feasible_min returns for it: Y pointwise least, X least given Y.
 

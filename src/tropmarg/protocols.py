@@ -3,9 +3,10 @@
 Four exchanges are implemented: the classic commuting-conjugation baseline
 (both parties publish p⊗W⊗q), and three variants that wrap the published
 value in tuples drawn from marginal sets so that the factors an eavesdropper
-would need to re-order are no longer exposed.  A decomposition attack against
-the baseline is included; it recovers the key whenever the secrets lie in the
-span of a public basis.
+would need to re-order are no longer exposed.  All four run through one
+skeleton (_run) and differ only in one row of data each (_EXCHANGES).  A
+decomposition attack against the baseline is included; it recovers the key
+whenever the secrets lie in the span of a public basis.
 
 All runs are deterministic functions of (params, rng) and produce a
 transcript whose public section never contains party secrets.
@@ -14,14 +15,15 @@ transcript whose public section never contains party secrets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from .families import FamilySpec, commute_check, family_dim, family_kind, sample_family_member
 from .marginal import (
     RETRY_BUDGET,
     MarginalSet,
     SamplerExhausted,
+    _crossing,
     five_factor_word,
     left_word,
     make_marginal_set,
@@ -33,7 +35,7 @@ from .marginal import (
     sandwich_word,
 )
 from .matrix import Matrix, identity, mat_add, mat_mul, mat_prod, scalar_mul
-from .semiring import SelfCheckError, SemiringKind, s_max, s_min, s_sub
+from .semiring import SelfCheckError, SemiringKind, s_sub
 
 
 # --------------------------------------------------------------------------
@@ -41,58 +43,24 @@ from .semiring import SelfCheckError, SemiringKind, s_max, s_min, s_sub
 
 
 @dataclass(frozen=True)
-class SidelnikovScript:
-    p1: Matrix
-    q1: Matrix
-    p2: Matrix
-    q2: Matrix
+class ProtocolScript:
+    """A recorded run to replay: each party's secrets per block, the bodies of
+    the sets it publishes (publication order) and its indices into the other
+    party's sets (pick order).  Single-block exchanges hold 1-tuples of
+    secrets; the baseline's sets and choices are empty."""
 
-
-@dataclass(frozen=True)
-class OneSidedScript:
-    p1: Matrix
-    q1: Matrix
-    p2: Matrix
-    q2: Matrix
-    m1: tuple
-    n1: tuple
-    m2: tuple
-    n2: tuple
-    c2_index: int
-    d2_index: int
-    c1_index: int
-    d1_index: int
-
-
-@dataclass(frozen=True)
-class SandwichScript:
-    p1: Matrix
-    q1: Matrix
-    p2: Matrix
-    q2: Matrix
-    m1: tuple
-    m2: tuple
-    alice_choice: int
-    bob_choice: int
-
-
-@dataclass(frozen=True)
-class MultiblockScript:
     alice_p: tuple
     alice_q: tuple
     bob_p: tuple
     bob_q: tuple
-    alice_sets: tuple  # n+1 raw set bodies, in publication order
+    alice_sets: tuple
     bob_sets: tuple
-    alice_choices: tuple  # indices into Bob's sets, publication order
+    alice_choices: tuple
     bob_choices: tuple
 
     @property
     def blocks(self) -> int:
         return len(self.alice_p)
-
-
-ProtocolScript = Union[SidelnikovScript, OneSidedScript, SandwichScript, MultiblockScript]
 
 
 @dataclass(frozen=True)
@@ -168,37 +136,12 @@ class ProtocolTranscript:
 
     def public_params(self) -> ProtocolParams:
         """The params as they may be serialized: scripted secrets stripped."""
-        if self.params.script is None:
-            return self.params
-        return ProtocolParams(
-            kind=self.params.kind,
-            dim=self.params.dim,
-            publics=self.params.publics,
-            left_families=self.params.left_families,
-            right_families=self.params.right_families,
-            n_tuples=self.params.n_tuples,
-            l=self.params.l,
-            l1=self.params.l1,
-            l2=self.params.l2,
-            seed=self.params.seed,
-        )
+        return replace(self.params, script=None)
 
 
 def _require_commuting(kind: str, a: Matrix, b: Matrix) -> None:
     if not commute_check(a, b):
         raise ValueError(f"{kind} secrets do not commute; family spec is broken")
-
-
-def _agreed(key_a: Matrix, key_b: Matrix) -> tuple[Matrix, Matrix]:
-    if key_a != key_b:
-        raise SelfCheckError("the two derived keys differ")
-    return key_a, key_b
-
-
-def _pick(rng: random.Random, s: MarginalSet, scripted: Optional[int]):
-    index = rng.randrange(len(s.tuples)) if scripted is None else scripted
-    t = s.tuples[index]
-    return t[0] if len(t) == 1 else t
 
 
 def sample_finite_member(spec: FamilySpec, rng: random.Random) -> Matrix:
@@ -215,275 +158,174 @@ def sample_finite_member(spec: FamilySpec, rng: random.Random) -> Matrix:
 
 
 # --------------------------------------------------------------------------
-# Baseline exchange
+# The exchanges: one skeleton, one row of data each
+
+
+def _chain_sets(params: ProtocolParams, ps: Sequence[Matrix], qs: Sequence[Matrix]):
+    """Right set for p₁, sandwich sets for each seam qᵢ₋₁⊗pᵢ, left set for
+    qₙ: the picks from them flatten to c₁, d₁, c₂, …, dₙ."""
+    seams = [mat_mul(q, p) for q, p in zip(qs, ps[1:])]
+    return [
+        (sample_right_marginal, right_word, (ps[0],), (params.l,)),
+        *(
+            (sample_sandwich_marginal, sandwich_word, (a,), (params.l1, params.l2))
+            for a in seams
+        ),
+        (sample_left_marginal, left_word, (qs[-1],), (params.l,)),
+    ]
+
+
+def _five_factor_sets(params: ProtocolParams, ps: Sequence[Matrix], qs: Sequence[Matrix]):
+    """One set of pairs (c, d) marginal for p⊗□⊗W⊗□⊗q."""
+    anchors = (ps[0], params.publics[0], qs[0])
+    return [(sample_five_factor_marginal, five_factor_word, anchors, (params.l1, params.l2))]
+
+
+@dataclass(frozen=True)
+class _Exchange:
+    """What sets one exchange apart; _run does the rest.
+
+    sets maps (params, ps, qs) to a party's set list, each entry (sampler,
+    word, anchors, caps); the sets serve the other party's masks.  layout
+    lists the factors of one published block, c and d being the masks.
+    """
+
+    single: Optional[str]  # name in the one-block error; None allows n blocks
+    sets: Optional[Callable]  # None: no sets, no masks, any family member
+    layout: str
+    labels: Callable[[str, int], list]  # (party digit, set count) -> labels
+    note: str  # set annotation; formatted with n, count and sizes
+    secrets_first: bool = False  # both parties' secrets before any set
+
+
+_EXCHANGES = {
+    "sidelnikov": _Exchange("baseline", None, "pWq", lambda d, k: [], ""),
+    "one-sided": _Exchange(
+        "one-sided", _chain_sets, "cpWqd",
+        lambda d, k: [f"M{d}", f"N{d}"], "marginal sets hold {sizes} tuples",
+    ),
+    "sandwich": _Exchange(
+        "sandwich", _five_factor_sets, "pcWdq",
+        lambda d, k: [f"M{d}"], "marginal sets hold {sizes} pairs",
+    ),
+    "multiblock": _Exchange(
+        None, _chain_sets, "cpWqd",
+        lambda d, k: [f"M{d}{j}" for j in range(1, k + 1)],
+        "{n} block(s), {count} marginal sets", secrets_first=True,
+    ),
+}
+
+
+def _run(exchange: str, params: ProtocolParams, rng: random.Random) -> ProtocolTranscript:
+    """Draw or replay secrets, publish sets, pick masks from the other
+    party's sets, form u and v, derive and compare the keys."""
+    ex = _EXCHANGES[exchange]
+    n, kind, dim, script = params.blocks, params.kind, params.dim, params.script
+    if ex.single and n != 1:
+        raise ValueError(f"{ex.single} exchange uses a single public matrix")
+    if script is not None and script.blocks != n:
+        raise ValueError("script block count does not match params")
+    # per party: (ps, qs, set bodies, choices) to replay, or None to draw
+    replays = (None, None) if script is None else (
+        (script.alice_p, script.alice_q, script.alice_sets, script.alice_choices),
+        (script.bob_p, script.bob_q, script.bob_sets, script.bob_choices),
+    )
+    member = sample_finite_member if ex.sets else sample_family_member
+
+    def secrets(replay):
+        if replay is not None:
+            return replay[0], replay[1]
+        drawn = [
+            (member(left, rng), member(right, rng))
+            for left, right in zip(params.left_families, params.right_families)
+        ]
+        return [p for p, _ in drawn], [q for _, q in drawn]
+
+    def publish(own, replay) -> list[MarginalSet]:
+        specs = ex.sets(params, *own) if ex.sets else []
+        if replay is None:
+            return [f(*anchors, params.n_tuples, *caps, rng) for f, _, anchors, caps in specs]
+        return [
+            make_marginal_set(word(*anchors), body)
+            for (_, word, anchors, _), body in zip(specs, replay[2], strict=True)
+        ]
+
+    def masked(ps, qs, their_sets, replay) -> tuple[Matrix, ...]:
+        masks = []
+        for j, s in enumerate(their_sets):
+            masks += s.tuples[rng.randrange(len(s)) if replay is None else replay[3][j]]
+        masks = masks or [None] * (2 * n)
+        blocks = []
+        for p, w, q, c, d in zip(ps, params.publics, qs, masks[0::2], masks[1::2]):
+            factor = {"c": c, "p": p, "W": w, "q": q, "d": d}
+            blocks.append(mat_prod(kind, dim, [factor[x] for x in ex.layout]))
+        return tuple(blocks)
+
+    if ex.secrets_first:
+        own = [secrets(r) for r in replays]
+        sets = [publish(o, r) for o, r in zip(own, replays)]
+    else:
+        own, sets = [], []
+        for r in replays:
+            own.append(secrets(r))
+            sets.append(publish(own[-1], r))
+    (ap, aq), (bp, bq) = own
+    for i in range(n):
+        where = "" if ex.single else f" block {i + 1}"
+        _require_commuting(f"left{where}", ap[i], bp[i])
+        _require_commuting(f"right{where}", aq[i], bq[i])
+
+    u = masked(ap, aq, sets[1], replays[0])
+    v = masked(bp, bq, sets[0], replays[1])
+    key_a = mat_prod(kind, dim, [x for i in range(n) for x in (ap[i], v[i], aq[i])])
+    key_b = mat_prod(kind, dim, [x for i in range(n) for x in (bp[i], u[i], bq[i])])
+    if key_a != key_b:
+        raise SelfCheckError("the two derived keys differ")
+    messages = [
+        Message(party, label, s)
+        for party, digit, own_sets in (("alice", "1", sets[0]), ("bob", "2", sets[1]))
+        for label, s in zip(ex.labels(digit, len(own_sets)), own_sets)
+    ]
+    if ex.single:
+        u, v = u[0], v[0]
+    messages += [Message("alice", "u", u), Message("bob", "v", v)]
+    published = sets[0] + sets[1]
+    note = ex.note.format(
+        n=n, count=len(published), sizes="/".join(str(len(s)) for s in published)
+    )
+    return ProtocolTranscript(
+        protocol=exchange,
+        params=params,
+        seed=params.seed,
+        messages=tuple(messages),
+        key_a=key_a,
+        key_b=key_b,
+        annotations=(note, "keys agree") if note else ("keys agree",),
+    )
 
 
 def run_sidelnikov(params: ProtocolParams, rng: random.Random) -> ProtocolTranscript:
     """Both parties publish p⊗W⊗q; the shared key is p₁⊗p₂⊗W⊗q₂⊗q₁."""
-    if params.blocks != 1:
-        raise ValueError("baseline exchange uses a single public matrix")
-    w = params.publics[0]
-    script = params.script
-    if script is None:
-        p1 = sample_family_member(params.left_families[0], rng)
-        q1 = sample_family_member(params.right_families[0], rng)
-        p2 = sample_family_member(params.left_families[0], rng)
-        q2 = sample_family_member(params.right_families[0], rng)
-    else:
-        p1, q1, p2, q2 = script.p1, script.q1, script.p2, script.q2
-    _require_commuting("left", p1, p2)
-    _require_commuting("right", q1, q2)
-    u = mat_prod(w.kind, w.dim, [p1, w, q1])
-    v = mat_prod(w.kind, w.dim, [p2, w, q2])
-    key_a, key_b = _agreed(
-        mat_prod(w.kind, w.dim, [p1, v, q1]), mat_prod(w.kind, w.dim, [p2, u, q2])
-    )
-    return ProtocolTranscript(
-        protocol="sidelnikov",
-        params=params,
-        seed=params.seed,
-        messages=(Message("alice", "u", u), Message("bob", "v", v)),
-        key_a=key_a,
-        key_b=key_b,
-        annotations=("keys agree",),
-    )
-
-
-# --------------------------------------------------------------------------
-# One-sided marginal exchange
+    return _run("sidelnikov", params, rng)
 
 
 def run_protocol_one_sided(params: ProtocolParams, rng: random.Random) -> ProtocolTranscript:
     """Published values are masked by tuples from right/left marginal sets of
     the secrets: u = c₂⊗p₁⊗W⊗q₁⊗d₂ with p₁⊗c = p₁ for all c in M₁, etc."""
-    if params.blocks != 1:
-        raise ValueError("one-sided exchange uses a single public matrix")
-    w = params.publics[0]
-    script = params.script
-    if script is None:
-        p1 = sample_finite_member(params.left_families[0], rng)
-        q1 = sample_finite_member(params.right_families[0], rng)
-        m1 = sample_right_marginal(p1, params.n_tuples, params.l, rng)
-        n1 = sample_left_marginal(q1, params.n_tuples, params.l, rng)
-        p2 = sample_finite_member(params.left_families[0], rng)
-        q2 = sample_finite_member(params.right_families[0], rng)
-        m2 = sample_right_marginal(p2, params.n_tuples, params.l, rng)
-        n2 = sample_left_marginal(q2, params.n_tuples, params.l, rng)
-        idx = [None, None, None, None]
-    else:
-        p1, q1, p2, q2 = script.p1, script.q1, script.p2, script.q2
-        m1 = make_marginal_set(right_word(p1), script.m1)
-        n1 = make_marginal_set(left_word(q1), script.n1)
-        m2 = make_marginal_set(right_word(p2), script.m2)
-        n2 = make_marginal_set(left_word(q2), script.n2)
-        idx = [script.c2_index, script.d2_index, script.c1_index, script.d1_index]
-    _require_commuting("left", p1, p2)
-    _require_commuting("right", q1, q2)
-
-    c2, d2 = _pick(rng, m2, idx[0]), _pick(rng, n2, idx[1])
-    u = mat_prod(w.kind, w.dim, [c2, p1, w, q1, d2])
-    c1, d1 = _pick(rng, m1, idx[2]), _pick(rng, n1, idx[3])
-    v = mat_prod(w.kind, w.dim, [c1, p2, w, q2, d1])
-    key_a, key_b = _agreed(
-        mat_prod(w.kind, w.dim, [p1, v, q1]), mat_prod(w.kind, w.dim, [p2, u, q2])
-    )
-    return ProtocolTranscript(
-        protocol="one-sided",
-        params=params,
-        seed=params.seed,
-        messages=(
-            Message("alice", "M1", m1),
-            Message("alice", "N1", n1),
-            Message("bob", "M2", m2),
-            Message("bob", "N2", n2),
-            Message("alice", "u", u),
-            Message("bob", "v", v),
-        ),
-        key_a=key_a,
-        key_b=key_b,
-        annotations=(
-            f"marginal sets hold {len(m1)}/{len(n1)}/{len(m2)}/{len(n2)} tuples",
-            "keys agree",
-        ),
-    )
-
-
-# --------------------------------------------------------------------------
-# Sandwich (pair) marginal exchange
+    return _run("one-sided", params, rng)
 
 
 def run_protocol_sandwich(params: ProtocolParams, rng: random.Random) -> ProtocolTranscript:
     """Each party publishes one set of pairs marginal for p·□·W·□·q and masks
     its message as u = p₁⊗c₂⊗W⊗d₂⊗q₁."""
-    if params.blocks != 1:
-        raise ValueError("sandwich exchange uses a single public matrix")
-    w = params.publics[0]
-    script = params.script
-    if script is None:
-        p1 = sample_finite_member(params.left_families[0], rng)
-        q1 = sample_finite_member(params.right_families[0], rng)
-        m1 = sample_five_factor_marginal(
-            p1, w, q1, params.n_tuples, params.l1, params.l2, rng
-        )
-        p2 = sample_finite_member(params.left_families[0], rng)
-        q2 = sample_finite_member(params.right_families[0], rng)
-        m2 = sample_five_factor_marginal(
-            p2, w, q2, params.n_tuples, params.l1, params.l2, rng
-        )
-        idx = [None, None]
-    else:
-        p1, q1, p2, q2 = script.p1, script.q1, script.p2, script.q2
-        m1 = make_marginal_set(five_factor_word(p1, w, q1), script.m1)
-        m2 = make_marginal_set(five_factor_word(p2, w, q2), script.m2)
-        idx = [script.alice_choice, script.bob_choice]
-    _require_commuting("left", p1, p2)
-    _require_commuting("right", q1, q2)
-
-    c2, d2 = _pick(rng, m2, idx[0])
-    u = mat_prod(w.kind, w.dim, [p1, c2, w, d2, q1])
-    c1, d1 = _pick(rng, m1, idx[1])
-    v = mat_prod(w.kind, w.dim, [p2, c1, w, d1, q2])
-    key_a, key_b = _agreed(
-        mat_prod(w.kind, w.dim, [p1, v, q1]), mat_prod(w.kind, w.dim, [p2, u, q2])
-    )
-    return ProtocolTranscript(
-        protocol="sandwich",
-        params=params,
-        seed=params.seed,
-        messages=(
-            Message("alice", "M1", m1),
-            Message("bob", "M2", m2),
-            Message("alice", "u", u),
-            Message("bob", "v", v),
-        ),
-        key_a=key_a,
-        key_b=key_b,
-        annotations=(
-            f"marginal sets hold {len(m1)}/{len(m2)} pairs",
-            "keys agree",
-        ),
-    )
-
-
-# --------------------------------------------------------------------------
-# Block-chained exchange
-
-
-def _block_labels(party: str, blocks: int) -> list[str]:
-    digit = "1" if party == "alice" else "2"
-    return [f"M{digit}{j}" for j in range(1, blocks + 2)]
-
-
-def _publish_blocks(
-    params: ProtocolParams,
-    secrets_p: Sequence[Matrix],
-    secrets_q: Sequence[Matrix],
-    raw_sets,
-    rng: random.Random,
-) -> list[MarginalSet]:
-    """A party's n+1 published sets: right set for p₁, sandwich sets for each
-    q_{i-1}⊗p_i seam, left set for q_n.  raw_sets, when given, carries a
-    scripted replay's bodies."""
-    n = params.blocks
-    sets: list[MarginalSet] = []
-    if raw_sets is None:
-        sets.append(sample_right_marginal(secrets_p[0], params.n_tuples, params.l, rng))
-        for i in range(1, n):
-            seam = mat_mul(secrets_q[i - 1], secrets_p[i])
-            sets.append(
-                sample_sandwich_marginal(seam, params.n_tuples, params.l1, params.l2, rng)
-            )
-        sets.append(sample_left_marginal(secrets_q[n - 1], params.n_tuples, params.l, rng))
-        return sets
-    sets.append(make_marginal_set(right_word(secrets_p[0]), raw_sets[0]))
-    for i in range(1, n):
-        seam = mat_mul(secrets_q[i - 1], secrets_p[i])
-        sets.append(make_marginal_set(sandwich_word(seam), raw_sets[i]))
-    sets.append(make_marginal_set(left_word(secrets_q[n - 1]), raw_sets[n]))
-    return sets
-
-
-def _choose_blocks(
-    their_sets: Sequence[MarginalSet], indices, rng: random.Random, blocks: int
-) -> tuple[list[Matrix], list[Matrix]]:
-    """Split the picks from the other party's n+1 sets into the c-mask and
-    d-mask used around each block: c₁ | (d₁,c₂) | ... | dₙ."""
-    cs: list[Matrix] = []
-    ds: list[Matrix] = [None] * blocks
-    pick0 = _pick(rng, their_sets[0], None if indices is None else indices[0])
-    cs.append(pick0)
-    for i in range(1, blocks):
-        d_prev, c_next = _pick(rng, their_sets[i], None if indices is None else indices[i])
-        ds[i - 1] = d_prev
-        cs.append(c_next)
-    ds[blocks - 1] = _pick(
-        rng, their_sets[blocks], None if indices is None else indices[blocks]
-    )
-    return cs, ds
+    return _run("sandwich", params, rng)
 
 
 def run_protocol_multiblock(params: ProtocolParams, rng: random.Random) -> ProtocolTranscript:
     """n public matrices, n commuting family pairs; each block i carries
     cᵢ⊗pᵢ⊗Wᵢ⊗qᵢ⊗dᵢ and the key is the ordered product of the unmasked
     blocks.  n=2 is the four-set exchange from the worked example."""
-    n = params.blocks
-    script = params.script
-    if script is None:
-        ap, aq, bp, bq = [], [], [], []
-        for i in range(n):
-            ap.append(sample_finite_member(params.left_families[i], rng))
-            aq.append(sample_finite_member(params.right_families[i], rng))
-        for i in range(n):
-            bp.append(sample_finite_member(params.left_families[i], rng))
-            bq.append(sample_finite_member(params.right_families[i], rng))
-        a_sets = _publish_blocks(params, ap, aq, None, rng)
-        b_sets = _publish_blocks(params, bp, bq, None, rng)
-        a_idx = b_idx = None
-    else:
-        if script.blocks != n:
-            raise ValueError("script block count does not match params")
-        ap, aq = list(script.alice_p), list(script.alice_q)
-        bp, bq = list(script.bob_p), list(script.bob_q)
-        a_sets = _publish_blocks(params, ap, aq, script.alice_sets, rng)
-        b_sets = _publish_blocks(params, bp, bq, script.bob_sets, rng)
-        a_idx, b_idx = list(script.alice_choices), list(script.bob_choices)
-    for i in range(n):
-        _require_commuting(f"left block {i + 1}", ap[i], bp[i])
-        _require_commuting(f"right block {i + 1}", aq[i], bq[i])
-    a_labels = _block_labels("alice", n)
-    b_labels = _block_labels("bob", n)
-
-    kind, dim = params.kind, params.dim
-    a_cs, a_ds = _choose_blocks(b_sets, a_idx, rng, n)
-    u = tuple(
-        mat_prod(kind, dim, [a_cs[i], ap[i], params.publics[i], aq[i], a_ds[i]])
-        for i in range(n)
-    )
-    b_cs, b_ds = _choose_blocks(a_sets, b_idx, rng, n)
-    v = tuple(
-        mat_prod(kind, dim, [b_cs[i], bp[i], params.publics[i], bq[i], b_ds[i]])
-        for i in range(n)
-    )
-    key_a_factors: list[Matrix] = []
-    key_b_factors: list[Matrix] = []
-    for i in range(n):
-        key_a_factors += [ap[i], v[i], aq[i]]
-        key_b_factors += [bp[i], u[i], bq[i]]
-    key_a, key_b = _agreed(
-        mat_prod(kind, dim, key_a_factors), mat_prod(kind, dim, key_b_factors)
-    )
-    messages = [Message("alice", lbl, s) for lbl, s in zip(a_labels, a_sets)]
-    messages += [Message("bob", lbl, s) for lbl, s in zip(b_labels, b_sets)]
-    messages += [Message("alice", "u", u), Message("bob", "v", v)]
-    return ProtocolTranscript(
-        protocol="multiblock",
-        params=params,
-        seed=params.seed,
-        messages=tuple(messages),
-        key_a=key_a,
-        key_b=key_b,
-        annotations=(f"{n} block(s), {2 * (n + 1)} marginal sets", "keys agree"),
-    )
+    return _run("multiblock", params, rng)
 
 
 # --------------------------------------------------------------------------
@@ -533,7 +375,7 @@ def attack_decomposition(
     for m in (w, u, v):
         if not m.is_finite():
             raise ValueError("attack requires finite public values")
-    pick = s_max if kind is SemiringKind.MIN_PLUS else s_min
+    _, flip = _crossing(kind)
     e = identity(kind, dim)
 
     def times(x: Matrix, y: Matrix) -> Matrix:
@@ -550,18 +392,13 @@ def attack_decomposition(
         for t in row:
             if not t.is_finite():
                 raise ValueError("a basis conjugate has infinite entries")
-    z_rows = []
-    for row in conjugates:
-        z_row = []
-        for t in row:
-            best = None
-            for r in range(dim):
-                for s in range(dim):
-                    d = s_sub(u.rows[r][s], t.rows[r][s])
-                    best = d if best is None else pick(best, d)
-            z_row.append(best)
-        z_rows.append(tuple(z_row))
-    z_table = tuple(z_rows)
+
+    def extreme(t: Matrix):
+        """The extreme entry of u - t: its max in min-plus coordinates."""
+        diffs = (s_sub(x, y) for ur, tr in zip(u.rows, t.rows) for x, y in zip(ur, tr))
+        return flip(max(map(flip, diffs)))
+
+    z_table = tuple(tuple(extreme(t) for t in row) for row in conjugates)
     recon = None
     for i, row in enumerate(conjugates):
         for j, t in enumerate(row):

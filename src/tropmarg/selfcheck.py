@@ -7,15 +7,15 @@ selftest subcommand prints them and fails if any row fails.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable
 
 from . import fixtures as fx
-from .constraints import Infeasible, solve_feasible_min
+from .constraints import ConstraintSystem, Infeasible, VarId, solve_feasible_min
 from .families import PolyFamily
 from .marginal import (
-    _assignment_to_pair,
-    _pair_system,
+    BoundTable,
     _solve_pair,
     diagonal_pairs,
     five_factor_residual,
@@ -24,7 +24,7 @@ from .marginal import (
     residual_right,
     two_sided_residual,
 )
-from .matrix import make_poly, mat_add, mat_mul, mat_prod, poly_eval
+from .matrix import Matrix, make_poly, mat_add, mat_mul, mat_prod, poly_eval
 from .protocols import (
     ProtocolParams,
     run_protocol_multiblock,
@@ -88,6 +88,43 @@ def _check_pair_constraints():
     if lines != fx.BIL_CONSTRAINTS:
         return False, "rendered constraint list differs from the recorded 16 lines"
     return True, "16 constraint lines reproduced"
+
+
+def _pair_system(
+    table: BoundTable, r: list[list[int]], s: list[list[int]]
+) -> ConstraintSystem:
+    """The two-slot system as an explicit ConstraintSystem: the full
+    inequality grid x_pq + y_rs >= bound(p, q, r, s) = E[p][s] - B[q][r], the
+    zero pairs as diagonal equalities, and the drawn lower bounds.  The
+    sampler solves it without building it (marginal._solve_pair);
+    solve_feasible_min on this form is the reference for the worked
+    instances and the tests."""
+    k = table.product.dim
+    e, b = table.outer.rows, table.chain[1].rows
+    x = [[VarId("x", i, j) for j in range(k)] for i in range(k)]
+    y = [[VarId("y", i, j) for j in range(k)] for i in range(k)]
+    sys = ConstraintSystem(negated_tags=("y",))
+    for p, q, rr, ss in itertools.product(range(k), repeat=4):
+        sys.add_sum_ge(x[p][q], y[rr][ss], e[p][ss] - b[q][rr])
+    for p, rr in sorted(table.zero_pairs):
+        sys.add_sum_eq(x[p][p], y[rr][rr], 0)
+    for i, j in itertools.product(range(k), repeat=2):
+        sys.set_lower(x[i][j], r[i][j])
+        sys.set_lower(y[i][j], s[i][j])
+    return sys
+
+
+def _assignment_to_pair(assignment: dict, n: int) -> tuple[Matrix, Matrix]:
+    return tuple(
+        Matrix(
+            MIN,
+            tuple(
+                tuple(assignment[VarId(tag, i, j)] for j in range(n))
+                for i in range(n)
+            ),
+        )
+        for tag in ("x", "y")
+    )
 
 
 def _check_canonical_pair(table, r, s, expected):

@@ -78,6 +78,12 @@ def scalar_to_token(x: Scalar):
     raise WireFormatError(f"not a serializable scalar: {x!r}")
 
 
+def _is_int(value) -> bool:
+    """The one integer check for decoded fields: JSON true/false are Python
+    bools, which isinstance(_, int) would let through."""
+    return type(value) is int
+
+
 def token_to_scalar(tok) -> Scalar:
     if isinstance(tok, bool):
         raise WireFormatError("bool is not a scalar")
@@ -206,7 +212,7 @@ def _word_in(obj) -> WordTemplate:
         raise WireFormatError("word must be an object")
     kind = _kind_in(obj.get("kind"))
     dim = obj.get("dim")
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise WireFormatError("word dim must be an integer")
     constants, raw_summands = obj.get("constants", []), obj.get("summands", [])
     if not _is_list_of_lists(constants) or not _is_list_of_lists(raw_summands):
@@ -221,7 +227,7 @@ def _word_in(obj) -> WordTemplate:
                 or len(pair) != 2
                 or not isinstance(pair[0], str)
                 or pair[0] not in _ATOM_TAGS
-                or not isinstance(pair[1], int)
+                or not _is_int(pair[1])
             ):
                 raise WireFormatError(f"bad word atom {pair!r}")
             atoms.append(_ATOM_TAGS[pair[0]](pair[1]))
@@ -364,12 +370,12 @@ def _marginal_set_payload(obj) -> MarginalSet:
         for i in range(n):
             for j in range(n):
                 cell = box[i][j]
-                if isinstance(cell, int):
+                if _is_int(cell):
                     cells.append(range(cell, cell + 1))
                 elif (
                     isinstance(cell, list)
                     and len(cell) == 2
-                    and all(isinstance(x, int) for x in cell)
+                    and all(_is_int(x) for x in cell)
                 ):
                     cells.append(range(cell[0], cell[1] + 1))
                 else:
@@ -397,7 +403,7 @@ def _marginal_set_payload(obj) -> MarginalSet:
                     (i, j), tok = change
                 except (TypeError, ValueError) as e:
                     raise WireFormatError(f"bad delta cell {change!r}") from e
-                if not all(type(x) is int and 1 <= x <= base.dim for x in (i, j)):
+                if not all(_is_int(x) and 1 <= x <= base.dim for x in (i, j)):
                     raise WireFormatError(f"delta position {(i, j)!r} out of range")
                 rows[i - 1][j - 1] = token_to_scalar(tok)
             mats.append(Matrix(kind, tuple(tuple(r) for r in rows)))
@@ -466,7 +472,7 @@ def _family_out(spec: FamilySpec):
 def _int_field(obj: dict, key: str, least=None, most=None) -> int:
     value = obj.get(key)
     if (
-        type(value) is not int
+        not _is_int(value)
         or least is not None and value < least
         or most is not None and value > most
     ):
@@ -552,10 +558,10 @@ def _params_in(obj) -> ProtocolParams:
         raise WireFormatError("params must be an object")
     kind = _kind_in(obj.get("kind"))
     dim = obj.get("dim")
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise WireFormatError("params dim must be an integer")
     for key in ("n_tuples", "l", "l1", "l2", "seed"):
-        if not isinstance(obj.get(key), int):
+        if not _is_int(obj.get(key)):
             raise WireFormatError(f"params field {key} must be an integer")
     if obj["n_tuples"] > MAX_TUPLES:
         raise WireFormatError(f"params n_tuples above {MAX_TUPLES}")
@@ -651,7 +657,7 @@ def decode_transcript(data: bytes) -> ProtocolTranscript:
     if protocol not in ("sidelnikov", "one-sided", "sandwich", "multiblock"):
         raise WireFormatError(f"unknown protocol {protocol!r}")
     seed = obj.get("seed")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise WireFormatError("transcript seed must be an integer")
     records = obj.get("messages", [])
     if not isinstance(records, list):

@@ -496,3 +496,50 @@ def test_gen_params_writes_only_what_reads_back(run, tmp_path, option):
     lines = out.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["reason"] == "bad-arguments"
+
+
+def _only_record(out: str) -> dict:
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_params_file_boolean_integer_is_rejected(run, tmp_path, params_file):
+    params = json.loads(params_file.read_text())
+    params["n_tuples"] = True
+    params_file.write_text(json.dumps(params))
+    code, out = run(
+        "run-protocol", "sandwich", "--params", str(params_file),
+        "--out", str(tmp_path / "t.json"),
+    )
+    assert code == 2
+    assert _only_record(out)["reason"] == "malformed-input"
+
+
+def test_transcript_boolean_seed_is_rejected(run, tmp_path):
+    t_file = tmp_path / "t.json"
+    assert run(
+        "run-protocol", "sidelnikov", "--params", "builtin:attack-demo",
+        "--out", str(t_file),
+    )[0] == 0
+    transcript = json.loads(t_file.read_text())
+    transcript["seed"] = True
+    t_file.write_text(json.dumps(transcript))
+    code, out = run("attack", "--transcript", str(t_file), "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert _only_record(out)["reason"] == "malformed-input"
+
+
+def test_word_boolean_atom_index_is_rejected(run, tmp_path, params_file):
+    set_file = tmp_path / "set.json"
+    assert run(
+        "gen-marginal", "--word", "right", "--in", str(params_file),
+        "--count", "2", "--out", str(set_file),
+    )[0] == 0
+    word = json.loads(read_bytes(str(set_file)))["word"]
+    word["summands"] = [[["const", 0], ["box", False]]]
+    word_file = tmp_path / "word.json"
+    word_file.write_text(json.dumps({"type": "word", **word}))
+    code, out = run("verify-marginal", "--set", str(set_file), "--word", str(word_file))
+    assert code == 2
+    assert _only_record(out)["reason"] == "malformed-input"

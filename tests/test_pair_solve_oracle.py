@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 from tropmarg.constraints import Infeasible, solve_feasible_min
 from tropmarg.marginal import (
     BoundTable,
-    _assignment_to_pair,
-    _pair_system,
     _solve_pair,
     five_factor_residual,
     two_sided_residual,
 )
 from tropmarg.matrix import make_matrix
+from tropmarg.selfcheck import _assignment_to_pair, _pair_system
 from tropmarg.semiring import SemiringKind
 
 MIN = SemiringKind.MIN_PLUS

@@ -16,6 +16,7 @@ from tropmarg.matrix import identity, make_matrix, mat_pow, mat_prod
 from tropmarg.protocols import (
     NoDecomposition,
     ProtocolParams,
+    ProtocolScript,
     attack_decomposition,
     power_basis,
     run_protocol_multiblock,
@@ -180,6 +181,97 @@ class TestUnscriptedRuns:
         )
         t = run_protocol_sandwich(params, random.Random(8))
         assert t.agreed
+
+
+_RUNNERS = {
+    "sidelnikov": run_sidelnikov,
+    "one-sided": run_protocol_one_sided,
+    "sandwich": run_protocol_sandwich,
+    "multiblock": run_protocol_multiblock,
+}
+
+# protocol -> (blocks, the arity of each set one party publishes)
+_SHAPES = {
+    "sidelnikov": (1, ()),
+    "one-sided": (1, (1, 1)),
+    "sandwich": (1, (2,)),
+    "multiblock": (2, (1, 2, 1)),
+}
+
+# commutes with none of the secrets _identity_script draws (asserted there)
+_ODD = make_matrix(MIN, [[0, -50, 30], [-10, 0, 70], [20, -40, 0]])
+
+
+def _identity_script(protocol, blocks, swap=None):
+    """Both parties hold the same finite secrets and publish sets of
+    identity tuples, which hold for any secret; swap = (side, block) puts
+    _ODD in place of that one secret of Bob's."""
+    rng = random.Random(2)
+    left, right = PolyFamily(fx.OS_A, 3, -20, 20), PolyFamily(fx.OS_B, 3, -20, 20)
+    ps = tuple(sample_finite_member(left, rng) for _ in range(blocks))
+    qs = tuple(sample_finite_member(right, rng) for _ in range(blocks))
+    bob = {"left": list(ps), "right": list(qs)}
+    if swap is not None:
+        side, i = swap
+        assert not commute_check(_ODD, bob[side][i])
+        bob[side][i] = _ODD
+    e = identity(MIN, 3)
+    sets = tuple(((e,) * arity,) for arity in _SHAPES[protocol][1])
+    return ProtocolScript(
+        alice_p=ps, alice_q=qs, bob_p=tuple(bob["left"]), bob_q=tuple(bob["right"]),
+        alice_sets=sets, bob_sets=sets,
+        alice_choices=(0,) * len(sets), bob_choices=(0,) * len(sets),
+    )
+
+
+def _script_params(protocol, script):
+    blocks = _SHAPES[protocol][0]
+    return ProtocolParams(
+        kind=MIN,
+        dim=3,
+        publics=(fx.OS_W,) * blocks,
+        left_families=(PolyFamily(fx.OS_A, 3, -20, 20),) * blocks,
+        right_families=(PolyFamily(fx.OS_B, 3, -20, 20),) * blocks,
+        script=script,
+    )
+
+
+class TestScriptChecks:
+    @pytest.mark.parametrize("protocol", sorted(_RUNNERS))
+    def test_identity_script_agrees(self, protocol):
+        script = _identity_script(protocol, _SHAPES[protocol][0])
+        params = _script_params(protocol, script)
+        assert _RUNNERS[protocol](params, random.Random(0)).agreed
+
+    @pytest.mark.parametrize(
+        "protocol,swap,detail",
+        [
+            ("sidelnikov", ("left", 0), "left"),
+            ("sidelnikov", ("right", 0), "right"),
+            ("one-sided", ("left", 0), "left"),
+            ("one-sided", ("right", 0), "right"),
+            ("sandwich", ("left", 0), "left"),
+            ("sandwich", ("right", 0), "right"),
+            ("multiblock", ("left", 0), "left block 1"),
+            ("multiblock", ("left", 1), "left block 2"),
+            ("multiblock", ("right", 1), "right block 2"),
+        ],
+    )
+    def test_non_commuting_secret_is_named(self, protocol, swap, detail):
+        script = _identity_script(protocol, _SHAPES[protocol][0], swap)
+        params = _script_params(protocol, script)
+        with pytest.raises(ValueError) as exc:
+            _RUNNERS[protocol](params, random.Random(0))
+        assert str(exc.value) == f"{detail} secrets do not commute; family spec is broken"
+
+    @pytest.mark.parametrize("protocol", sorted(_RUNNERS))
+    def test_script_block_count_must_match(self, protocol):
+        blocks = _SHAPES[protocol][0]
+        script = _identity_script(protocol, 3 - blocks)
+        params = _script_params(protocol, script)
+        with pytest.raises(ValueError) as exc:
+            _RUNNERS[protocol](params, random.Random(0))
+        assert str(exc.value) == "script block count does not match params"
 
 
 class TestFiniteMemberSampling:
