@@ -324,7 +324,7 @@ def run_protocol_sandwich(params: ProtocolParams, rng: random.Random) -> Protoco
 def run_protocol_multiblock(params: ProtocolParams, rng: random.Random) -> ProtocolTranscript:
     """n public matrices, n commuting family pairs; each block i carries
     cᵢ⊗pᵢ⊗Wᵢ⊗qᵢ⊗dᵢ and the key is the ordered product of the unmasked
-    blocks.  n=2 is the four-set exchange from the worked example."""
+    blocks.  n=2 is the worked two-block example, six sets in all."""
     return _run("multiblock", params, rng)
 
 
