@@ -208,9 +208,7 @@ MarginalTuple = tuple[Matrix, ...]
 
 
 def _as_tuple(value) -> MarginalTuple:
-    if isinstance(value, Matrix):
-        return (value,)
-    return tuple(value)
+    return (value,) if isinstance(value, Matrix) else tuple(value)
 
 
 def verify_marginal(word: WordTemplate, value) -> bool:
@@ -220,25 +218,33 @@ def verify_marginal(word: WordTemplate, value) -> bool:
 
 @dataclass(frozen=True)
 class MarginalSet:
+    """Tuples each marginal for the word, each checked exactly once: by this
+    constructor (ValueError), or by a sampler or the wire decoder, which
+    check their own tuples and build through _verified_set."""
+
     word: WordTemplate
     tuples: tuple[MarginalTuple, ...]
 
     def __post_init__(self):
-        for t in self.tuples:
-            if not verify_marginal(self.word, t):
-                raise ValueError("non-marginal tuple in marginal set")
+        if not all(verify_marginal(self.word, t) for t in self.tuples):
+            raise ValueError("non-marginal tuple in marginal set")
 
     def __len__(self) -> int:
         return len(self.tuples)
 
 
+def _verified_set(word: WordTemplate, tuples: tuple[MarginalTuple, ...]) -> MarginalSet:
+    """MarginalSet of tuples the caller has already verified exactly."""
+    s = object.__new__(MarginalSet)
+    object.__setattr__(s, "word", word)
+    object.__setattr__(s, "tuples", tuples)
+    return s
+
+
 def make_marginal_set(word: WordTemplate, tuples: Iterable) -> MarginalSet:
     """Marginal set from raw tuples: normalized, deduplicated by value in
-    first-seen order, each verified at insertion."""
-    seen: dict[MarginalTuple, None] = {}
-    for t in tuples:
-        seen.setdefault(_as_tuple(t))
-    return MarginalSet(word, tuple(seen))
+    first-seen order, each verified by the MarginalSet constructor."""
+    return MarginalSet(word, tuple(dict.fromkeys(map(_as_tuple, tuples))))
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +266,9 @@ def _crossing(kind: SemiringKind):
 
 def _sample_set(word: WordTemplate, n: int, draw, flip) -> MarginalSet:
     """Up to n distinct min-plus tuples from draw(), carried back to the
-    word's semiring by flip; the set is built and verified once.
+    word's semiring by flip; the set is built and verified once: each draw
+    raises SelfCheckError unless its tuple keeps the word's value in min-plus
+    coordinates, and flip is exact, so that is the word check.
 
     draw() returns None for a failed draw.  Each tuple gets RETRY_BUDGET
     attempts; when they run out the box is too small for n distinct tuples
@@ -279,12 +287,7 @@ def _sample_set(word: WordTemplate, n: int, draw, flip) -> MarginalSet:
             break
     if not tuples:
         raise SamplerExhausted("sampler retry budget exhausted")
-    return MarginalSet(word, tuple(tuple(flip(x) for x in t) for t in tuples))
-
-
-def _chain_product(factors) -> Matrix:
-    """Left-to-right product, skipping None (identity) factors."""
-    return functools.reduce(mat_mul, [f for f in factors if f is not None])
+    return _verified_set(word, tuple(tuple(flip(x) for x in t) for t in tuples))
 
 
 def _transpose(a: Matrix) -> Matrix:
@@ -508,11 +511,10 @@ class BoundTable:
         return frozenset(p[-1] for p in self.zero_pairs)
 
     def holds(self, xs: Sequence[Matrix]) -> bool:
-        """Direct check that the slot values leave the chain product
-        unchanged.  Identity ends are skipped, so X⊗A⊗Y costs two
-        products."""
+        """The n-factor sampler's word check: the slot values leave the chain
+        product unchanged (two-slot draws reuse their solve's products)."""
         slots = itertools.chain.from_iterable(zip(xs, self.chain[1:]))
-        return _chain_product([self.chain[0], *slots]) == self.product
+        return functools.reduce(mat_mul, [self.chain[0], *slots]) == self.product
 
 
 def two_sided_residual(a: Matrix) -> BoundTable:
@@ -548,18 +550,12 @@ def n_factor_residual(chain: Sequence[Matrix]) -> BoundTable:
         _require_finite(m, "residuation")
     flip, _ = _crossing(first.kind)
     lowered = [flip(m) for m in chain]
-    d = _chain_product(lowered)
-    a, c, k = lowered[0].rows, lowered[-1].rows, first.dim
+    d = functools.reduce(mat_mul, lowered)
+    # E[p][s] = max_i (T[i][s] - A₁[i][p]) with T[i][s] = max_j (D[i][j] - Aₙ₊₁[s][j])
+    t = [[max(map(sub, row, c)) for c in lowered[-1].rows] for row in d.rows]
     outer = tuple(
-        tuple(
-            max(
-                d.rows[i][j] - a[i][p] - c[s][j]
-                for i in range(k)
-                for j in range(k)
-            )
-            for s in range(k)
-        )
-        for p in range(k)
+        tuple(as_scalar(max(map(sub, t_col, a_col))) for t_col in zip(*t))
+        for a_col in zip(*lowered[0].rows)
     )
     return BoundTable(flip(d), flip(Matrix(SemiringKind.MIN_PLUS, outer)), chain)
 
@@ -575,8 +571,9 @@ def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
 
 def _solve_pair(
     table: BoundTable, r: list[list], s: list[list]
-) -> Optional[tuple[Matrix, Matrix]]:
-    """Canonical point of the two-slot system, or None when it is infeasible.
+) -> Optional[tuple[Matrix, Matrix, Matrix, Matrix]]:
+    """Canonical point (X, Y) of the two-slot system, with the products B⊗Y
+    and X⊗B⊗Y it formed on the way, or None when it is infeasible.
 
     The system is x_pq + y_rs >= E[p][s] - B[q][r] for all p, q, r, s,
     x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S; selfcheck builds it
@@ -626,30 +623,30 @@ def _solve_pair(
             for i in range(k)
         ),
     )
-    by = mat_mul(table.chain[1], ys).rows
+    by = mat_mul(table.chain[1], ys)
     xs = Matrix(
         SemiringKind.MIN_PLUS,
         tuple(
             tuple(
                 as_scalar(x[p]) if p == q and p in x else
-                as_scalar(max(r[p][q], max(map(sub, e[p], by[q]))))
+                as_scalar(max(r[p][q], max(map(sub, e[p], by.rows[q]))))
                 for q in range(k)
             )
             for p in range(k)
         ),
     )
-    _check_pair_point(table, r, s, xs, ys)
-    return xs, ys
+    xby = mat_mul(xs, by)
+    _check_pair_point(table, r, s, xs, ys, xby)
+    return xs, ys, by, xby
 
 
-def _check_pair_point(table: BoundTable, r, s, xs: Matrix, ys: Matrix) -> None:
-    """The solver's point check on a pair: X⊗B⊗Y >= E entrywise (which is
-    the whole grid x_pq + y_rs >= E[p][s] - B[q][r]), the zero-pair
-    equalities and both lower bounds."""
+def _check_pair_point(table: BoundTable, r, s, xs: Matrix, ys: Matrix, xby: Matrix) -> None:
+    """The solver's point check on a pair, given xby = X⊗(B⊗Y): X⊗B⊗Y >= E
+    entrywise (which is the whole grid x_pq + y_rs >= E[p][s] - B[q][r]),
+    the zero-pair equalities and both lower bounds."""
     x, y = xs.rows, ys.rows
-    xby = mat_mul(mat_mul(xs, table.chain[1]), ys).rows
     if (
-        any(v < w for row, bound in zip(xby, table.outer.rows) for v, w in zip(row, bound))
+        any(v < w for row, bound in zip(xby.rows, table.outer.rows) for v, w in zip(row, bound))
         or any(x[p][p] + y[rr][rr] != 0 for p, rr in table.zero_pairs)
         or any(v < w for row, low in zip(x, r) for v, w in zip(row, low))
         or any(v < w for row, low in zip(y, s) for v, w in zip(row, low))
@@ -668,7 +665,9 @@ def _sample_pairs(
     the zero pairs themselves become equalities, and _solve_pair produces
     the canonical pair.  Infeasible draws retry within the budget.  Max-plus
     inputs run through the min-plus reduction by negation, with l1..l2 read
-    in the reduced coordinates.
+    in the reduced coordinates.  The word check reads the solve's products:
+    X⊗(B⊗Y) for the sandwich, (A⊗X)⊗(B⊗Y)⊗C for the five-factor word, not
+    A⊗(X⊗B⊗Y)⊗C, which would repeat the reduction that formed A⊗B⊗C.
     """
     if l1 > l2:
         raise ValueError("empty bound range")
@@ -676,22 +675,23 @@ def _sample_pairs(
     table = residual(*(flip(m) for m in word.constants))
     k = table.product.dim
     px, py = table.px, table.py
+    first, _, last = table.chain
 
     def draw():
         h = rng.randint(l1, l2)
         r = [[0] * k for _ in range(k)]
         s = [[0] * k for _ in range(k)]
         for i, j in itertools.product(range(k), repeat=2):
-            if i == j:
-                r[i][j] = h if i in px else rng.randint(l1, l2)
-                s[i][j] = -h if i in py else rng.randint(l1, l2)
-            else:
-                r[i][j] = rng.randint(l1, l2)
-                s[i][j] = rng.randint(l1, l2)
-        pair = _solve_pair(table, r, s)
-        if pair is not None and not table.holds(pair):
+            r[i][j] = h if i == j and i in px else rng.randint(l1, l2)
+            s[i][j] = -h if i == j and i in py else rng.randint(l1, l2)
+        solved = _solve_pair(table, r, s)
+        if solved is None:
+            return None
+        xs, ys, by, xby = solved
+        value = xby if first is None else mat_mul(mat_mul(mat_mul(first, xs), by), last)
+        if value != table.product:
             raise SelfCheckError("sampled pair changes the word's value")
-        return pair
+        return xs, ys
 
     return _sample_set(word, n, draw, flip)
 

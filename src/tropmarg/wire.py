@@ -34,6 +34,7 @@ from .marginal import (
     Const,
     MarginalSet,
     WordTemplate,
+    _verified_set,
     verify_marginal,
 )
 from .matrix import Matrix
@@ -256,8 +257,8 @@ def _expect_type(obj, expected: str) -> None:
 # --------------------------------------------------------------------------
 # Marginal sets: raw / interval / delta
 
-# Most tuples an interval box may stand for.  The decoder expands and
-# verifies every member, so it rejects a larger box before expanding it,
+# Most tuples an interval box may stand for.  The decoder expands every
+# member into the set, so it rejects a larger box before expanding it,
 # and the encoder writes such a set in delta form instead.  A few hundred
 # bytes of box could otherwise stand for billions of tuples.
 MAX_BOX_TUPLES = 4096
@@ -410,13 +411,19 @@ def _marginal_set_payload(obj) -> MarginalSet:
         tuples = [(m,) for m in mats]
     else:
         raise WireFormatError(f"unknown encoding {encoding!r}")
+    arity = word.arity  # a property that walks every summand
     for t in tuples:
-        if len(t) != word.arity or any(m.dim != word.dim for m in t):
+        if len(t) != arity or any(m.dim != word.dim for m in t):
             raise WireFormatError("a tuple does not fit the word's arity and dimension")
-    bad = [k for k, t in enumerate(tuples) if not verify_marginal(word, t)]
-    if bad:
-        raise MarginalVerificationError(bad)
-    return MarginalSet(word, tuple(tuples))
+    # The word's value is monotone in every slot entry over both semirings,
+    # infinite constants included, so when a box's lo and hi corners (its
+    # first and last members) give the neutral value, every member does.
+    corners = (tuples[0], tuples[-1]) if encoding == "interval" and tuples else ()
+    if not (corners and all(verify_marginal(word, t) for t in corners)):
+        bad = [k for k, t in enumerate(tuples) if not verify_marginal(word, t)]
+        if bad:
+            raise MarginalVerificationError(bad)
+    return _verified_set(word, tuple(tuples))
 
 
 def decode_marginal_set(data: bytes) -> MarginalSet:

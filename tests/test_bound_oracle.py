@@ -21,7 +21,7 @@ from tropmarg.marginal import (
     two_sided_residual,
 )
 from tropmarg.matrix import dual, make_matrix, mat_prod
-from tropmarg.semiring import SemiringKind, s_max, s_min, s_sub
+from tropmarg.semiring import SemiringKind, as_scalar, s_max, s_min, s_sub
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -191,3 +191,35 @@ def test_one_sided_residuals_match_their_definitions(k, kind, fractions):
         assert right.x_star == oracle_residual(a, "right")
         assert left.x_star == oracle_residual(a, "left")
         assert right.source is a and left.source is a
+
+
+def oracle_outer(chain):
+    """E[p][s] = max over i, j of d_ij - A₁[i][p] - Aₙ₊₁[s][j] over min-plus,
+    in canonical scalars; the negated E of the dual chain over max-plus."""
+    if chain[0].kind is MAX:
+        rows = oracle_outer([dual(m) for m in chain])
+        return tuple(tuple(-v for v in row) for row in rows)
+    k = chain[0].dim
+    d = mat_prod(MIN, k, chain)
+    a, c = chain[0], chain[-1]
+    return tuple(
+        tuple(
+            as_scalar(max(d[i][j] - a[i][p] - c[s][j] for i in range(k) for j in range(k)))
+            for s in range(k)
+        )
+        for p in range(k)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", [MIN, MAX])
+@pytest.mark.parametrize("fractions", [False, True])
+def test_chain_outer_bound_matches_its_definition(k, n, kind, fractions):
+    # repr pins the scalar types too: 3 and Fraction(3, 1) are equal
+    rng = random.Random(f"outer/{k}/{n}/{kind.value}/{fractions}")
+    for _ in range(3):
+        chain = [random_matrix(kind, k, fractions, rng) for _ in range(n + 1)]
+        outer = n_factor_residual(chain).outer
+        assert outer.kind is kind
+        assert repr(outer.rows) == repr(oracle_outer(chain))

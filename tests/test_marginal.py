@@ -1,4 +1,7 @@
+import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -50,8 +53,24 @@ from tropmarg.marginal import (
     two_sided_residual,
     verify_marginal,
 )
-from tropmarg.matrix import dual, make_matrix, mat_add, mat_mul, mat_prod, scalar_mul
+from tropmarg.matrix import (
+    dual,
+    identity,
+    make_matrix,
+    mat_add,
+    mat_mul,
+    mat_prod,
+    neutral_matrix,
+    scalar_mul,
+)
 from tropmarg.semiring import POS_INF, SelfCheckError, SemiringKind, s_le
+from tropmarg.wire import (
+    MarginalVerificationError,
+    decode_marginal_set,
+    encode_marginal_set,
+    encode_word,
+    to_canonical_bytes,
+)
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -388,3 +407,173 @@ def test_wrong_product_raises_self_check_error(monkeypatch, name, kind):
             sample_five_factor_marginal(a, b, c, 2, -8, 8, rng)
         else:
             sample_n_factor_marginal([a, b, c], 2, -8, 8, rng)
+
+
+# --------------------------------------------------------------------------
+# Work counts: each tuple is checked once, each pair product formed once
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts the matrix products the marginal module forms."""
+    import tropmarg.marginal as marginal
+
+    count = [0]
+
+    def counted(a, b):
+        count[0] += 1
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(marginal, "mat_mul", counted)
+    return count
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Records the values of every word evaluation."""
+    calls = []
+    evaluate = WordTemplate.evaluate
+
+    def recorded(self, values):
+        calls.append(tuple(values))
+        return evaluate(self, values)
+
+    monkeypatch.setattr(WordTemplate, "evaluate", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("shape,per_draw", [("sandwich", 2), ("five_factor", 5)])
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_pair_draw_forms_each_product_once(monkeypatch, products, shape, per_draw, kind):
+    import tropmarg.marginal as marginal
+
+    solved = [0]
+    solve = marginal._solve_pair
+
+    def counted_solve(*args):
+        out = solve(*args)
+        solved[0] += out is not None
+        return out
+
+    monkeypatch.setattr(marginal, "_solve_pair", counted_solve)
+    rng = random.Random(11)
+    a, b, c = (_rand_square(kind, rng) for _ in range(3))
+    if shape == "sandwich":
+        table_products = 0
+        s = sample_sandwich_marginal(a, 4, -8, 8, rng)
+    else:
+        table_products = 2  # D = A⊗B⊗C
+        s = sample_five_factor_marginal(a, b, c, 4, -8, 8, rng)
+    assert solved[0] >= len(s) > 1
+    assert products[0] == table_products + per_draw * solved[0]
+
+
+@pytest.mark.parametrize("shape", ["sandwich", "five_factor"])
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_pair_word_check_reads_the_pair(monkeypatch, shape, kind):
+    # a solve whose point and products agree with each other but move the
+    # word's value must still fail the draw's word check
+    import tropmarg.marginal as marginal
+
+    solve = marginal._solve_pair
+
+    def shifted(*args):
+        out = solve(*args)
+        if out is None:
+            return None
+        xs, ys, by, _ = out
+        xs = scalar_mul(1, xs)
+        return xs, ys, by, mat_mul(xs, by)
+
+    monkeypatch.setattr(marginal, "_solve_pair", shifted)
+    rng = random.Random(5)
+    a, b, c = (_rand_square(kind, rng) for _ in range(3))
+    with pytest.raises(SelfCheckError):
+        if shape == "sandwich":
+            sample_sandwich_marginal(a, 2, -8, 8, rng)
+        else:
+            sample_five_factor_marginal(a, b, c, 2, -8, 8, rng)
+
+
+@pytest.mark.parametrize("name", _SAMPLER_NAMES)
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_samplers_evaluate_no_word(evaluations, name, kind):
+    rng = random.Random(3)
+    a, b, c = (_rand_square(kind, rng) for _ in range(3))
+    if name == "right":
+        s = sample_right_marginal(a, 3, 20 if kind is MIN else -20, rng)
+    elif name == "left":
+        s = sample_left_marginal(a, 3, 20 if kind is MIN else -20, rng)
+    elif name == "additive":
+        s = sample_additive_marginal(a, 3, 5, rng)
+    elif name == "sandwich":
+        s = sample_sandwich_marginal(a, 3, -8, 8, rng)
+    elif name == "five_factor":
+        s = sample_five_factor_marginal(a, b, c, 3, -8, 8, rng)
+    else:
+        s = sample_n_factor_marginal([a, b, c], 3, -8, 8, rng)
+    assert len(s) > 1
+    assert evaluations == []
+
+
+def _neutral_substitution(word):
+    e, o = identity(word.kind, word.dim), neutral_matrix(word.kind, word.dim)
+    return (e,) * word.n_box + (o,) * word.n_circle
+
+
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_decoding_a_raw_set_evaluates_each_tuple_once(evaluations, kind):
+    rng = random.Random(9)
+    a = _rand_square(kind, rng)
+    data = encode_marginal_set(sample_sandwich_marginal(a, 4, -8, 8, rng))
+    del evaluations[:]
+    s = decode_marginal_set(data)
+    assert len(s) == 4
+    assert Counter(evaluations) == Counter([_neutral_substitution(s.word), *s.tuples])
+
+
+def _box_file(word, box) -> bytes:
+    return to_canonical_bytes(
+        {"type": "marginal-set", "encoding": "interval", "word": json.loads(encode_word(word)), "box": box}
+    )
+
+
+def _box_members(kind, box):
+    """The box's members in the decoder's documented order (row-major cells,
+    last cell fastest)."""
+    cells = [range(c, c + 1) if isinstance(c, int) else range(c[0], c[1] + 1) for row in box for c in row]
+    n = len(box)
+    return [
+        (make_matrix(kind, [combo[i * n:(i + 1) * n] for i in range(n)]),)
+        for combo in itertools.product(*cells)
+    ]
+
+
+def test_decoding_a_box_evaluates_its_two_corners(evaluations):
+    word = additive_word(make_matrix(MIN, [[0, 1, 2], [-1, 0, 1], [3, 2, 0]]))
+    box = [[[0, 3], [1, 4], 5], [[0, 3], 0, [1, 4]], [3, [2, 5], [0, 3]]]
+    s = decode_marginal_set(_box_file(word, box))
+    members = _box_members(MIN, box)
+    assert len(s) == len(members) == 4096
+    assert s.tuples == tuple(members)
+    assert Counter(evaluations) == Counter([_neutral_substitution(s.word), members[0], members[-1]])
+
+
+@pytest.mark.parametrize(
+    "word,box",
+    [
+        # lo corner fails: x00 = 0 lies below A's 1
+        (additive_word(make_matrix(MIN, [[1, 0], [0, 0]])), [[[0, 2], [0, 1]], [0, [0, 1]]]),
+        # hi corner fails: A⊗X = A needs a zero in each column of X
+        (right_word(make_matrix(MIN, [[0, 0], [0, 0]])), [[[0, 1], 0], [[0, 1], [0, 1]]]),
+        # over max-plus: X ⊕ A = A needs X <= A
+        (additive_word(make_matrix(MAX, [[1, 0], [0, 0]])), [[[0, 2], [-1, 1]], [0, -1]]),
+    ],
+)
+def test_box_with_a_failing_corner_reports_every_bad_index(word, box):
+    members = _box_members(word.kind, box)
+    want = [k for k, t in enumerate(members) if not verify_marginal(word, t)]
+    assert 0 < len(want) < len(members)
+    with pytest.raises(MarginalVerificationError) as caught:
+        decode_marginal_set(_box_file(word, box))
+    assert caught.value.indices == tuple(want)

@@ -40,7 +40,8 @@ def reference(table, r, s):
 
 def assert_agrees(table, r, s):
     want = reference(table, r, s)
-    got = _solve_pair(table, r, s)
+    solved = _solve_pair(table, r, s)
+    got = None if solved is None else solved[:2]
     assert repr(got) == repr(want)
     return got
 
