@@ -7,21 +7,36 @@ the digests cover the order in which the random generator is consumed, the
 exact scalar types in each tuple and the set's tuple order.
 """
 
+import contextlib
 import hashlib
+import io
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from tropmarg.cli import main
 from tropmarg.families import (
     CirculantFamily,
     JonesDeformFamily,
     PolyFamily,
     deform,
+    make_circulant,
+    make_lower_s_circulant,
+    make_upper_t_circulant,
     sample_jones,
 )
-from tropmarg.fixtures import builtin_params
+from tropmarg.fixtures import (
+    CMP_BOX_MATRICES,
+    builtin_params,
+    compression_box_set,
+    compression_delta_set,
+)
 from tropmarg.marginal import (
+    MarginalSet,
+    additive_word,
     sample_additive_marginal,
     sample_five_factor_marginal,
     sample_left_marginal,
@@ -40,7 +55,7 @@ from tropmarg.protocols import (
     run_protocol_sandwich,
     run_sidelnikov,
 )
-from tropmarg.semiring import SemiringKind
+from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind, as_scalar
 from tropmarg.wire import encode_marginal_set, encode_report, encode_transcript
 
 MIN = SemiringKind.MIN_PLUS
@@ -428,3 +443,159 @@ def test_multiblock_three_block_transcript_pinned():
         "M11", "M12", "M13", "M14", "M21", "M22", "M23", "M24"
     ]
     assert _sha(encode_transcript(t)) == MULTIBLOCK_3_BLOCK_DIGEST
+
+
+# --------------------------------------------------------------------------
+# The circulant makers, the CLI's scale draws and the set-encoding fallbacks.
+
+
+def _gen_params_bytes(case: str, tmp_path) -> bytes:
+    family, kind = case.rsplit("@", 1)
+    out = tmp_path / "params.json"
+    argv = [
+        "gen-params", "--semiring", kind, "--dim", "3", "--range", "-9..9",
+        "--family", family, "--seed", "11", "--out", str(out),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return out.read_bytes()
+
+
+GEN_PARAMS_DIGESTS = {
+    "lower-s:s=-2@max-plus": "05ff71608654c8fde15501c5f151119cbe35660e237f014c7bf0c7795bdd1402",
+    "lower-s:s=-2@min-plus": "339aaed524a401f369c91f5c4e7711c487aa15817a08849cbb828c4f85a6fee2",
+    "lower-s@max-plus": "95e2561e21b539d84303661a66cbc1a312472cb1cd428c9f1725043dadd00c33",
+    "lower-s@min-plus": "9100609080d9e866ad537433d1dce44be5916728493fa48650e3e36b6a162a5e",
+    "upper-t:t=3@max-plus": "55a7bde6672139eb2d82aff9cd8e0b718f048300dcbdf5397dbc30d07702570c",
+    "upper-t:t=3@min-plus": "29dc84a68655f22e64aa4fb404b4d34166bc92c7c7dc12af72e13a435093206d",
+    "upper-t@max-plus": "610175eb974ab3ae941a89ce97de8c60e02b15486ae0118396141def9fa57d95",
+    "upper-t@min-plus": "99e1bdd738efc93fd59f60bf82bdb6c27112bd97987a4616da4eb4fd89bbdaac",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_PARAMS_DIGESTS))
+def test_gen_params_scale_bytes_pinned(case, tmp_path):
+    data = _gen_params_bytes(case, tmp_path)
+    if ":" not in case:
+        # each side drew its own scale, so the pin sees the draw order
+        obj = json.loads(data)
+        key = "t" if case.startswith("upper-t") else "s"
+        assert obj["left"][0][key] != obj["right"][0][key]
+    assert _sha(data) == GEN_PARAMS_DIGESTS[case]
+
+
+def _scaled_ref(c, v):
+    """c ⊗ v by the definition: an infinity absorbs, else plain addition,
+    collapsed to int at denominator 1."""
+    if v is POS_INF or v is NEG_INF:
+        return v
+    if c is POS_INF or c is NEG_INF:
+        return c
+    return as_scalar(Fraction(c) + Fraction(v))
+
+
+def _circulant_ref(values, above=0, below=0):
+    n = len(values)
+    return tuple(
+        tuple(
+            _scaled_ref(above if j > i else below if j < i else 0, values[(j - i) % n])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+_CIRCULANT_VALUES = {
+    "one": [5],
+    "ints": [3, -1, 4, 0],
+    "fractions": [Fraction(1, 2), -2, Fraction(6, 3), Fraction(-7, 3), 9],
+    "infinity": [0, "inf", Fraction(5, 4)],
+}
+_SCALES = [0, 3, -2, Fraction(1, 2), Fraction(-5, 3), Fraction(8, 4), "inf"]
+
+
+def _circulant_cases():
+    for kind_name, name in itertools.product(KINDS, _CIRCULANT_VALUES):
+        yield "circulant", kind_name, name, None
+        for maker, scale in itertools.product(("upper-t", "lower-s"), range(len(_SCALES))):
+            yield maker, kind_name, name, scale
+
+
+@pytest.mark.parametrize("maker,kind_name,name,scale", list(_circulant_cases()))
+def test_circulant_makers_match_entrywise_reference(maker, kind_name, name, scale):
+    kind = KINDS[kind_name]
+    allowed = POS_INF if kind is MIN else NEG_INF
+    fix = lambda v: allowed if v == "inf" else v  # noqa: E731
+    values = [fix(v) for v in _CIRCULANT_VALUES[name]]
+    if maker == "circulant":
+        m, ref = make_circulant(kind, values), _circulant_ref(values)
+    elif maker == "upper-t":
+        t = fix(_SCALES[scale])
+        m, ref = make_upper_t_circulant(kind, t, values), _circulant_ref(values, above=t)
+    else:
+        s = fix(_SCALES[scale])
+        m, ref = make_lower_s_circulant(kind, s, values), _circulant_ref(values, below=s)
+    assert m.kind is kind
+    assert repr(m.rows) == repr(ref)
+
+
+@pytest.mark.parametrize("kind_name", sorted(KINDS))
+def test_circulant_makers_reject_what_they_cannot_build(kind_name):
+    kind = KINDS[kind_name]
+    forbidden = NEG_INF if kind is MIN else POS_INF
+    for build in (
+        lambda vals: make_circulant(kind, vals),
+        lambda vals: make_upper_t_circulant(kind, 1, vals),
+        lambda vals: make_lower_s_circulant(kind, 1, vals),
+    ):
+        with pytest.raises(ValueError):
+            build([])
+        with pytest.raises(ValueError):
+            build([1, forbidden])
+        with pytest.raises(TypeError):
+            build([1, 0.5])
+    with pytest.raises(ValueError):
+        make_upper_t_circulant(kind, forbidden, [1, 2])
+    with pytest.raises(ValueError):
+        make_lower_s_circulant(kind, forbidden, [1, 2])
+
+
+def _encoding_set(name: str) -> MarginalSet:
+    rng = random.Random(f"golden/encoding/{name}")
+    if name == "int-box":
+        return compression_box_set()
+    if name == "int-non-box":
+        return compression_delta_set()
+    if name == "fraction":
+        anchor = deform(sample_jones(3, -20, 20, rng), Fraction(1, 3))
+        s = sample_right_marginal(anchor, 4, -40, rng)
+        assert any(isinstance(x, Fraction) for t in s.tuples for r in t[0].rows for x in r)
+        return s
+    if name == "pair":
+        return sample_sandwich_marginal(_square(MIN, rng), 3, -8, 8, rng)
+    return MarginalSet(additive_word(CMP_BOX_MATRICES[0]), ())
+
+
+ENCODING_DIGESTS = {
+    "empty:delta": "02cf1917a7f6a0312722371afac2f3373c2c95cb5eb61385ed8c7a0507216386",
+    "empty:interval": "02cf1917a7f6a0312722371afac2f3373c2c95cb5eb61385ed8c7a0507216386",
+    "empty:raw": "02cf1917a7f6a0312722371afac2f3373c2c95cb5eb61385ed8c7a0507216386",
+    "fraction:delta": "313e79ae660b2d8210609968e13cdef951557424cebf0d5211d369ed42923d1d",
+    "fraction:interval": "313e79ae660b2d8210609968e13cdef951557424cebf0d5211d369ed42923d1d",
+    "fraction:raw": "bcfcb84d358d6892347943b33684dcfe00551dc3fd84276fc7187449f2640be8",
+    "int-box:delta": "9c4439483fec4ce8ae0140a8c076c3fd81f940e05d89aa7166943453c499715c",
+    "int-box:interval": "69a5cfa5c358724d4bf79ed490ef7944d727ead7006ce1e741c353e953a8506a",
+    "int-box:raw": "d4ca48327ff945e3abc076e4cc013881addb461158aac9dbb5a744b33f78f092",
+    "int-non-box:delta": "ccfce749de2c1aa572a2297a9a06f722dcfe9bb58bcf88590950c6738cab8c9f",
+    "int-non-box:interval": "ccfce749de2c1aa572a2297a9a06f722dcfe9bb58bcf88590950c6738cab8c9f",
+    "int-non-box:raw": "b459f0e75f2ca6b93a19fe5ff300fd0f2210c9675a80420531cd0c37297d11a8",
+    "pair:delta": "037cbf04427ed90bf813fcd8d3d878dbfd02e8aa1b77a9013bc1b9a866f1eff7",
+    "pair:interval": "037cbf04427ed90bf813fcd8d3d878dbfd02e8aa1b77a9013bc1b9a866f1eff7",
+    "pair:raw": "037cbf04427ed90bf813fcd8d3d878dbfd02e8aa1b77a9013bc1b9a866f1eff7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODING_DIGESTS))
+def test_set_encoding_fallback_bytes_pinned(case):
+    name, encoding = case.split(":")
+    assert _sha(encode_marginal_set(_encoding_set(name), encoding)) == ENCODING_DIGESTS[case]
