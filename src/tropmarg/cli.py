@@ -131,7 +131,8 @@ def _family_pair(
     hi: int,
     rng: random.Random,
 ):
-    """One family spec per side.  Draw order: left before right."""
+    """One family spec per side.  Draw order: left before right, except for
+    the upper-t and lower-s scales, where right's is drawn first."""
     opts = dict(options)
 
     def done(left, right):
@@ -149,22 +150,14 @@ def _family_pair(
     if name == "circulant":
         spec = CirculantFamily(kind, dim, lo, hi)
         return done(spec, spec)
-    if name == "upper-t":
-        t_l = opts.pop("t", None)
-        t_r = t_l if t_l is not None else rng.randint(lo, hi)
-        t_l = t_l if t_l is not None else rng.randint(lo, hi)
-        return done(
-            UpperTCirculantFamily(kind, dim, t_l, lo, hi),
-            UpperTCirculantFamily(kind, dim, t_r, lo, hi),
+    if name in ("upper-t", "lower-s"):
+        key, family = (
+            ("t", UpperTCirculantFamily) if name == "upper-t" else ("s", LowerSCirculantFamily)
         )
-    if name == "lower-s":
-        s_l = opts.pop("s", None)
-        s_r = s_l if s_l is not None else rng.randint(lo, hi)
-        s_l = s_l if s_l is not None else rng.randint(lo, hi)
-        return done(
-            LowerSCirculantFamily(kind, dim, s_l, lo, hi),
-            LowerSCirculantFamily(kind, dim, s_r, lo, hi),
-        )
+        fixed = opts.pop(key, None)
+        right = fixed if fixed is not None else rng.randint(lo, hi)
+        left = fixed if fixed is not None else rng.randint(lo, hi)
+        return done(family(kind, dim, left, lo, hi), family(kind, dim, right, lo, hi))
     if name == "jones":
         if kind is not SemiringKind.MAX_PLUS:
             raise CliError(2, "bad-arguments", "jones family requires --semiring max-plus")

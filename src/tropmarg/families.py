@@ -28,6 +28,7 @@ from .semiring import (
     Scalar,
     SelfCheckError,
     SemiringKind,
+    add_neutral,
     as_scalar,
     is_finite,
     s_le,
@@ -39,51 +40,35 @@ from .semiring import (
 def make_circulant(kind: SemiringKind, values) -> Matrix:
     """Circulant whose first row is `values`; each later row is the previous
     one shifted cyclically one step right."""
-    vals = [as_scalar(v) for v in values]
-    n = len(vals)
-    if n == 0:
-        raise ValueError("circulant needs at least one value")
-    return Matrix(
-        kind, tuple(tuple(vals[(j - i) % n] for j in range(n)) for i in range(n))
-    )
+    return _circulant(kind, values, None, None)
 
 
 def make_upper_t_circulant(kind: SemiringKind, t, values) -> Matrix:
     """Circulant with every entry strictly above the diagonal scaled by t."""
-    t = as_scalar(t)
-    vals = [as_scalar(v) for v in values]
-    n = len(vals)
-    if n == 0:
-        raise ValueError("circulant needs at least one value")
-    return Matrix(
-        kind,
-        tuple(
-            tuple(
-                s_mul(t, vals[(j - i) % n]) if j > i else vals[(j - i) % n]
-                for j in range(n)
-            )
-            for i in range(n)
-        ),
-    )
+    return _circulant(kind, values, as_scalar(t), None)
 
 
 def make_lower_s_circulant(kind: SemiringKind, s, values) -> Matrix:
     """Circulant with every entry strictly below the diagonal scaled by s."""
-    s = as_scalar(s)
+    return _circulant(kind, values, None, as_scalar(s))
+
+
+def _circulant(kind: SemiringKind, values, above, below) -> Matrix:
+    """The circulant of `values`, with the triangle above the diagonal scaled
+    by `above` and the one below it by `below` where those are given."""
     vals = [as_scalar(v) for v in values]
     n = len(vals)
     if n == 0:
         raise ValueError("circulant needs at least one value")
-    return Matrix(
-        kind,
-        tuple(
-            tuple(
-                s_mul(s, vals[(j - i) % n]) if j < i else vals[(j - i) % n]
-                for j in range(n)
-            )
-            for i in range(n)
-        ),
-    )
+    rows = []
+    for i in range(n):
+        row = vals[n - i:] + vals[:n - i]
+        if above is not None:
+            row[i + 1:] = [s_mul(above, v) for v in row[i + 1:]]
+        if below is not None:
+            row[:i] = [s_mul(below, v) for v in row[:i]]
+        rows.append(tuple(row))
+    return Matrix(kind, tuple(rows))
 
 
 def is_jones(a: Matrix) -> bool:
@@ -208,6 +193,11 @@ class CirculantFamily:
     hi: int
 
 
+def _check_scale(kind: SemiringKind, scale: Scalar) -> None:
+    if scale is add_neutral(kind.dual):
+        raise ValueError(f"{scale!r} scale not allowed over {kind}")
+
+
 @dataclass(frozen=True)
 class UpperTCirculantFamily:
     kind: SemiringKind
@@ -215,6 +205,9 @@ class UpperTCirculantFamily:
     t: Scalar
     lo: int
     hi: int
+
+    def __post_init__(self):
+        _check_scale(self.kind, self.t)
 
 
 @dataclass(frozen=True)
@@ -224,6 +217,9 @@ class LowerSCirculantFamily:
     s: Scalar
     lo: int
     hi: int
+
+    def __post_init__(self):
+        _check_scale(self.kind, self.s)
 
 
 @dataclass(frozen=True)
@@ -288,15 +284,13 @@ def sample_family_member(spec: FamilySpec, rng: random.Random) -> Matrix:
         deg = rng.randint(0, spec.max_degree)
         coeffs = [rng.randint(spec.coeff_lo, spec.coeff_hi) for _ in range(deg + 1)]
         return poly_eval(make_poly(spec.base.kind, coeffs), spec.base)
-    if isinstance(spec, CirculantFamily):
+    if isinstance(spec, (CirculantFamily, UpperTCirculantFamily, LowerSCirculantFamily)):
         vals = [rng.randint(spec.lo, spec.hi) for _ in range(spec.dim)]
+        if isinstance(spec, UpperTCirculantFamily):
+            return make_upper_t_circulant(spec.kind, spec.t, vals)
+        if isinstance(spec, LowerSCirculantFamily):
+            return make_lower_s_circulant(spec.kind, spec.s, vals)
         return make_circulant(spec.kind, vals)
-    if isinstance(spec, UpperTCirculantFamily):
-        vals = [rng.randint(spec.lo, spec.hi) for _ in range(spec.dim)]
-        return make_upper_t_circulant(spec.kind, spec.t, vals)
-    if isinstance(spec, LowerSCirculantFamily):
-        vals = [rng.randint(spec.lo, spec.hi) for _ in range(spec.dim)]
-        return make_lower_s_circulant(spec.kind, spec.s, vals)
     if isinstance(spec, JonesDeformFamily):
         den = rng.randint(1, spec.max_denominator)
         lo_num = math.ceil(spec.alpha_lo * den)

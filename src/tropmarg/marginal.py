@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -83,6 +83,9 @@ class WordTemplate:
     dim: int
     constants: tuple[Matrix, ...]
     summands: tuple[tuple[Atom, ...], ...]
+    # slot counts, set once from the summands; not part of ==, hash or repr
+    n_box: int = field(init=False, repr=False, compare=False)
+    n_circle: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         boxes, circles = [], []
@@ -110,18 +113,8 @@ class WordTemplate:
             raise ValueError("box slots must be 0..n-1, each used once")
         if sorted(circles) != list(range(len(circles))):
             raise ValueError("circle slots must be 0..n-1, each used once")
-
-    @property
-    def n_box(self) -> int:
-        return sum(
-            1 for s in self.summands for a in s if isinstance(a, Box)
-        )
-
-    @property
-    def n_circle(self) -> int:
-        return sum(
-            1 for s in self.summands for a in s if isinstance(a, Circle)
-        )
+        object.__setattr__(self, "n_box", len(boxes))
+        object.__setattr__(self, "n_circle", len(circles))
 
     @property
     def arity(self) -> int:
@@ -135,14 +128,13 @@ class WordTemplate:
         for v in values:
             if v.kind is not self.kind or v.dim != self.dim:
                 raise ValueError("tuple matrix does not fit the template")
-        n_box = self.n_box
 
         def resolve(atom: Atom) -> Matrix:
             if isinstance(atom, Const):
                 return self.constants[atom.index]
             if isinstance(atom, Box):
                 return values[atom.slot]
-            return values[n_box + atom.slot]
+            return values[self.n_box + atom.slot]
 
         total = None
         for summand in self.summands:
@@ -510,12 +502,6 @@ class BoundTable:
         """Projection of the zero pairs on the last slot."""
         return frozenset(p[-1] for p in self.zero_pairs)
 
-    def holds(self, xs: Sequence[Matrix]) -> bool:
-        """The n-factor sampler's word check: the slot values leave the chain
-        product unchanged (two-slot draws reuse their solve's products)."""
-        slots = itertools.chain.from_iterable(zip(xs, self.chain[1:]))
-        return functools.reduce(mat_mul, [self.chain[0], *slots]) == self.product
-
 
 def two_sided_residual(a: Matrix) -> BoundTable:
     """Bounds for X⊗A⊗Y = A: index (i, p, q, j) bounds x_ip + y_qj by
@@ -762,7 +748,8 @@ def sample_n_factor_marginal(
         # make_matrix keeps the entries canonical: the repair pass can leave
         # Fraction(k, 1) behind on a chain with Fraction entries.
         xs = tuple(make_matrix(SemiringKind.MIN_PLUS, m) for m in mats)
-        if not table.holds(xs):
+        slots = itertools.chain.from_iterable(zip(xs, table.chain[1:]))
+        if functools.reduce(mat_mul, [table.chain[0], *slots]) != table.product:
             raise SelfCheckError("sampled tuple changes the chain product")
         return xs
 

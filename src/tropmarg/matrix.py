@@ -51,9 +51,6 @@ class Matrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
     def __getitem__(self, i: int) -> tuple[Scalar, ...]:
         return self.rows[i]
 

@@ -275,11 +275,9 @@ MAX_TUPLES = 256
 
 
 def _box_form(s: MarginalSet):
-    """Interval body if the set is exactly an integer box of single matrices,
-    else None.  Cell form: a bare value for a constant entry, [lo, hi] for a
-    full contiguous range."""
-    if s.word.arity != 1 or not s.tuples:
-        return None
+    """Interval body if the set is exactly an integer box, else None.  Cell
+    form: a bare value for a constant entry, [lo, hi] for a full contiguous
+    range."""
     n = s.word.dim
     per_cell = [[set() for _ in range(n)] for _ in range(n)]
     for (m,) in s.tuples:
@@ -298,21 +296,20 @@ def _box_form(s: MarginalSet):
             total *= len(vals)
     if total != len(s.tuples) or total > MAX_BOX_TUPLES:
         return None
-    return [
-        [
-            min(c) if len(c) == 1 else [min(c), max(c)]
-            for c in (per_cell[i][j] for j in range(n))
+    return {
+        "box": [
+            [
+                min(c) if len(c) == 1 else [min(c), max(c)]
+                for c in (per_cell[i][j] for j in range(n))
+            ]
+            for i in range(n)
         ]
-        for i in range(n)
-    ]
+    }
 
 
 def _delta_form(s: MarginalSet):
-    """Delta body for single-matrix sets: first matrix in full, then per
-    matrix the 1-based ((i, j), value) cells that changed from its
-    predecessor."""
-    if s.word.arity != 1 or not s.tuples:
-        return None
+    """Delta body: first matrix in full, then per matrix the 1-based
+    ((i, j), value) cells that changed from its predecessor."""
     n = s.word.dim
     mats = [t[0] for t in s.tuples]
     diffs = []
@@ -328,25 +325,16 @@ def _delta_form(s: MarginalSet):
 
 
 def encode_marginal_set(s: MarginalSet, encoding: str = "raw") -> bytes:
-    """Serialize with the requested encoding, falling back silently when it
-    does not apply: interval needs an exact integer box, delta needs
-    single-matrix tuples; raw always applies."""
+    """Serialize with the requested encoding, falling back silently down the
+    ladder interval, delta, raw: interval and delta need a non-empty set of
+    single matrices, interval also an exact integer box; raw always applies."""
     if encoding not in ("raw", "interval", "delta"):
         raise WireFormatError(f"unknown encoding {encoding!r}")
-    body = None
-    used = "raw"
-    if encoding == "interval":
-        box = _box_form(s)
-        if box is not None:
-            used, body = "interval", {"box": box}
-        else:
-            encoding = "delta"
-    if encoding == "delta" and body is None:
-        delta = _delta_form(s)
-        if delta is not None:
-            used, body = "delta", delta
-    if body is None:
-        used = "raw"
+    used = encoding if s.word.arity == 1 and s.tuples else "raw"
+    body = _box_form(s) if used == "interval" else None
+    if body is None and used != "raw":
+        used, body = "delta", _delta_form(s)
+    if used == "raw":
         body = {"tuples": [[_rows_out(m) for m in t] for t in s.tuples]}
     return to_canonical_bytes(
         {"type": "marginal-set", "encoding": used, "word": _word_out(s.word), **body}
@@ -411,9 +399,8 @@ def _marginal_set_payload(obj) -> MarginalSet:
         tuples = [(m,) for m in mats]
     else:
         raise WireFormatError(f"unknown encoding {encoding!r}")
-    arity = word.arity  # a property that walks every summand
     for t in tuples:
-        if len(t) != arity or any(m.dim != word.dim for m in t):
+        if len(t) != word.arity or any(m.dim != word.dim for m in t):
             raise WireFormatError("a tuple does not fit the word's arity and dimension")
     # The word's value is monotone in every slot entry over both semirings,
     # infinite constants included, so when a box's lo and hi corners (its

@@ -543,3 +543,41 @@ def test_word_boolean_atom_index_is_rejected(run, tmp_path, params_file):
     code, out = run("verify-marginal", "--set", str(set_file), "--word", str(word_file))
     assert code == 2
     assert _only_record(out)["reason"] == "malformed-input"
+
+
+def _infinite_scale_params(run, tmp_path, family):
+    """A max-plus circulant params file whose scale is +inf on both sides,
+    the infinity max-plus forbids."""
+    path = tmp_path / "params.json"
+    assert run(
+        "gen-params", "--semiring", "max-plus", "--dim", "3", "--range", "-9..9",
+        "--family", family, "--seed", "5", "--out", str(path),
+    )[0] == 0
+    params = json.loads(path.read_text())
+    key = "t" if family == "upper-t" else "s"
+    for side in ("left", "right"):
+        params[side][0][key] = "inf"
+    path.write_text(json.dumps(params))
+    return path
+
+
+@pytest.mark.parametrize("word", ["right", "left", "additive"])
+@pytest.mark.parametrize("family", ["upper-t", "lower-s"])
+def test_gen_marginal_on_a_forbidden_infinite_scale_is_exit_2(run, tmp_path, family, word):
+    path = _infinite_scale_params(run, tmp_path, family)
+    code, out = run(
+        "gen-marginal", "--word", word, "--in", str(path),
+        "--count", "2", "--out", str(tmp_path / "set.json"),
+    )
+    assert code == 2
+    assert _only_record(out)["reason"] == "malformed-input"
+
+
+@pytest.mark.parametrize("family", ["upper-t", "lower-s"])
+def test_run_protocol_on_a_forbidden_infinite_scale_is_exit_2(run, tmp_path, family):
+    path = _infinite_scale_params(run, tmp_path, family)
+    code, out = run(
+        "run-protocol", "one-sided", "--params", str(path), "--out", str(tmp_path / "t.json"),
+    )
+    assert code == 2
+    assert _only_record(out)["reason"] == "malformed-input"

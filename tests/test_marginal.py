@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import json
 import random
@@ -577,3 +579,91 @@ def test_box_with_a_failing_corner_reports_every_bad_index(word, box):
     with pytest.raises(MarginalVerificationError) as caught:
         decode_marginal_set(_box_file(word, box))
     assert caught.value.indices == tuple(want)
+
+
+# --------------------------------------------------------------------------
+# The stored word shape
+
+
+def _mixed_word():
+    return WordTemplate(
+        MIN, 2, (BIL_A,), ((Box(1), Const(0), Box(0)), (Circle(1),), (Const(0),), (Circle(0),))
+    )
+
+
+_SHAPE_WORDS = {
+    "right": lambda: right_word(DEF3_A),
+    "left": lambda: left_word(DEF3_A),
+    "sandwich": lambda: sandwich_word(BIL_A),
+    "five-factor": lambda: five_factor_word(FF_A, FF_B, FF_C),
+    "chain-2": lambda: chain_word([FF_A, FF_B]),
+    "chain-4": lambda: chain_word([FF_A, FF_B, FF_C, FF_A]),
+    "additive": lambda: additive_word(DEF3_A),
+    "mixed": _mixed_word,
+}
+
+
+def _walked_shape(word):
+    atoms = [a for s in word.summands for a in s]
+    n_box = sum(isinstance(a, Box) for a in atoms)
+    n_circle = sum(isinstance(a, Circle) for a in atoms)
+    return n_box, n_circle, n_box + n_circle
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPE_WORDS))
+def test_stored_word_shape_matches_the_summands(name):
+    from tropmarg.wire import decode_word
+
+    word = _SHAPE_WORDS[name]()
+    for w in (word, decode_word(encode_word(word)), copy.deepcopy(word)):
+        assert (w.n_box, w.n_circle, w.arity) == _walked_shape(word)
+    # replace rebuilds the counts from the new summands
+    swapped = dataclasses.replace(word, summands=((Const(0),), (Circle(0),)))
+    assert (swapped.n_box, swapped.n_circle, swapped.arity) == (0, 1, 1)
+    same = dataclasses.replace(word)
+    assert (same.n_box, same.n_circle, same.arity) == _walked_shape(word)
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPE_WORDS))
+def test_stored_word_shape_is_not_part_of_the_value(name):
+    word, other = _SHAPE_WORDS[name](), _SHAPE_WORDS[name]()
+    object.__setattr__(other, "n_box", word.n_box + 1)
+    object.__setattr__(other, "n_circle", word.n_circle + 2)
+    assert other == word and hash(other) == hash(word)
+    assert repr(other) == repr(word) and "n_box" not in repr(word)
+    assert encode_word(other) == encode_word(word)
+
+
+def test_evaluate_stays_in_the_class_dict():
+    # the benchmark's tracer wraps WordTemplate.evaluate by name
+    assert "evaluate" in vars(WordTemplate)
+
+
+def test_self_check_tests_pass_under_python_dash_o():
+    # these tests raise through pytest.raises, not assert, so they still
+    # check something when -O strips the asserts
+    import os
+    import subprocess
+    import sys
+
+    import tropmarg
+
+    here = os.path.abspath(__file__)
+    src = os.path.dirname(os.path.dirname(tropmarg.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    nodes = [
+        f"{here}::{name}"
+        for name in (
+            "test_marginal_set_verifies_at_construction",
+            "test_wrong_product_raises_self_check_error",
+            "test_pair_word_check_reads_the_pair",
+        )
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
+        cwd=os.path.dirname(os.path.dirname(here)),
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

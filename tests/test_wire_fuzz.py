@@ -256,6 +256,8 @@ REGRESSIONS = {
     "circulant-empty-range": ("params-0", _set_family("left", lo=5, hi=4)),
     "upper-t-lo-a-string": ("params-0", _set_family("right", lo="x")),
     "jones-max-denominator-0": ("params-1", _set_family("right", max_denominator=0)),
+    "max-plus-upper-t-scale-inf": ("params-0", _set_family("right", t="inf")),
+    "max-plus-lower-s-scale-inf": ("params-1", _set_family("left", s="inf")),
 }
 
 
