@@ -69,6 +69,7 @@ from tropmarg.semiring import POS_INF, SelfCheckError, SemiringKind, s_le
 from tropmarg.wire import (
     MarginalVerificationError,
     decode_marginal_set,
+    decode_word,
     encode_marginal_set,
     encode_word,
     to_canonical_bytes,
@@ -612,8 +613,6 @@ def _walked_shape(word):
 
 @pytest.mark.parametrize("name", sorted(_SHAPE_WORDS))
 def test_stored_word_shape_matches_the_summands(name):
-    from tropmarg.wire import decode_word
-
     word = _SHAPE_WORDS[name]()
     for w in (word, decode_word(encode_word(word)), copy.deepcopy(word)):
         assert (w.n_box, w.n_circle, w.arity) == _walked_shape(word)
