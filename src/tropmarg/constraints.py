@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .semiring import Scalar, SelfCheckError, as_scalar, is_finite
+from .semiring import Scalar, SelfCheckError, _norm, as_scalar, is_finite
 
 
 class VarId(NamedTuple):
@@ -285,8 +285,3 @@ def _extract_cycle(
         raise SelfCheckError("extracted cycle is not negative")
     return cycle
 
-
-def _norm(x) -> Scalar:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x

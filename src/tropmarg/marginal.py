@@ -315,11 +315,10 @@ def residual_right(a: Matrix) -> OneSidedResidual:
     max-plus."""
     _require_finite(a, "residuation")
     flip, _ = _crossing(a.kind)
-    m = flip(a).rows
-    n = a.dim
+    cols = tuple(zip(*flip(a).rows))
     rows = tuple(
-        tuple(max(s_sub(m[l][j], m[l][i]) for l in range(n)) for j in range(n))
-        for i in range(n)
+        tuple(as_scalar(max(map(sub, col_j, col_i))) for col_j in cols)
+        for col_i in cols
     )
     return OneSidedResidual(a, flip(Matrix(SemiringKind.MIN_PLUS, rows)))
 

@@ -21,12 +21,9 @@ from .semiring import (
     MUL_NEUTRAL,
     Scalar,
     SemiringKind,
+    _norm,
     add_neutral,
     as_scalar,
-    is_finite,
-    s_add,
-    s_mul,
-    s_neg,
 )
 
 
@@ -55,7 +52,8 @@ class Matrix:
         return self.rows[i]
 
     def is_finite(self) -> bool:
-        return all(is_finite(x) for row in self.rows for x in row)
+        o = add_neutral(self.kind)
+        return not any(x is o for row in self.rows for x in row)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -92,14 +90,24 @@ def _check_fits(kind: SemiringKind, n: int, b: Matrix) -> None:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    """Entrywise semiring sum (min or max)."""
+    """Entrywise semiring sum (min or max).
+
+    Finite pairs go to the builtin min or max; an entry equal to the
+    semiring's infinity yields the other entry.  On a tie min keeps a's
+    entry and max keeps b's, as s_add does, so b's rows come first over
+    max-plus."""
     _check_fits(a.kind, a.dim, b)
     k = a.kind
+    o = add_neutral(k)
+    if k is SemiringKind.MIN_PLUS:
+        pick, first, second = min, a.rows, b.rows
+    else:
+        pick, first, second = max, b.rows, a.rows
     return Matrix(
         k,
         tuple(
-            tuple(s_add(k, x, y) for x, y in zip(ra, rb))
-            for ra, rb in zip(a.rows, b.rows)
+            tuple(y if x is o else x if y is o else pick(x, y) for x, y in zip(r, s))
+            for r, s in zip(first, second)
         ),
     )
 
@@ -177,9 +185,26 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
 
 
 def scalar_mul(c, a: Matrix) -> Matrix:
-    """Scale every entry by the scalar c (tropically: add c)."""
+    """Scale every entry by the scalar c (tropically: add c).
+
+    A finite c is added to every finite entry directly; the sum is
+    normalized only when the entry is not an int, since c is canonical and
+    c + int keeps c's denominator.  An infinite c absorbs every entry, and
+    meeting the opposite infinity raises, as s_mul does."""
     c = as_scalar(c)
-    return Matrix(a.kind, tuple(tuple(s_mul(c, x) for x in row) for row in a.rows))
+    k = a.kind
+    o = add_neutral(k)
+    if c is POS_INF or c is NEG_INF:
+        if c is not o and not a.is_finite():
+            raise ArithmeticError("+inf and -inf cannot be combined")
+        return Matrix(k, tuple((c,) * a.dim for _ in a.rows))
+    return Matrix(
+        k,
+        tuple(
+            tuple(x if x is o else c + x if type(x) is int else _norm(c + x) for x in row)
+            for row in a.rows
+        ),
+    )
 
 
 def mat_prod(kind: SemiringKind, n: int, factors: Iterable[Matrix]) -> Matrix:
@@ -202,7 +227,8 @@ def dual(a: Matrix) -> Matrix:
     the min-plus code path.
     """
     return Matrix(
-        a.kind.dual, tuple(tuple(s_neg(x) for x in row) for row in a.rows)
+        a.kind.dual,
+        tuple(tuple(-x if type(x) is int else _norm(-x) for x in row) for row in a.rows),
     )
 
 

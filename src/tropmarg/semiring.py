@@ -66,6 +66,8 @@ def as_scalar(value) -> Scalar:
     Fractions with denominator 1 collapse to int so that equal values have
     one canonical representation (needed for hashing and wire round-trips).
     """
+    if type(value) is int:
+        return value
     if value is POS_INF or value is NEG_INF:
         return value
     if isinstance(value, bool):
@@ -123,6 +125,8 @@ def s_mul(a: Scalar, b: Scalar) -> Scalar:
     Within one semiring only one infinity sign can occur, so the undefined
     combination +inf + -inf signals a bug and raises.
     """
+    if type(a) is int and type(b) is int:
+        return a + b
     a_inf = isinstance(a, _Infinity)
     b_inf = isinstance(b, _Infinity)
     if a_inf or b_inf:
@@ -133,6 +137,8 @@ def s_mul(a: Scalar, b: Scalar) -> Scalar:
 
 
 def s_neg(a: Scalar) -> Scalar:
+    if type(a) is int:
+        return -a
     if isinstance(a, _Infinity):
         return -a
     return _norm(-a)
@@ -140,12 +146,17 @@ def s_neg(a: Scalar) -> Scalar:
 
 def s_sub(a: Scalar, b: Scalar) -> Scalar:
     """a - b for finite scalars; residuation never subtracts infinities here."""
+    if type(a) is int and type(b) is int:
+        return a - b
     if isinstance(a, _Infinity) or isinstance(b, _Infinity):
         raise ArithmeticError("difference of non-finite scalars")
     return _norm(a - b)
 
 
 def _norm(x) -> Scalar:
+    """Collapse a Fraction with denominator 1 to int; anything else as is."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x

@@ -66,6 +66,8 @@ class MarginalVerificationError(ValueError):
 
 
 def scalar_to_token(x: Scalar):
+    if type(x) is int:
+        return x
     if x is POS_INF:
         return "inf"
     if x is NEG_INF:

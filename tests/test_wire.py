@@ -67,6 +67,11 @@ class TestScalarTokens:
         with pytest.raises(WireFormatError):
             token_to_scalar(False)
 
+    @pytest.mark.parametrize("junk", [True, False, 1.5, float("inf"), "3", None, [1]])
+    def test_non_scalars_not_serialized(self, junk):
+        with pytest.raises(WireFormatError):
+            scalar_to_token(junk)
+
     def test_bad_tokens_rejected(self):
         for tok in ("", "one", "1.5", "1/0", None, [1]):
             with pytest.raises(WireFormatError):
