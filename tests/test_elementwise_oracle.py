@@ -154,7 +154,8 @@ def outcome(fn, *args):
     except Exception as e:  # the exception itself is the outcome compared
         return ("raise", type(e), str(e))
     if isinstance(value, Matrix):
-        return ("ok", value.kind, tuple(tuple((type(x), repr(x)) for x in row) for row in value.rows))
+        entries = tuple(tuple((type(x), repr(x)) for x in row) for row in value.rows)
+        return ("ok", value.kind, entries)
     return ("ok", type(value), repr(value))
 
 
