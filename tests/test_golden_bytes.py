@@ -599,3 +599,73 @@ ENCODING_DIGESTS = {
 def test_set_encoding_fallback_bytes_pinned(case):
     name, encoding = case.split(":")
     assert _sha(encode_marginal_set(_encoding_set(name), encoding)) == ENCODING_DIGESTS[case]
+
+
+# --------------------------------------------------------------------------
+# One-sided and additive draws entry by entry: dim-5 anchors, the Fraction
+# stars of Jones anchors, and caps that leave no room to step (every span 0:
+# +150 over max-plus and -150 over min-plus pin the box to x*).
+
+
+def _one_sided_anchor(kind, anchor: str, rng):
+    if anchor == "jones":
+        return deform(sample_jones(4, -20, 20, rng), Fraction(1, 3))
+    if anchor == "inf":
+        # the semiring's own infinity in a few entries; only the additive
+        # sampler accepts them
+        allowed = POS_INF if kind is MIN else NEG_INF
+        rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+        rows[0][1] = rows[2][3] = rows[3][0] = allowed
+        return make_matrix(kind, rows)
+    return _square(kind, rng, 5)
+
+
+def _one_sided_set(case: str):
+    sampler, kind, anchor, cap = case.split(":")
+    kind = KINDS[kind]
+    rng = random.Random(f"golden/one-sided-draws/{case}")
+    a = _one_sided_anchor(kind, anchor, rng)
+    before = rng.getstate()
+    if sampler == "additive":
+        s = sample_additive_marginal(a, 4, int(cap), rng)
+    else:
+        draw = sample_right_marginal if sampler == "right" else sample_left_marginal
+        s = draw(a, 4, int(cap), rng)
+    return s, rng.getstate() == before
+
+
+ONE_SIDED_DRAW_DIGESTS = {
+    "additive:max:inf:2": "37fea7c6f97d468391d4ae1ec57b80ef6afb182ac18bf0d549e66624b4c291ff",
+    "additive:max:int:0": "b82f23db21b57fe0e663efb784bcb6741384d0818344e5409c41db1e7f41fca4",
+    "additive:max:jones:3": "2a1f43a8647e0049ac22d567b0e6521bee5429ec7032629488297982f499d15a",
+    "additive:min:inf:5": "1f06a558bfc50ab90b6eed94b37cb80467a8e110e686d6aa4c720110e8616252",
+    "additive:min:int:0": "e600766cf07a526be806f0f6db153063be45afd93997f5b365ffc85c166038f1",
+    "left:max:int:-40": "dce9cc26055744430edc1307439913dd57d3b3fcceb10f141d07b3be134cd2b5",
+    "left:max:int:150": "a0f437063d011e683ab7ec31ad241f53317a9df6b6e74209111667a89827f40d",
+    "left:max:jones:-25": "000bffa798769970491b3f613bb5a47aa63a271cfbad5bdf7ae298dd55a45e81",
+    "left:max:jones:150": "bf09b243d302aad9d2be4c02f7808fdbc6c5d5ed6d650928bd19ce3310b5e1c7",
+    "left:min:int:-150": "ca2264a26dfd045e6b22b19846308c409642c339c3a58844bc2d687c9325cda3",
+    "left:min:int:40": "d62f36021191f3a912b5280515d18bfda8d1b28277f321fc57b70d0600495e69",
+    "right:max:int:-40": "d6be778531a45622808caf17239b08850d0897bee8e720d4108a2af6fd31c7ab",
+    "right:max:int:150": "344671f670a6cebec53801c5af99bfa2486ed33948218937480e3b616e82a62f",
+    "right:max:jones:-25": "0576264eb49e04d8616fa51ababb9778501135beaaab343c789836fc92ee1485",
+    "right:max:jones:150": "e78f3f3c7ef6793888a32de77590fdcc9c2c1a68aa145e8d7a964f0dcb520193",
+    "right:min:int:-150": "0f70909fba5b18452a2f43763fb4eda52f65081e04cfad0f1043bcef3ace652e",
+    "right:min:int:40": "b7a1f1ba95c02f90bc57b8d6b21dfc47e1d21ff529be2809659bcb1a264252ad",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_SIDED_DRAW_DIGESTS))
+def test_one_sided_and_additive_draw_bytes_pinned(case):
+    s, untouched = _one_sided_set(case)
+    sampler, kind, anchor, cap = case.split(":")
+    entries = [x for t in s.tuples for row in t[0].rows for x in row]
+    if anchor == "jones":
+        assert any(isinstance(x, Fraction) for x in entries)
+    pinned = sampler != "additive" and abs(int(cap)) == 150
+    # a box that is one point gives one tuple; one-sided entries with no
+    # room to step draw nothing, additive entries always draw
+    assert len(s) == (1 if pinned or cap == "0" else 4)
+    assert untouched == pinned
+    assert _sha(encode_marginal_set(s)) == ONE_SIDED_DRAW_DIGESTS[case]
+
