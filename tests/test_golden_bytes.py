@@ -669,3 +669,40 @@ def test_one_sided_and_additive_draw_bytes_pinned(case):
     assert untouched == pinned
     assert _sha(encode_marginal_set(s)) == ONE_SIDED_DRAW_DIGESTS[case]
 
+
+# --------------------------------------------------------------------------
+# Chains at k = 4 and 5 with 3 and 4 slots, int and Fraction constants, over
+# both semirings: the chain sampler's repair pass at its largest.
+
+
+def _chain_set_bytes(case: str) -> bytes:
+    kind, k, slots, scalars = case.split(":")
+    kind, k, slots = KINDS[kind], int(k), int(slots)
+    rng = random.Random(f"golden/chain/{case}")
+    square = _fraction_square if scalars == "fraction" else _square
+    chain = [square(kind, rng, k) for _ in range(slots + 1)]
+    s = sample_n_factor_marginal(chain, 3, -8, 8, rng)
+    assert len(s) == 3
+    if scalars == "fraction":
+        entries = (x for t in s.tuples for m in t for row in m.rows for x in row)
+        assert any(isinstance(x, Fraction) for x in entries)
+    return encode_marginal_set(s)
+
+
+CHAIN_SET_DIGESTS = {
+    "max:4:3:fraction": "ed8af60bf27130250d17f00fe92eb7bc08bd9bacc61dd074ea1af635a285bcf5",
+    "max:4:3:int": "df5bf499df299e25877fdc71105e15de359b5286e1a2846ca47e3e0206b4c9a5",
+    "max:4:4:int": "462499e60bcfc22549aa84f1e0ae812c9812833995706b1b0d5f71751fbd404b",
+    "max:5:3:fraction": "e2cb3fe3b0607145139c62c925aeddef14c5398385591e342b1dce465ea67e31",
+    "max:5:4:int": "ab22ad0f61a7f6c3edc760232803b67e743bfdb3308a891a6039db3b5d8c2c1e",
+    "min:4:3:fraction": "0fae60eda9eb3557c43975dabfc331d8f242da83653b4159a5f64be8fa46c9ca",
+    "min:4:3:int": "38162787b81904854aec4ff2c21d97fa9072f815483050339133493ae9022228",
+    "min:4:4:fraction": "0326d7a85a461f7dd8fb01dd122ad32e5be0e254989f3d217429f89b62a9cb2b",
+    "min:5:3:int": "adb2a859b786aaaa7adc53f1da16bc70513bea8a55b95d39a9c1da6924476e41",
+    "min:5:4:fraction": "e39af38b96266ac1f4614ac676ba61a19398e4f4c16e35920293876147946689",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_SET_DIGESTS))
+def test_chain_set_bytes_pinned(case):
+    assert _sha(_chain_set_bytes(case)) == CHAIN_SET_DIGESTS[case]
