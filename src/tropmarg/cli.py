@@ -10,6 +10,7 @@ malformed input or arguments, 3 for sampler exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import re
 import sys
@@ -397,7 +398,13 @@ def _cmd_selftest(args) -> int:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built by the first main() call.
+
+    Parsing keeps no state on it: every call gets a fresh namespace holding
+    its own defaults, and the handlers read this module's globals when they
+    run, so rebinding a sampler or a _RUNNERS entry still takes effect."""
     parser = _Parser(prog="tropmarg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

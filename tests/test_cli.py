@@ -581,3 +581,102 @@ def test_run_protocol_on_a_forbidden_infinite_scale_is_exit_2(run, tmp_path, fam
     )
     assert code == 2
     assert _only_record(out)["reason"] == "malformed-input"
+
+
+# --------------------------------------------------------------------------
+# One parser per process: calls made in one process must not see each other.
+
+
+def _call(capsys, argv, out_path):
+    """(exit code, stdout, bytes written to out_path or None) of one call."""
+    if out_path.exists():
+        out_path.unlink()
+    code = main(list(argv))
+    data = out_path.read_bytes() if out_path.exists() else None
+    return code, capsys.readouterr().out, data
+
+
+def _reuse_argvs(params_file, out_path):
+    marginal = [
+        "gen-marginal", "--word", "right", "--in", str(params_file),
+        "--count", "3", "--out", str(out_path),
+    ]
+    protocol = ["run-protocol", "multiblock", "--params", str(params_file), "--out", str(out_path)]
+    return marginal, protocol
+
+
+def test_calls_in_one_process_match_calls_on_a_new_parser(capsys, tmp_path, params_file):
+    from tropmarg import cli
+
+    out = tmp_path / "out.json"
+    marginal, protocol = _reuse_argvs(params_file, out)
+    sequence = [
+        marginal + ["--seed", "x"],
+        marginal,
+        marginal + ["--seed", "5"],
+        marginal,
+        protocol + ["--blocks", "2"],
+        protocol,
+    ]
+    reused = [_call(capsys, argv, out) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(_call(capsys, argv, out))
+    assert reused == fresh
+    code, text, data = reused[0]
+    assert code == 2 and data is None
+    assert _only_record(text)["reason"] == "bad-arguments"
+    assert [r[0] for r in reused[1:]] == [0] * 5
+    # without --seed the params seed (7) applies, not the 5 of the call before
+    assert reused[3] == _call(capsys, marginal + ["--seed", "7"], out)
+    assert reused[2][2] != reused[3][2]
+    blocks = [len(decode_transcript(r[2]).params.publics) for r in reused[4:]]
+    assert blocks == [2, 1]
+
+
+def test_second_call_builds_no_parser(run, monkeypatch):
+    from tropmarg import cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    argv = ("verify-marginal", "--set", "no-such-file.json")
+    assert run(*argv)[0] == 2
+    assert len(built) == 7  # the parser and its six subcommand parsers
+    built.clear()
+    assert run(*argv)[0] == 2
+    assert built == []
+
+
+def test_in_process_call_matches_a_fresh_process(capsys, tmp_path, params_file):
+    import os
+    import subprocess
+    import sys
+
+    import tropmarg
+
+    out = tmp_path / "out.json"
+    marginal, _ = _reuse_argvs(params_file, out)
+    assert _call(capsys, marginal + ["--seed", "5"], out)[0] == 0
+    in_process = _call(capsys, marginal, out)
+    out.unlink()
+    src = os.path.dirname(os.path.dirname(tropmarg.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    # exit 99 if importing the CLI already built its parser
+    code = (
+        "import sys; from tropmarg import cli; "
+        "built = cli._build_parser.cache_info().currsize; "
+        "code = cli.main(sys.argv[1:]); sys.exit(99 if built else code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *marginal], env=env, capture_output=True, text=True
+    )
+    assert proc.stderr == ""
+    assert (proc.returncode, proc.stdout, out.read_bytes()) == in_process
