@@ -23,7 +23,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .matrix import (
@@ -704,6 +704,58 @@ def sample_five_factor_marginal(
 # General chains
 
 
+def _min_plus(a, b) -> list:
+    """Min-plus product of two finite square matrices given as row lists."""
+    cols = tuple(zip(*b))
+    return [[min(map(add, row, col)) for col in cols] for row in a]
+
+
+def _repair_chain(table: BoundTable, mats: list) -> None:
+    """Lift off-diagonal entries of the slot matrices in place until every
+    bound of the chain's table holds.
+
+    The result is that of one pass over all k^(2n) index tuples in
+    lexicographic order, each violated tuple lifting the entry of its first
+    off-diagonal slot to the bound.  The tuples whose slots before t sit on
+    diagonals (p₁..pₜ₋₁) and whose slot t sits at (p, q), p ≠ q, are one
+    contiguous run of that order, and they lift only Xₜ[p][q].  So the run
+    is one update:
+
+        Xₜ[p][q] = max(Xₜ[p][q], max_s(E[p₁][s] - Sₜ[q][s]) - c)
+
+    with Sₜ = Aₜ₊₁⊗Xₜ₊₁⊗...⊗Aₙ⊗Xₙ (min-plus, from the current X; the
+    identity for the last slot) and c the prefix's diagonal entries plus its
+    middle A entries.  The walk goes depth first: a diagonal (p, p) recurses
+    into the next slot, whose lifts change Sₜ, so Sₜ is formed anew after
+    each recursion.  All-diagonal tuples lift nothing; they must hold.
+    """
+    e = table.outer.rows
+    mid = [m.rows for m in table.chain[1:-1]]
+    n, k = len(mats), len(e)
+
+    def walk(t: int, first, last: int, c):
+        """Repair slot t below a diagonal prefix; return the final Sₜ (None
+        for the last slot)."""
+        x, s = mats[t], None
+        for p in range(k):
+            row = e[p] if t == 0 else first
+            cp = c if t == 0 else c + mid[t - 1][last][p]
+            for q in range(k):
+                if p != q:
+                    lift = (row[q] if t == n - 1 else max(map(sub, row, s[q]))) - cp
+                    if x[p][q] < lift:
+                        x[p][q] = lift
+                elif t < n - 1:
+                    below = walk(t + 1, row, p, cp + x[p][p])
+                    nxt = mats[t + 1]
+                    s = _min_plus(mid[t], nxt if below is None else _min_plus(nxt, below))
+                elif x[p][p] < row[p] - cp:
+                    raise SelfCheckError("all-diagonal bound violated")
+        return s
+
+    walk(0, None, 0, 0)
+
+
 def sample_n_factor_marginal(
     chain: Sequence[Matrix], n_tuples: int, l1: int, l2: int, rng: random.Random
 ) -> MarginalSet:
@@ -711,11 +763,11 @@ def sample_n_factor_marginal(
 
     Construction: split a zero sum h₁+...+hₙ = 0 with h₁..hₙ₋₁ uniform in
     [l1, l2] and pin every diagonal of Xₜ to hₜ; off-diagonal entries start
-    at uniform lower bounds and one monotone repair pass lifts the first
-    off-diagonal position of each violated bound.  All-diagonal index tuples
-    sum to zero, which meets their bounds (those are never positive) and
-    realizes the tightness cover through the product's argmin chains, so the
-    repaired tuple always verifies.
+    at uniform lower bounds and one monotone repair pass (_repair_chain)
+    lifts the first off-diagonal position of each violated bound.
+    All-diagonal index tuples sum to zero, which meets their bounds (those
+    are never positive) and realizes the tightness cover through the
+    product's argmin chains, so the repaired tuple always verifies.
     """
     if l1 > l2:
         raise ValueError("empty bound range")
@@ -734,16 +786,7 @@ def sample_n_factor_marginal(
             ]
             for t in range(n)
         ]
-        for index in itertools.product(range(k), repeat=2 * n):
-            need = table.bound(*index)
-            have = sum(mats[t][index[2 * t]][index[2 * t + 1]] for t in range(n))
-            if have < need:
-                for t in range(n):
-                    if index[2 * t] != index[2 * t + 1]:
-                        mats[t][index[2 * t]][index[2 * t + 1]] += need - have
-                        break
-                else:
-                    raise SelfCheckError("all-diagonal bound violated")
+        _repair_chain(table, mats)
         # make_matrix keeps the entries canonical: the repair pass can leave
         # Fraction(k, 1) behind on a chain with Fraction entries.
         xs = tuple(make_matrix(SemiringKind.MIN_PLUS, m) for m in mats)
