@@ -23,6 +23,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import floor
 from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -381,20 +382,6 @@ def max_possible_matrix(t_set, x_star: Matrix, l) -> Matrix:
     return flip(Matrix(SemiringKind.MIN_PLUS, rows))
 
 
-def _box_draw(star: Scalar, outer: Scalar, rng: random.Random) -> Scalar:
-    """Uniform integer step from x* up toward the outer corner (inclusive).
-
-    For integer bounds this is the uniform integer draw on [x*, x̂]; for
-    rational bounds the step count is floor of the gap so tightness at x*
-    stays reachable.
-    """
-    gap = s_sub(outer, star)
-    span = int(gap) if isinstance(gap, int) else int(gap.numerator // gap.denominator)
-    if span <= 0:
-        return star
-    return s_mul(star, rng.randint(0, span))
-
-
 def _sample_one_sided(
     a: Matrix, n: int, l, rng: random.Random, side: str
 ) -> MarginalSet:
@@ -402,14 +389,17 @@ def _sample_one_sided(
     m = flip(a)
     star = (residual_right(m) if side == "right" else residual_left(m)).x_star
     outer = max_possible_matrix(diagonal_pairs(a.dim), star, flip_cap(as_scalar(l)))
+    # Each entry steps uniformly from x* toward the outer corner (inclusive):
+    # floor(x̂ - x*) + 1 choices, so tightness at x* stays reachable for
+    # rational bounds.  A Fraction x* plus an int step stays canonical.
+    choices = [
+        [(x, floor(y - x) + 1) for x, y in zip(row, outer_row)]
+        for row, outer_row in zip(star.rows, outer.rows)
+    ]
 
     def draw():
         rows = tuple(
-            tuple(
-                _box_draw(star.rows[i][j], outer.rows[i][j], rng)
-                for j in range(a.dim)
-            )
-            for i in range(a.dim)
+            tuple(x + rng.randrange(c) if c > 1 else x for x, c in row) for row in choices
         )
         x = Matrix(SemiringKind.MIN_PLUS, rows)
         if (mat_mul(m, x) if side == "right" else mat_mul(x, m)) != m:
@@ -812,10 +802,7 @@ def sample_additive_marginal(a: Matrix, n: int, l: int, rng: random.Random) -> M
     m = flip(a)
 
     def draw():
-        rows = tuple(
-            tuple(s_mul(m.rows[i][j], rng.randint(0, l)) for j in range(a.dim))
-            for i in range(a.dim)
-        )
+        rows = tuple(tuple(s_mul(x, rng.randrange(l + 1)) for x in row) for row in m.rows)
         x = Matrix(SemiringKind.MIN_PLUS, rows)
         if mat_add(m, x) != m:
             raise SelfCheckError("additive sample changes A ⊕ X")
