@@ -50,6 +50,8 @@ from .protocols import (
 )
 from .semiring import SelfCheckError, SemiringKind
 from .wire import (
+    MAX_POLY_DEGREE,
+    MAX_TUPLES,
     MarginalVerificationError,
     WireFormatError,
     decode_marginal_set,
@@ -64,6 +66,13 @@ from .wire import (
     to_canonical_bytes,
     write_bytes,
 )
+
+
+# Most blocks `run-protocol multiblock --blocks` may ask for.  The run and
+# its transcript grow with the block count (64 blocks of a dim-3 params
+# file: 0.07 s and 76 KB); --count and --degree take the caps the params
+# decoder puts on n_tuples and max_degree.
+MAX_BLOCKS = 64
 
 
 class CliError(Exception):
@@ -246,6 +255,8 @@ def _cmd_gen_marginal(args) -> int:
     params = _load_params(args.in_file)
     if args.count < 1:
         raise CliError(2, "bad-arguments", "--count must be >= 1")
+    if args.count > MAX_TUPLES:
+        raise CliError(2, "bad-arguments", f"--count must be <= {MAX_TUPLES}")
     seed = params.seed if args.seed is None else args.seed
     rng = random.Random(seed)
     w = params.publics[0]
@@ -304,6 +315,8 @@ def _cmd_run_protocol(args) -> int:
             raise CliError(2, "bad-arguments", "--blocks applies to multiblock only")
         if args.blocks < 1:
             raise CliError(2, "bad-arguments", "--blocks must be >= 1")
+        if args.blocks > MAX_BLOCKS:
+            raise CliError(2, "bad-arguments", f"--blocks must be <= {MAX_BLOCKS}")
         if params.blocks == 1 and args.blocks > 1:
             if params.script is not None:
                 raise CliError(2, "bad-arguments", "scripted params fix their block count")
@@ -335,6 +348,8 @@ def _cmd_attack(args) -> int:
     transcript = decode_transcript(read_bytes(args.transcript))
     if args.degree < 0:
         raise CliError(2, "bad-arguments", "--degree must be >= 0")
+    if args.degree > MAX_POLY_DEGREE:
+        raise CliError(2, "bad-arguments", f"--degree must be <= {MAX_POLY_DEGREE}")
     try:
         u = transcript.message("u")
         v = transcript.message("v")
@@ -427,7 +442,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--word", required=True,
                    choices=["right", "left", "sandwich", "five-factor", "additive"])
     p.add_argument("--in", dest="in_file", required=True, metavar="PARAMS")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=int, required=True, help=f"at most {MAX_TUPLES}")
     p.add_argument("--seed", type=int, default=None,
                    help="override the seed stored in the params")
     p.add_argument("--encoding", choices=["raw", "interval", "delta"], default="raw")
@@ -445,13 +460,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--params", required=True,
                    help="params file, or builtin:NAME for a bundled fixture")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--blocks", type=int, default=None)
+    p.add_argument("--blocks", type=int, default=None,
+                   help=f"multiblock only; at most {MAX_BLOCKS}")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_run_protocol)
 
     p = sub.add_parser("attack", help="decomposition attack on a transcript")
     p.add_argument("--transcript", required=True, metavar="FILE")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=int, default=2,
+                   help=f"power basis degree, at most {MAX_POLY_DEGREE}")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_attack)
 

@@ -32,7 +32,6 @@ from .semiring import (
     as_scalar,
     is_finite,
     s_le,
-    s_max,
     s_mul,
 )
 
@@ -97,26 +96,39 @@ def deform(a: Matrix, alpha) -> Matrix:
     alpha must be a rational in [0, 1].  Deformations of one base commute
     with each other; deform(a, 1) is a itself.
     """
-    if isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
-        alpha = Fraction(alpha)
-    else:
-        raise TypeError("alpha must be an exact rational")
+    alpha = _exact_alpha(alpha)
     if not (0 <= alpha <= 1):
         raise ValueError("alpha outside [0, 1]")
     if not is_jones(a):
         raise ValueError("deformation requires a Jones matrix")
+    return _deform(a, alpha)
+
+
+def _exact_alpha(alpha) -> Fraction:
+    if isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
+        return Fraction(alpha)
+    raise TypeError("alpha must be an exact rational")
+
+
+def _deform(a: Matrix, alpha: Fraction) -> Matrix:
+    """deform() for a Jones base and an exact alpha in [0, 1], unchecked.
+    The shift (alpha - 1) * max(a_ii, a_jj) is the shift of the larger of
+    the two diagonal entries, so it is computed once per diagonal entry."""
     n = a.dim
     diag = [a.rows[i][i] for i in range(n)]
     if not all(is_finite(d) for d in diag):
         raise ValueError("deformation requires finite diagonal entries")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = s_max(diag[i], diag[j])
-            row.append(s_mul(a.rows[i][j], as_scalar((alpha - 1) * m)))
-        out.append(tuple(row))
-    return Matrix(a.kind, tuple(out))
+    shift = [as_scalar((alpha - 1) * d) for d in diag]
+    return Matrix(
+        a.kind,
+        tuple(
+            tuple(
+                s_mul(x, shift[j] if diag[i] <= diag[j] else shift[i])
+                for j, x in enumerate(row)
+            )
+            for i, row in enumerate(a.rows)
+        ),
+    )
 
 
 def is_ldp(a: Matrix, r, k) -> bool:
@@ -236,6 +248,8 @@ class JonesDeformFamily:
     def __post_init__(self):
         if not is_jones(self.base):
             raise ValueError("base must be a Jones matrix")
+        for alpha in (self.alpha_lo, self.alpha_hi):
+            _exact_alpha(alpha)
         if not (0 <= self.alpha_lo <= self.alpha_hi <= 1):
             raise ValueError("alpha range must sit inside [0, 1]")
 
@@ -299,7 +313,8 @@ def sample_family_member(spec: FamilySpec, rng: random.Random) -> Matrix:
             alpha = spec.alpha_lo
         else:
             alpha = Fraction(rng.randint(lo_num, hi_num), den)
-        return deform(spec.base, alpha)
+        # the spec checked its base and alpha range once, when it was built
+        return _deform(spec.base, alpha)
     if isinstance(spec, LdpFamily):
         return sample_ldp(spec.r, spec.k, spec.dim, rng)
     raise TypeError(f"not a family spec: {spec!r}")

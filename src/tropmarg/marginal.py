@@ -23,15 +23,17 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import floor
+from math import floor, lcm
 from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .matrix import (
     Matrix,
+    _built,
+    _scaled,
+    _unscaled,
     dual,
     identity,
-    make_matrix,
     mat_add,
     mat_mul,
     mat_prod,
@@ -284,7 +286,7 @@ def _sample_set(word: WordTemplate, n: int, draw, flip) -> MarginalSet:
 
 
 def _transpose(a: Matrix) -> Matrix:
-    return Matrix(a.kind, tuple(zip(*a.rows)))
+    return _built(a.kind, tuple(zip(*a.rows)), a.has_inf, a.all_int, a.den)
 
 
 def _require_finite(a: Matrix, op: str) -> None:
@@ -313,15 +315,23 @@ class OneSidedResidual:
 
 def residual_right(a: Matrix) -> OneSidedResidual:
     """x*_ij = extreme over l of (a_lj - a_li); max for min-plus, min for
-    max-plus."""
+    max-plus.  Entries that are not all ints are scaled once by their common
+    denominator d, so every difference is an int one, and mapped back."""
     _require_finite(a, "residuation")
     flip, _ = _crossing(a.kind)
-    cols = tuple(zip(*flip(a).rows))
-    rows = tuple(
-        tuple(as_scalar(max(map(sub, col_j, col_i))) for col_j in cols)
-        for col_i in cols
-    )
-    return OneSidedResidual(a, flip(Matrix(SemiringKind.MIN_PLUS, rows)))
+    m = flip(a)
+    d = m.den
+    cols = tuple(zip(*m.rows))
+    if not m.all_int:
+        cols = _scaled(cols, d, None)
+    rows = tuple(tuple(max(map(sub, col_j, col_i)) for col_j in cols) for col_i in cols)
+    if d == 1:
+        x_star = _built(SemiringKind.MIN_PLUS, rows)
+    else:
+        x_star = Matrix(
+            SemiringKind.MIN_PLUS, tuple(tuple(_unscaled(v, d) for v in row) for row in rows)
+        )
+    return OneSidedResidual(a, flip(x_star))
 
 
 def residual_left(a: Matrix) -> OneSidedResidual:
@@ -480,6 +490,14 @@ class BoundTable:
             for p in itertools.product(range(k), repeat=n)
             if self.bound(*(i for i in p for _ in range(2))) == 0
         )
+
+    @functools.cached_property
+    def int_factors(self) -> tuple[int, list]:
+        """(d, [E, A₂, ..., Aₙ]) with the outer bounds E and the middle chain
+        factors as int rows, scaled by d, their common denominator."""
+        mats = (self.outer, *self.chain[1:-1])
+        d = lcm(*(m.den for m in mats))
+        return d, [m.rows if d == 1 and m.all_int else _scaled(m.rows, d, None) for m in mats]
 
     @functools.cached_property
     def px(self) -> frozenset[int]:
@@ -718,10 +736,17 @@ def _repair_chain(table: BoundTable, mats: list) -> None:
     middle A entries.  The walk goes depth first: a diagonal (p, p) recurses
     into the next slot, whose lifts change Sₜ, so Sₜ is formed anew after
     each recursion.  All-diagonal tuples lift nothing; they must hold.
+
+    The pass runs over ints: on a chain with Fraction entries the slot
+    entries are scaled by the table's common denominator d, as its factors
+    are once per table (BoundTable.int_factors), and mapped back at the end.
     """
-    e = table.outer.rows
-    mid = [m.rows for m in table.chain[1:-1]]
+    d, (e, *mid) = table.int_factors
     n, k = len(mats), len(e)
+    if d > 1:
+        for m in mats:
+            for row in m:
+                row[:] = [x * d for x in row]
 
     def walk(t: int, first, last: int, c):
         """Repair slot t below a diagonal prefix; return the final Sₜ (None
@@ -744,6 +769,10 @@ def _repair_chain(table: BoundTable, mats: list) -> None:
         return s
 
     walk(0, None, 0, 0)
+    if d > 1:
+        for m in mats:
+            for row in m:
+                row[:] = [_unscaled(x, d) for x in row]
 
 
 def sample_n_factor_marginal(
@@ -777,9 +806,7 @@ def sample_n_factor_marginal(
             for t in range(n)
         ]
         _repair_chain(table, mats)
-        # make_matrix keeps the entries canonical: the repair pass can leave
-        # Fraction(k, 1) behind on a chain with Fraction entries.
-        xs = tuple(make_matrix(SemiringKind.MIN_PLUS, m) for m in mats)
+        xs = tuple(Matrix(SemiringKind.MIN_PLUS, tuple(map(tuple, m))) for m in mats)
         slots = itertools.chain.from_iterable(zip(xs, table.chain[1:]))
         if functools.reduce(mat_mul, [table.chain[0], *slots]) != table.product:
             raise SelfCheckError("sampled tuple changes the chain product")

@@ -9,10 +9,10 @@ can never hit the undefined +inf + -inf case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, neg
 from typing import Iterable
 
 from .semiring import (
@@ -31,18 +31,37 @@ from .semiring import (
 class Matrix:
     kind: SemiringKind
     rows: tuple[tuple[Scalar, ...], ...]
+    # What the one walk over the entries finds, set once; not part of ==,
+    # hash or repr.  has_inf: the semiring's infinity occurs.  all_int: every
+    # entry is a builtin int (Fraction(n, 1) is not).  den: the lcm of the
+    # Fraction denominators (1 if there are none).
+    has_inf: bool = field(init=False, repr=False, compare=False)
+    all_int: bool = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.rows)
         if n == 0:
             raise ValueError("empty matrix")
-        bad_inf = NEG_INF if self.kind is SemiringKind.MIN_PLUS else POS_INF
+        o = add_neutral(self.kind)
+        bad_inf = -o
+        has_inf, all_int, d = False, True, 1
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for x in row:
-                if x is bad_inf:
+                if type(x) is int:
+                    continue
+                all_int = False
+                if x is o:
+                    has_inf = True
+                elif isinstance(x, Fraction):
+                    d = lcm(d, x.denominator)
+                elif x is bad_inf:
                     raise ValueError(f"{bad_inf!r} entry not allowed over {self.kind}")
+                else:
+                    raise TypeError(f"not an exact scalar: {x!r}")
+        vars(self).update(has_inf=has_inf, all_int=all_int, den=d)
 
     @property
     def dim(self) -> int:
@@ -52,12 +71,19 @@ class Matrix:
         return self.rows[i]
 
     def is_finite(self) -> bool:
-        o = add_neutral(self.kind)
-        return not any(x is o for row in self.rows for x in row)
+        return not self.has_inf
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix({self.kind}, [{body}])"
+
+
+def _built(kind: SemiringKind, rows, has_inf=False, all_int=True, den=1) -> Matrix:
+    """Matrix of square rows whose facts the caller knows exactly, built
+    without the walk: an all-int finite product, a dual, a transpose."""
+    m = Matrix.__new__(Matrix)
+    vars(m).update(kind=kind, rows=rows, has_inf=has_inf, all_int=all_int, den=den)
+    return m
 
 
 def make_matrix(kind: SemiringKind, rows: Iterable[Iterable]) -> Matrix:
@@ -103,43 +129,34 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
         pick, first, second = min, a.rows, b.rows
     else:
         pick, first, second = max, b.rows, a.rows
-    return Matrix(
-        k,
-        tuple(
-            tuple(y if x is o else x if y is o else pick(x, y) for x, y in zip(r, s))
-            for r, s in zip(first, second)
-        ),
+    rows = tuple(
+        tuple(y if x is o else x if y is o else pick(x, y) for x, y in zip(r, s))
+        for r, s in zip(first, second)
     )
+    return _built(k, rows) if a.all_int and b.all_int else Matrix(k, rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Tropical product: (a ⊗ b)_ij = sum-reduce over l of a_il + b_lj.
 
-    One exact kernel for every input.  A single scan of both operands finds
-    whether they hold the semiring's infinity and the lcm d of their
+    One exact kernel for every input.  The operands' recorded facts say
+    whether they hold the semiring's infinity and give the lcm d of their
     Fraction denominators; with d > 1 every finite entry is scaled by d to
     an int, so each entry is the builtin min or max over int sums, skipping
     terms with an infinite factor (an infinite term never wins the pick).
     Results are mapped back by Fraction(v, d), collapsing to int at
-    denominator 1, so entries stay canonical.
+    denominator 1, so entries stay canonical.  A product of two all-int
+    matrices is all-int and finite, and is built without a walk.
     """
     _check_fits(a.kind, a.dim, b)
     k = a.kind
     o = add_neutral(k)
     pick = min if k is SemiringKind.MIN_PLUS else max
-    has_inf = False
-    d = 1
-    for row in (*a.rows, *b.rows):
-        for x in row:
-            if type(x) is not int:
-                if x is o:
-                    has_inf = True
-                else:
-                    d = lcm(d, x.denominator)
+    d = lcm(a.den, b.den)
     rows, cols = a.rows, tuple(zip(*b.rows))
     if d > 1:
         rows, cols = _scaled(rows, d, o), _scaled(cols, d, o)
-    if has_inf:
+    if a.has_inf or b.has_inf:
         out = tuple(
             tuple(
                 pick(
@@ -156,7 +173,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         out = tuple(
             tuple(v if v is o else _unscaled(v, d) for v in row) for row in out
         )
-    return Matrix(k, out)
+    return _built(k, out) if a.all_int and b.all_int else Matrix(k, out)
 
 
 def _scaled(rows, d: int, o) -> tuple:
@@ -198,13 +215,11 @@ def scalar_mul(c, a: Matrix) -> Matrix:
         if c is not o and not a.is_finite():
             raise ArithmeticError("+inf and -inf cannot be combined")
         return Matrix(k, tuple((c,) * a.dim for _ in a.rows))
-    return Matrix(
-        k,
-        tuple(
-            tuple(x if x is o else c + x if type(x) is int else _norm(c + x) for x in row)
-            for row in a.rows
-        ),
+    rows = tuple(
+        tuple(x if x is o else c + x if type(x) is int else _norm(c + x) for x in row)
+        for row in a.rows
     )
+    return _built(k, rows) if a.all_int and type(c) is int else Matrix(k, rows)
 
 
 def mat_prod(kind: SemiringKind, n: int, factors: Iterable[Matrix]) -> Matrix:
@@ -224,12 +239,17 @@ def dual(a: Matrix) -> Matrix:
 
     Satisfies dual(a ⊗ b) = dual(a) ⊗ dual(b) and swaps min-plus with
     max-plus; the marginal machinery uses it to run max-plus inputs through
-    the min-plus code path.
+    the min-plus code path.  Negation maps a's infinity to the dual's and
+    keeps every denominator, and a Fraction(n, 1) entry comes out as an int,
+    so the facts follow from a's without a walk.
     """
-    return Matrix(
-        a.kind.dual,
-        tuple(tuple(-x if type(x) is int else _norm(-x) for x in row) for row in a.rows),
-    )
+    if a.all_int:
+        rows = tuple(tuple(map(neg, row)) for row in a.rows)
+    else:
+        rows = tuple(
+            tuple(-x if type(x) is int else _norm(-x) for x in row) for row in a.rows
+        )
+    return _built(a.kind.dual, rows, a.has_inf, a.den == 1 and not a.has_inf, a.den)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .families import FamilySpec, commute_check, family_dim, family_kind, sample_family_member
@@ -34,8 +35,8 @@ from .marginal import (
     sample_sandwich_marginal,
     sandwich_word,
 )
-from .matrix import Matrix, identity, mat_add, mat_mul, mat_prod, scalar_mul
-from .semiring import SelfCheckError, SemiringKind, s_sub
+from .matrix import Matrix, identity, mat_add, mat_mul, mat_prod
+from .semiring import SelfCheckError, SemiringKind, _norm, add_neutral, s_sub
 
 
 # --------------------------------------------------------------------------
@@ -399,17 +400,25 @@ def attack_decomposition(
         return flip(max(map(flip, diffs)))
 
     z_table = tuple(tuple(extreme(t) for t in row) for row in conjugates)
-    recon = None
-    for i, row in enumerate(conjugates):
-        for j, t in enumerate(row):
-            term = scalar_mul(z_table[i][j], t)
-            recon = term if recon is None else mat_add(recon, term)
-    if recon != u:
-        raise NoDecomposition(z_table)
+    pick = min if kind is SemiringKind.MIN_PLUS else max
+    # ⊕ z_ij ⊗ t_ij, entry by entry in one pass; every term is finite
+    zs = [z for row in z_table for z in row]
+    ts = [t.rows for row in conjugates for t in row]
+    for u_row, *t_rows in zip(u.rows, *ts):
+        for x, *entries in zip(u_row, *t_rows):
+            if pick(map(add, zs, entries)) != x:
+                raise NoDecomposition(z_table)
+    # ⊕_ij z_ij ⊗ aᵢ⊗V⊗bⱼ = ⊕ᵢ (aᵢ⊗V) ⊗ wᵢ with the weights wᵢ = ⊕ⱼ z_ij ⊗ bⱼ
+    o = add_neutral(kind)
     candidate = None
-    for i, a in enumerate(left_basis):
-        av = times(a, v)
-        for j, b in enumerate(right_basis):
-            term = scalar_mul(z_table[i][j], times(av, b))
-            candidate = term if candidate is None else mat_add(candidate, term)
+    for a, z_row in zip(left_basis, z_table):
+        w = tuple(
+            tuple(
+                _norm(pick([z + y for z, y in zip(z_row, entries) if y is not o], default=o))
+                for entries in zip(*b_rows)
+            )
+            for b_rows in zip(*(b.rows for b in right_basis))
+        )
+        term = mat_mul(times(a, v), Matrix(kind, w))
+        candidate = term if candidate is None else mat_add(candidate, term)
     return candidate, z_table

@@ -51,6 +51,10 @@ class _Infinity:
     def __neg__(self) -> "_Infinity":
         return NEG_INF if self.sign > 0 else POS_INF
 
+    def __reduce__(self) -> str:
+        # pickle and copy hand back the module's singleton, not a new object
+        return repr(self)
+
     # Intentionally no __eq__/__hash__ overrides: identity semantics.
 
 

@@ -151,7 +151,10 @@ def read_bytes(path: str) -> bytes:
 
 
 def _rows_out(m: Matrix):
-    return [[scalar_to_token(x) for x in row] for row in m.rows]
+    """JSON rows; an all-int matrix's rows go to json as they are."""
+    if m.all_int:
+        return m.rows
+    return [[x if type(x) is int else scalar_to_token(x) for x in row] for row in m.rows]
 
 
 def _is_list_of_lists(obj, n=None) -> bool:

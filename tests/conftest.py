@@ -1,0 +1,76 @@
+"""Shared checks.
+
+While the matmul, elementwise and n-factor oracle tests run, every matrix
+the library builds is recorded: through `Matrix.__post_init__` (the walk)
+and through `matrix._built` (facts the caller knows).  After each test the
+facts stored on every one of them, `has_inf`, `all_int` and `den`, must
+equal what a fresh walk over its entries finds.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from fractions import Fraction
+
+import pytest
+
+from tropmarg import matrix
+from tropmarg.semiring import add_neutral
+
+FACT_CHECKED = {
+    "test_matmul_oracle",
+    "test_elementwise_oracle",
+    "test_nfactor_oracle",
+    "test_matrix_facts",
+}
+
+
+def fresh_facts(m) -> tuple:
+    """(has_inf, all_int, den) as a walk over m's entries finds them."""
+    o = add_neutral(m.kind)
+    entries = [x for row in m.rows for x in row]
+    return (
+        any(x is o for x in entries),
+        all(type(x) is int for x in entries),
+        math.lcm(*(x.denominator for x in entries if isinstance(x, Fraction))),
+    )
+
+
+def stored_facts(m) -> tuple:
+    return m.has_inf, m.all_int, m.den
+
+
+@pytest.fixture(autouse=True)
+def _recorded_facts_are_exact(request, monkeypatch):
+    if request.path.stem not in FACT_CHECKED:
+        yield
+        return
+    built = []
+    post_init = matrix.Matrix.__post_init__
+    original = matrix._built
+
+    def walked(self):
+        post_init(self)
+        built.append(self)
+
+    def known(*args, **kwargs):
+        m = original(*args, **kwargs)
+        built.append(m)
+        return m
+
+    monkeypatch.setattr(matrix.Matrix, "__post_init__", walked)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropmarg"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, known)
+    yield
+    monkeypatch.undo()
+    wrong = [m for m in built if stored_facts(m) != fresh_facts(m)]
+    if wrong:
+        m = wrong[0]
+        pytest.fail(
+            f"{len(wrong)} of {len(built)} matrices hold stale facts, e.g. {m!r}: "
+            f"stored {stored_facts(m)}, walk {fresh_facts(m)}"
+        )
