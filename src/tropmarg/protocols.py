@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from operator import add
+from operator import add, sub
 from typing import Callable, Optional, Sequence
 
 from .families import FamilySpec, commute_check, family_dim, family_kind, sample_family_member
@@ -24,7 +24,6 @@ from .marginal import (
     RETRY_BUDGET,
     MarginalSet,
     SamplerExhausted,
-    _crossing,
     five_factor_word,
     left_word,
     make_marginal_set,
@@ -36,7 +35,7 @@ from .marginal import (
     sandwich_word,
 )
 from .matrix import Matrix, identity, mat_add, mat_mul, mat_prod
-from .semiring import SelfCheckError, SemiringKind, _norm, add_neutral, s_sub
+from .semiring import SelfCheckError, SemiringKind, _norm, add_neutral
 
 
 # --------------------------------------------------------------------------
@@ -376,7 +375,6 @@ def attack_decomposition(
     for m in (w, u, v):
         if not m.is_finite():
             raise ValueError("attack requires finite public values")
-    _, flip = _crossing(kind)
     e = identity(kind, dim)
 
     def times(x: Matrix, y: Matrix) -> Matrix:
@@ -394,13 +392,16 @@ def attack_decomposition(
             if not t.is_finite():
                 raise ValueError("a basis conjugate has infinite entries")
 
-    def extreme(t: Matrix):
-        """The extreme entry of u - t: its max in min-plus coordinates."""
-        diffs = (s_sub(x, y) for ur, tr in zip(u.rows, t.rows) for x, y in zip(ur, tr))
-        return flip(max(map(flip, diffs)))
-
-    z_table = tuple(tuple(extreme(t) for t in row) for row in conjugates)
-    pick = min if kind is SemiringKind.MIN_PLUS else max
+    # pick is the semiring sum, extreme its opposite; z_ij is the extreme
+    # entry of u - t_ij, normalized once
+    pick, extreme = (min, max) if kind is SemiringKind.MIN_PLUS else (max, min)
+    z_table = tuple(
+        tuple(
+            _norm(extreme(extreme(map(sub, ur, tr)) for ur, tr in zip(u.rows, t.rows)))
+            for t in row
+        )
+        for row in conjugates
+    )
     # ⊕ z_ij ⊗ t_ij, entry by entry in one pass; every term is finite
     zs = [z for row in z_table for z in row]
     ts = [t.rows for row in conjugates for t in row]

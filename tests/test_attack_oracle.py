@@ -210,7 +210,9 @@ def test_outcomes_cover_each_kind():
     base = make_matrix(kind, [[0, 2, 5], [1, 0, 3], [4, 2, 0]])
     w = make_matrix(kind, [[1, 4, 2], [0, 3, 5], [2, 2, 1]])
     fam = PolyFamily(base, 2, -3, 3)
-    params = ProtocolParams(kind=kind, dim=n, publics=(w,), left_families=(fam,), right_families=(fam,))
+    params = ProtocolParams(
+        kind=kind, dim=n, publics=(w,), left_families=(fam,), right_families=(fam,)
+    )
     t = run_sidelnikov(params, random.Random(7))
     u, v = t.message("u"), t.message("v")
     basis = power_basis(base, 2)
@@ -219,7 +221,9 @@ def test_outcomes_cover_each_kind():
     assert got == outcome(ref_attack_decomposition, w, u, v, basis, basis)
     candidate, _ = attack_decomposition(w, u, v, basis, basis)
     assert candidate == t.key_a
-    bumped = make_matrix(kind, [[x - 1 if (i, j) == (0, 0) else x for j, x in enumerate(r)] for i, r in enumerate(u.rows)])
+    rows = [list(row) for row in u.rows]
+    rows[0][0] -= 1
+    bumped = make_matrix(kind, rows)
     got = outcome(attack_decomposition, w, bumped, v, basis, basis)
     assert got[0] == "no-decomposition"
     assert got == outcome(ref_attack_decomposition, w, bumped, v, basis, basis)

@@ -77,14 +77,19 @@ def test_transpose_keeps_the_facts():
 
 
 def test_replace_walks_the_new_rows():
+    replace = dataclasses.replace
     m = make_matrix(MIN, [[1, 2], [3, 4]])
-    assert_exact(dataclasses.replace(m, rows=((POS_INF, HALF), (0, Fraction(1, 3)))), (True, False, 6))
+    assert_exact(replace(m, rows=((POS_INF, HALF), (0, Fraction(1, 3)))), (True, False, 6))
     holed = make_matrix(MAX, [[NEG_INF, HALF], [0, 1]])
-    assert_exact(dataclasses.replace(holed, rows=((1, 2), (3, 4))), (False, True, 1))
-    assert_exact(dataclasses.replace(holed, kind=MIN, rows=((1, 2), (3, POS_INF))), (True, False, 1))
+    assert_exact(replace(holed, rows=((1, 2), (3, 4))), (False, True, 1))
+    assert_exact(replace(holed, kind=MIN, rows=((1, 2), (3, POS_INF))), (True, False, 1))
 
 
-@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+def _pickled(m):
+    return pickle.loads(pickle.dumps(m))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _pickled])
 def test_copies_keep_exact_facts(clone):
     for m in (
         make_matrix(MIN, [[1, 2], [3, 4]]),
