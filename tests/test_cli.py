@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from tropmarg.cli import main
+from tropmarg.cli import MAX_BLOCKS, main
 from tropmarg.wire import (
     MAX_POLY_DEGREE,
     MAX_TUPLES,
@@ -680,3 +680,62 @@ def test_in_process_call_matches_a_fresh_process(capsys, tmp_path, params_file):
     )
     assert proc.stderr == ""
     assert (proc.returncode, proc.stdout, out.read_bytes()) == in_process
+
+
+# ---------------------------------------------------------------------------
+# Integer options under the decoders' work caps: --count at MAX_TUPLES,
+# --degree at MAX_POLY_DEGREE, --blocks at cli.MAX_BLOCKS.
+
+_CAPS = {"--count": MAX_TUPLES, "--degree": MAX_POLY_DEGREE, "--blocks": MAX_BLOCKS}
+
+
+def _capped_argv(option, value, tmp_path, params_file):
+    out = str(tmp_path / "out.json")
+    if option == "--count":
+        return ("gen-marginal", "--word", "right", "--in", str(params_file),
+                "--count", str(value), "--out", out)
+    if option == "--blocks":
+        return ("run-protocol", "multiblock", "--params", str(params_file),
+                "--blocks", str(value), "--out", out)
+    transcript = tmp_path / "t.json"
+    code = main(["run-protocol", "sidelnikov", "--params", "builtin:attack-demo",
+                 "--out", str(transcript)])
+    assert code == 0
+    return ("attack", "--transcript", str(transcript), "--degree", str(value), "--out", out)
+
+
+@pytest.mark.parametrize("option", sorted(_CAPS))
+@pytest.mark.parametrize("over", [1, 10**12])
+def test_option_over_its_cap_is_one_fast_exit_2_record(
+    run, capsys, tmp_path, params_file, option, over
+):
+    argv = _capped_argv(option, _CAPS[option] + over, tmp_path, params_file)
+    capsys.readouterr()  # drop what writing the attack's transcript printed
+    start = time.perf_counter()
+    code, out = run(*argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["reason"] == "bad-arguments"
+    assert record["detail"] == f"{option} must be <= {_CAPS[option]}"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("option", sorted(_CAPS))
+def test_option_at_its_cap_is_accepted(run, tmp_path, params_file, option):
+    code, out = run(*_capped_argv(option, _CAPS[option], tmp_path, params_file))
+    assert code == 0, out
+    assert (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("subcommand, option", [
+    ("gen-marginal", "--count"), ("attack", "--degree"), ("run-protocol", "--blocks"),
+])
+def test_help_names_each_cap(capsys, subcommand, option):
+    with pytest.raises(SystemExit):
+        main([subcommand, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"{option} {option[2:].upper()} " in help_text
+    assert f"at most {_CAPS[option]}" in help_text
