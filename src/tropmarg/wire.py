@@ -45,7 +45,6 @@ from .semiring import (
     Scalar,
     SemiringKind,
     as_scalar,
-    is_finite,
 )
 
 
@@ -286,12 +285,11 @@ def _box_form(s: MarginalSet):
     n = s.word.dim
     per_cell = [[set() for _ in range(n)] for _ in range(n)]
     for (m,) in s.tuples:
+        if not m.all_int:
+            return None
         for i in range(n):
             for j in range(n):
-                v = m.rows[i][j]
-                if not is_finite(v) or not isinstance(v, int):
-                    return None
-                per_cell[i][j].add(v)
+                per_cell[i][j].add(m.rows[i][j])
     total = 1
     for i in range(n):
         for j in range(n):
