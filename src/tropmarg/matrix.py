@@ -43,8 +43,10 @@ class Matrix:
         n = len(self.rows)
         if n == 0:
             raise ValueError("empty matrix")
-        o = add_neutral(self.kind)
-        bad_inf = -o
+        if self.kind is SemiringKind.MIN_PLUS:
+            o, bad_inf = POS_INF, NEG_INF
+        else:
+            o, bad_inf = NEG_INF, POS_INF
         has_inf, all_int, d = False, True, 1
         for row in self.rows:
             if len(row) != n:
@@ -61,7 +63,8 @@ class Matrix:
                     raise ValueError(f"{bad_inf!r} entry not allowed over {self.kind}")
                 else:
                     raise TypeError(f"not an exact scalar: {x!r}")
-        vars(self).update(has_inf=has_inf, all_int=all_int, den=d)
+        facts = self.__dict__
+        facts["has_inf"], facts["all_int"], facts["den"] = has_inf, all_int, d
 
     @property
     def dim(self) -> int:
