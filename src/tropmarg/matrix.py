@@ -58,7 +58,9 @@ class Matrix:
                 if x is o:
                     has_inf = True
                 elif isinstance(x, Fraction):
-                    d = lcm(d, x.denominator)
+                    den = x.denominator
+                    if d % den:
+                        d = lcm(d, den)
                 elif x is bad_inf:
                     raise ValueError(f"{bad_inf!r} entry not allowed over {self.kind}")
                 else:
