@@ -23,7 +23,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import floor, lcm
+from math import floor
 from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -34,6 +34,7 @@ from .matrix import (
     _unscaled,
     dual,
     identity,
+    make_matrix,
     mat_add,
     mat_mul,
     mat_prod,
@@ -492,14 +493,6 @@ class BoundTable:
         )
 
     @functools.cached_property
-    def int_factors(self) -> tuple[int, list]:
-        """(d, [E, A₂, ..., Aₙ]) with the outer bounds E and the middle chain
-        factors as int rows, scaled by d, their common denominator."""
-        mats = (self.outer, *self.chain[1:-1])
-        d = lcm(*(m.den for m in mats))
-        return d, [m.rows if d == 1 and m.all_int else _scaled(m.rows, d, None) for m in mats]
-
-    @functools.cached_property
     def px(self) -> frozenset[int]:
         """Projection of the zero pairs on the first slot."""
         return frozenset(p[0] for p in self.zero_pairs)
@@ -736,17 +729,10 @@ def _repair_chain(table: BoundTable, mats: list) -> None:
     middle A entries.  The walk goes depth first: a diagonal (p, p) recurses
     into the next slot, whose lifts change Sₜ, so Sₜ is formed anew after
     each recursion.  All-diagonal tuples lift nothing; they must hold.
-
-    The pass runs over ints: on a chain with Fraction entries the slot
-    entries are scaled by the table's common denominator d, as its factors
-    are once per table (BoundTable.int_factors), and mapped back at the end.
     """
-    d, (e, *mid) = table.int_factors
+    e = table.outer.rows
+    mid = [m.rows for m in table.chain[1:-1]]
     n, k = len(mats), len(e)
-    if d > 1:
-        for m in mats:
-            for row in m:
-                row[:] = [x * d for x in row]
 
     def walk(t: int, first, last: int, c):
         """Repair slot t below a diagonal prefix; return the final Sₜ (None
@@ -769,10 +755,6 @@ def _repair_chain(table: BoundTable, mats: list) -> None:
         return s
 
     walk(0, None, 0, 0)
-    if d > 1:
-        for m in mats:
-            for row in m:
-                row[:] = [_unscaled(x, d) for x in row]
 
 
 def sample_n_factor_marginal(
@@ -806,7 +788,9 @@ def sample_n_factor_marginal(
             for t in range(n)
         ]
         _repair_chain(table, mats)
-        xs = tuple(Matrix(SemiringKind.MIN_PLUS, tuple(map(tuple, m))) for m in mats)
+        # make_matrix keeps the entries canonical: the repair pass can leave
+        # Fraction(k, 1) behind on a chain with Fraction entries.
+        xs = tuple(make_matrix(SemiringKind.MIN_PLUS, m) for m in mats)
         slots = itertools.chain.from_iterable(zip(xs, table.chain[1:]))
         if functools.reduce(mat_mul, [table.chain[0], *slots]) != table.product:
             raise SelfCheckError("sampled tuple changes the chain product")

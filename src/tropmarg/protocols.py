@@ -413,13 +413,13 @@ def attack_decomposition(
     o = add_neutral(kind)
     candidate = None
     for a, z_row in zip(left_basis, z_table):
-        w = tuple(
+        weight = tuple(
             tuple(
                 _norm(pick([z + y for z, y in zip(z_row, entries) if y is not o], default=o))
                 for entries in zip(*b_rows)
             )
             for b_rows in zip(*(b.rows for b in right_basis))
         )
-        term = mat_mul(times(a, v), Matrix(kind, w))
+        term = mat_mul(times(a, v), Matrix(kind, weight))
         candidate = term if candidate is None else mat_add(candidate, term)
     return candidate, z_table

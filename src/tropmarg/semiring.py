@@ -77,7 +77,7 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, int):
-        return value
+        return int(value)
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     raise TypeError(f"not an exact scalar: {value!r}")

@@ -152,3 +152,17 @@ def test_the_other_infinity_is_still_rejected():
         Matrix(MIN, ((0, 1), (2, NEG_INF)))
     with pytest.raises(ValueError, match="not allowed"):
         Matrix(MAX, ((0, POS_INF), (2, 3)))
+
+
+class _Count(int):
+    """An int subclass, as a caller's own int type would be."""
+
+
+def test_int_subclass_entries_become_plain_ints():
+    m = make_matrix(MIN, [[_Count(1), 2], [3, _Count(-4)]])
+    assert_exact(m, (False, True, 1))
+    assert all(type(x) is int for row in m.rows for x in row)
+    assert m == make_matrix(MIN, [[1, 2], [3, -4]])
+    assert encode_matrix(m) == b'{"kind":"min-plus","rows":[[1,2],[3,-4]],"type":"matrix"}\n'
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        Matrix(MIN, ((_Count(1), 2), (3, 4)))
