@@ -73,6 +73,10 @@ from .wire import (
 # file: 0.07 s and 76 KB); --count and --degree take the caps the params
 # decoder puts on n_tuples and max_degree.
 MAX_BLOCKS = 64
+# Largest `gen-params --dim`: the draws grow with dim² and a Jones base's
+# checks with dim³ (dim 64: under 1 s and 40 KB); a file's own dim is bounded
+# by the rows it holds.
+MAX_DIM = 64
 
 
 class CliError(Exception):
@@ -142,7 +146,8 @@ def _family_pair(
     rng: random.Random,
 ):
     """One family spec per side.  Draw order: left before right, except for
-    the upper-t and lower-s scales, where right's is drawn first."""
+    the upper-t and lower-s scales, where right's is drawn first.  A spec
+    refuses values outside its contract with ValueError."""
     opts = dict(options)
 
     def done(left, right):
@@ -152,8 +157,6 @@ def _family_pair(
 
     if name == "poly":
         deg = opts.pop("deg", 2)
-        if deg < 0:
-            raise CliError(2, "bad-arguments", "polynomial degree must be >= 0")
         base_l = _random_matrix(kind, dim, lo, hi, rng)
         base_r = _random_matrix(kind, dim, lo, hi, rng)
         return done(PolyFamily(base_l, deg, lo, hi), PolyFamily(base_r, deg, lo, hi))
@@ -172,8 +175,6 @@ def _family_pair(
         if kind is not SemiringKind.MAX_PLUS:
             raise CliError(2, "bad-arguments", "jones family requires --semiring max-plus")
         den = opts.pop("den", 12)
-        if den < 1:
-            raise CliError(2, "bad-arguments", "jones denominator cap must be >= 1")
         base_l = sample_jones(dim, lo, hi, rng)
         base_r = sample_jones(dim, lo, hi, rng)
         return done(
@@ -183,12 +184,7 @@ def _family_pair(
     if name == "ldp":
         if kind is not SemiringKind.MIN_PLUS:
             raise CliError(2, "bad-arguments", "ldp family requires --semiring min-plus")
-        r = opts.pop("r", abs(hi))
-        k = opts.pop("k", -abs(lo))
-        try:
-            spec = LdpFamily(dim, r, k)
-        except (TypeError, ValueError) as e:
-            raise CliError(2, "bad-arguments", f"bad ldp parameters: {e}")
+        spec = LdpFamily(dim, opts.pop("r", abs(hi)), opts.pop("k", -abs(lo)))
         return done(spec, spec)
     raise CliError(2, "bad-arguments", f"unknown family {name!r}")
 
@@ -220,14 +216,14 @@ def _load_params(source: str) -> ProtocolParams:
 
 def _cmd_gen_params(args) -> int:
     kind = SemiringKind(args.semiring)
-    if args.dim < 1:
-        raise CliError(2, "bad-arguments", "--dim must be >= 1")
+    if not 1 <= args.dim <= MAX_DIM:
+        raise CliError(2, "bad-arguments", f"--dim must be within 1..{MAX_DIM}")
     lo, hi = _parse_range(args.range)
     name, options = _parse_family_spec(args.family)
     rng = random.Random(args.seed)
     w = _random_matrix(kind, args.dim, lo, hi, rng)
-    left, right = _family_pair(name, options, kind, args.dim, lo, hi, rng)
     try:
+        left, right = _family_pair(name, options, kind, args.dim, lo, hi, rng)
         params = ProtocolParams(
             kind=kind,
             dim=args.dim,
@@ -260,23 +256,26 @@ def _cmd_gen_marginal(args) -> int:
     seed = params.seed if args.seed is None else args.seed
     rng = random.Random(seed)
     w = params.publics[0]
-    if args.word == "right":
-        anchor = sample_finite_member(params.left_families[0], rng)
-        s = sample_right_marginal(anchor, args.count, params.l, rng)
-    elif args.word == "left":
-        anchor = sample_finite_member(params.right_families[0], rng)
-        s = sample_left_marginal(anchor, args.count, params.l, rng)
-    elif args.word == "sandwich":
-        q = sample_finite_member(params.right_families[0], rng)
-        p = sample_finite_member(params.left_families[0], rng)
-        s = sample_sandwich_marginal(mat_mul(q, p), args.count, params.l1, params.l2, rng)
-    elif args.word == "five-factor":
-        p = sample_finite_member(params.left_families[0], rng)
-        q = sample_finite_member(params.right_families[0], rng)
-        s = sample_five_factor_marginal(p, w, q, args.count, params.l1, params.l2, rng)
-    else:  # additive
-        anchor = sample_family_member(params.left_families[0], rng)
-        s = sample_additive_marginal(anchor, args.count, params.l, rng)
+    try:  # the params' caps may leave a sampler nothing to draw from
+        if args.word == "right":
+            anchor = sample_finite_member(params.left_families[0], rng)
+            s = sample_right_marginal(anchor, args.count, params.l, rng)
+        elif args.word == "left":
+            anchor = sample_finite_member(params.right_families[0], rng)
+            s = sample_left_marginal(anchor, args.count, params.l, rng)
+        elif args.word == "sandwich":
+            q = sample_finite_member(params.right_families[0], rng)
+            p = sample_finite_member(params.left_families[0], rng)
+            s = sample_sandwich_marginal(mat_mul(q, p), args.count, params.l1, params.l2, rng)
+        elif args.word == "five-factor":
+            p = sample_finite_member(params.left_families[0], rng)
+            q = sample_finite_member(params.right_families[0], rng)
+            s = sample_five_factor_marginal(p, w, q, args.count, params.l1, params.l2, rng)
+        else:  # additive
+            anchor = sample_family_member(params.left_families[0], rng)
+            s = sample_additive_marginal(anchor, args.count, params.l, rng)
+    except ValueError as e:
+        raise CliError(2, "bad-arguments", str(e))
     data = encode_marginal_set(s, encoding=args.encoding)
     write_bytes(args.out, data)
     _print(f"marginal set written to {args.out}: {len(s)} tuple(s), word {args.word}")
@@ -425,7 +424,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-params", help="generate a parameter file")
     p.add_argument("--semiring", choices=["min-plus", "max-plus"], required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True, help=f"at most {MAX_DIM}")
     p.add_argument("--range", required=True, metavar="LO..HI")
     p.add_argument("--family", required=True, metavar="SPEC",
                    help="poly[:deg=D] | circulant | upper-t[:t=T] | lower-s[:s=S] "

@@ -12,7 +12,10 @@ Six families are supported, each closed under mutual commutation:
   max-plus statement fails for this parameter contract, so it is rejected).
 
 A FamilySpec value identifies one such family together with the data a
-sampler needs to draw a random member from it.
+sampler needs to draw a random member from it.  Each spec class is the one
+place that knows its family: its wire `tag`, its `kind` and `dim`, and its
+whole contract, checked when it is built, so that every spec that
+constructs can be drawn from, written and read back.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import ClassVar, Union
 
 from .matrix import Matrix, make_matrix, make_poly, mat_mul, poly_eval
 from .semiring import (
@@ -151,9 +154,7 @@ def is_ldp(a: Matrix, r, k) -> bool:
 
 def sample_ldp(r: int, k: int, dim: int, rng: random.Random) -> Matrix:
     """Random member: diagonal pinned to k, off-diagonals uniform in [r, 2r]."""
-    _check_ldp_params(SemiringKind.MIN_PLUS, as_scalar(r), as_scalar(k))
-    if not isinstance(r, int) or not isinstance(k, int):
-        raise TypeError("integer parameters expected")
+    LdpFamily(dim, r, k)  # checks the parameters
     rows = tuple(
         tuple(k if i == j else rng.randint(r, 2 * r) for j in range(dim))
         for i in range(dim)
@@ -182,10 +183,36 @@ def commute_check(a: Matrix, b: Matrix) -> bool:
 # Family specifications and sampling
 
 
+class _OfBase:
+    """A family that lives where its base matrix lives."""
+
+    @property
+    def kind(self) -> SemiringKind:
+        return self.base.kind
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+
+def _require_ints(spec, *names: str) -> None:
+    """Int fields take builtin ints only: a bool or a Fraction is refused."""
+    for name in names:
+        if type(getattr(spec, name)) is not int:
+            raise TypeError(f"{type(spec).__name__}.{name} must be an int")
+
+
+def _require_matrix(base) -> None:
+    if not isinstance(base, Matrix):
+        raise TypeError("base must be a Matrix")
+
+
 @dataclass(frozen=True)
-class PolyFamily:
+class PolyFamily(_OfBase):
     """Tropical polynomials of `base` with degree <= max_degree and integer
     coefficients drawn uniformly from [coeff_lo, coeff_hi]."""
+
+    tag: ClassVar[str] = "poly"
 
     base: Matrix
     max_degree: int
@@ -193,25 +220,44 @@ class PolyFamily:
     coeff_hi: int
 
     def __post_init__(self):
+        _require_matrix(self.base)
+        _require_ints(self, "max_degree", "coeff_lo", "coeff_hi")
         if self.max_degree < 0 or self.coeff_lo > self.coeff_hi:
             raise ValueError("bad polynomial family parameters")
 
 
+def _check_circulant(spec, scale: str = "") -> None:
+    """A circulant family draws dim entries from lo..hi; a scaled one also
+    stores its scale as a canonical scalar, never the dual's neutral."""
+    if not isinstance(spec.kind, SemiringKind):
+        raise TypeError("kind must be a SemiringKind")
+    _require_ints(spec, "dim", "lo", "hi")
+    if spec.dim < 1 or spec.lo > spec.hi:
+        raise ValueError("circulant family needs dim >= 1 and lo <= hi")
+    if scale:
+        value = as_scalar(getattr(spec, scale))
+        if value is add_neutral(spec.kind.dual):
+            raise ValueError(f"{value!r} scale not allowed over {spec.kind}")
+        object.__setattr__(spec, scale, value)
+
+
 @dataclass(frozen=True)
 class CirculantFamily:
+    tag: ClassVar[str] = "circulant"
+
     kind: SemiringKind
     dim: int
     lo: int
     hi: int
 
-
-def _check_scale(kind: SemiringKind, scale: Scalar) -> None:
-    if scale is add_neutral(kind.dual):
-        raise ValueError(f"{scale!r} scale not allowed over {kind}")
+    def __post_init__(self):
+        _check_circulant(self)
 
 
 @dataclass(frozen=True)
 class UpperTCirculantFamily:
+    tag: ClassVar[str] = "upper-t"
+
     kind: SemiringKind
     dim: int
     t: Scalar
@@ -219,11 +265,13 @@ class UpperTCirculantFamily:
     hi: int
 
     def __post_init__(self):
-        _check_scale(self.kind, self.t)
+        _check_circulant(self, "t")
 
 
 @dataclass(frozen=True)
 class LowerSCirculantFamily:
+    tag: ClassVar[str] = "lower-s"
+
     kind: SemiringKind
     dim: int
     s: Scalar
@@ -231,14 +279,16 @@ class LowerSCirculantFamily:
     hi: int
 
     def __post_init__(self):
-        _check_scale(self.kind, self.s)
+        _check_circulant(self, "s")
 
 
 @dataclass(frozen=True)
-class JonesDeformFamily:
+class JonesDeformFamily(_OfBase):
     """Deformations of one Jones base; alpha is drawn as a random fraction
     num/den with den uniform in [1, max_denominator] and num in [0, den],
-    restricted to [alpha_lo, alpha_hi]."""
+    restricted to [alpha_lo, alpha_hi].  The alphas are stored as Fractions."""
+
+    tag: ClassVar[str] = "jones-deform"
 
     base: Matrix
     alpha_lo: Fraction = Fraction(0)
@@ -246,46 +296,40 @@ class JonesDeformFamily:
     max_denominator: int = 12
 
     def __post_init__(self):
+        _require_matrix(self.base)
         if not is_jones(self.base):
             raise ValueError("base must be a Jones matrix")
-        for alpha in (self.alpha_lo, self.alpha_hi):
-            _exact_alpha(alpha)
+        if not all(is_finite(row[i]) for i, row in enumerate(self.base.rows)):
+            raise ValueError("deformation requires finite diagonal entries")
+        for name in ("alpha_lo", "alpha_hi"):
+            object.__setattr__(self, name, _exact_alpha(getattr(self, name)))
         if not (0 <= self.alpha_lo <= self.alpha_hi <= 1):
             raise ValueError("alpha range must sit inside [0, 1]")
+        _require_ints(self, "max_denominator")
+        if self.max_denominator < 1:
+            raise ValueError("max_denominator must be >= 1")
 
 
 @dataclass(frozen=True)
 class LdpFamily:
+    tag: ClassVar[str] = "ldp"
+    kind: ClassVar[SemiringKind] = SemiringKind.MIN_PLUS
+
     dim: int
     r: int
     k: int
 
     def __post_init__(self):
-        _check_ldp_params(SemiringKind.MIN_PLUS, as_scalar(self.r), as_scalar(self.k))
+        _require_ints(self, "dim", "r", "k")
+        if self.dim < 1:
+            raise ValueError("ldp family needs dim >= 1")
+        _check_ldp_params(self.kind, self.r, self.k)
 
 
 FamilySpec = Union[
-    PolyFamily,
-    CirculantFamily,
-    UpperTCirculantFamily,
-    LowerSCirculantFamily,
-    JonesDeformFamily,
-    LdpFamily,
+    PolyFamily, CirculantFamily, UpperTCirculantFamily,
+    LowerSCirculantFamily, JonesDeformFamily, LdpFamily,
 ]
-
-
-def family_kind(spec: FamilySpec) -> SemiringKind:
-    if isinstance(spec, (PolyFamily, JonesDeformFamily)):
-        return spec.base.kind
-    if isinstance(spec, LdpFamily):
-        return SemiringKind.MIN_PLUS
-    return spec.kind
-
-
-def family_dim(spec: FamilySpec) -> int:
-    if isinstance(spec, (PolyFamily, JonesDeformFamily)):
-        return spec.base.dim
-    return spec.dim
 
 
 def sample_family_member(spec: FamilySpec, rng: random.Random) -> Matrix:
@@ -300,11 +344,8 @@ def sample_family_member(spec: FamilySpec, rng: random.Random) -> Matrix:
         return poly_eval(make_poly(spec.base.kind, coeffs), spec.base)
     if isinstance(spec, (CirculantFamily, UpperTCirculantFamily, LowerSCirculantFamily)):
         vals = [rng.randint(spec.lo, spec.hi) for _ in range(spec.dim)]
-        if isinstance(spec, UpperTCirculantFamily):
-            return make_upper_t_circulant(spec.kind, spec.t, vals)
-        if isinstance(spec, LowerSCirculantFamily):
-            return make_lower_s_circulant(spec.kind, spec.s, vals)
-        return make_circulant(spec.kind, vals)
+        # the spec stored its scale, if any, as a canonical scalar
+        return _circulant(spec.kind, vals, getattr(spec, "t", None), getattr(spec, "s", None))
     if isinstance(spec, JonesDeformFamily):
         den = rng.randint(1, spec.max_denominator)
         lo_num = math.ceil(spec.alpha_lo * den)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from operator import add, sub
 from typing import Callable, Optional, Sequence
 
-from .families import FamilySpec, commute_check, family_dim, family_kind, sample_family_member
+from .families import FamilySpec, commute_check, sample_family_member
 from .marginal import (
     RETRY_BUDGET,
     MarginalSet,
@@ -97,7 +97,7 @@ class ProtocolParams:
         ) != len(self.publics):
             raise ValueError("need one family pair per public matrix")
         for spec in (*self.left_families, *self.right_families):
-            if family_kind(spec) is not self.kind or family_dim(spec) != self.dim:
+            if spec.kind is not self.kind or spec.dim != self.dim:
                 raise ValueError("family spec does not match params kind/dim")
         if self.n_tuples < 1:
             raise ValueError("marginal sets need at least one tuple")

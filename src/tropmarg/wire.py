@@ -12,22 +12,15 @@ against each predecessor.  Files are written atomically (write then rename).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
-from .families import (
-    CirculantFamily,
-    FamilySpec,
-    JonesDeformFamily,
-    LdpFamily,
-    LowerSCirculantFamily,
-    PolyFamily,
-    UpperTCirculantFamily,
-)
+from .families import FamilySpec
 from .marginal import (
     Box,
     Circle,
@@ -38,7 +31,7 @@ from .marginal import (
     verify_marginal,
 )
 from .matrix import Matrix
-from .protocols import Message, ProtocolParams, ProtocolTranscript
+from .protocols import _EXCHANGES, Message, ProtocolParams, ProtocolTranscript
 from .semiring import (
     NEG_INF,
     POS_INF,
@@ -426,100 +419,61 @@ def decode_marginal_set(data: bytes) -> MarginalSet:
 # Family specs
 
 
+def _field_plan(cls) -> tuple:
+    """(name, declared type) of each field of a spec class, in order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+# Wire tag -> (spec class, field plan).  kind and dim are the params' own
+# and are not written; matrices go as rows, every other field as a scalar
+# token.  The spec's constructor checks what is read back.
+_FAMILIES = {cls.tag: (cls, _field_plan(cls)) for cls in get_args(FamilySpec)}
+_CONTEXT = ("kind", "dim")
+
+
+def _within_caps(spec: FamilySpec) -> FamilySpec:
+    if getattr(spec, "max_degree", 0) > MAX_POLY_DEGREE:
+        raise WireFormatError(f"polynomial degree above {MAX_POLY_DEGREE}")
+    return spec
+
+
 def _family_out(spec: FamilySpec):
-    if isinstance(spec, PolyFamily):
-        if spec.max_degree > MAX_POLY_DEGREE:
-            raise WireFormatError(f"polynomial degree above {MAX_POLY_DEGREE}")
-        return {
-            "family": "poly",
-            "base": _rows_out(spec.base),
-            "max_degree": spec.max_degree,
-            "coeff_lo": spec.coeff_lo,
-            "coeff_hi": spec.coeff_hi,
-        }
-    if isinstance(spec, CirculantFamily):
-        return {"family": "circulant", "lo": spec.lo, "hi": spec.hi}
-    if isinstance(spec, UpperTCirculantFamily):
-        return {
-            "family": "upper-t",
-            "t": scalar_to_token(spec.t),
-            "lo": spec.lo,
-            "hi": spec.hi,
-        }
-    if isinstance(spec, LowerSCirculantFamily):
-        return {
-            "family": "lower-s",
-            "s": scalar_to_token(spec.s),
-            "lo": spec.lo,
-            "hi": spec.hi,
-        }
-    if isinstance(spec, JonesDeformFamily):
-        return {
-            "family": "jones-deform",
-            "base": _rows_out(spec.base),
-            "alpha_lo": scalar_to_token(spec.alpha_lo),
-            "alpha_hi": scalar_to_token(spec.alpha_hi),
-            "max_denominator": spec.max_denominator,
-        }
-    if isinstance(spec, LdpFamily):
-        return {"family": "ldp", "r": spec.r, "k": spec.k}
-    raise WireFormatError(f"unknown family spec {spec!r}")
-
-
-def _int_field(obj: dict, key: str, least=None, most=None) -> int:
-    value = obj.get(key)
-    if (
-        not _is_int(value)
-        or least is not None and value < least
-        or most is not None and value > most
-    ):
-        bound = "" if least is None else f" >= {least}"
-        bound += "" if most is None else f" <= {most}"
-        raise WireFormatError(f"family field {key} must be an integer{bound}")
-    return value
-
-
-def _draw_range(obj: dict) -> tuple[int, int]:
-    """The lo..hi range a circulant family draws its entries from."""
-    lo = _int_field(obj, "lo")
-    return lo, _int_field(obj, "hi", least=lo)
+    cls, plan = _FAMILIES.get(getattr(spec, "tag", None), (None, ()))
+    if type(spec) is not cls:
+        raise WireFormatError(f"unknown family spec {spec!r}")
+    _within_caps(spec)
+    out = {"family": cls.tag}
+    for name, hint in plan:
+        if name not in _CONTEXT:
+            value = getattr(spec, name)
+            out[name] = _rows_out(value) if hint is Matrix else scalar_to_token(value)
+    return out
 
 
 def _family_in(obj, kind: SemiringKind, dim: int) -> FamilySpec:
     if not isinstance(obj, dict):
         raise WireFormatError("family spec must be an object")
-    name = obj.get("family")
+    tag = obj.get("family")
+    cls, plan = _FAMILIES.get(tag, (None, ())) if isinstance(tag, str) else (None, ())
+    if cls is None:
+        raise WireFormatError(f"unknown family {tag!r}")
+    context = dict(zip(_CONTEXT, (kind, dim)))
+    fields = {}
+    for name, hint in plan:
+        value = obj.get(name)
+        if name in context:
+            value = context[name]
+        elif hint is Matrix:
+            value = _rows_in(kind, value)
+        elif hint is not int:
+            value = token_to_scalar(value)
+        fields[name] = value
     try:
-        if name == "poly":
-            return PolyFamily(
-                base=_rows_in(kind, obj.get("base")),
-                max_degree=_int_field(obj, "max_degree", most=MAX_POLY_DEGREE),
-                coeff_lo=_int_field(obj, "coeff_lo"),
-                coeff_hi=_int_field(obj, "coeff_hi"),
-            )
-        if name == "circulant":
-            return CirculantFamily(kind, dim, *_draw_range(obj))
-        if name == "upper-t":
-            t = token_to_scalar(obj.get("t"))
-            return UpperTCirculantFamily(kind, dim, t, *_draw_range(obj))
-        if name == "lower-s":
-            s = token_to_scalar(obj.get("s"))
-            return LowerSCirculantFamily(kind, dim, s, *_draw_range(obj))
-        if name == "jones-deform":
-            lo, hi = token_to_scalar(obj["alpha_lo"]), token_to_scalar(obj["alpha_hi"])
-            return JonesDeformFamily(
-                base=_rows_in(kind, obj.get("base")),
-                alpha_lo=Fraction(lo),
-                alpha_hi=Fraction(hi),
-                max_denominator=_int_field(obj, "max_denominator", least=1),
-            )
-        if name == "ldp":
-            if kind is not SemiringKind.MIN_PLUS:
-                raise WireFormatError("ldp family is min-plus only")
-            return LdpFamily(dim=dim, r=obj["r"], k=obj["k"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise WireFormatError(f"bad {name} family spec: {e}") from e
-    raise WireFormatError(f"unknown family {name!r}")
+        spec = cls(**fields)
+    except (TypeError, ValueError) as e:
+        raise WireFormatError(f"bad {tag} family spec: {e}") from e
+    return _within_caps(spec)
 
 
 # --------------------------------------------------------------------------
@@ -651,7 +605,7 @@ def decode_transcript(data: bytes) -> ProtocolTranscript:
     _expect_type(obj, "transcript")
     params = _params_in(obj.get("params", {}))
     protocol = obj.get("protocol")
-    if protocol not in ("sidelnikov", "one-sided", "sandwich", "multiblock"):
+    if not isinstance(protocol, str) or protocol not in _EXCHANGES:
         raise WireFormatError(f"unknown protocol {protocol!r}")
     seed = obj.get("seed")
     if not _is_int(seed):

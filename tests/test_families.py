@@ -12,8 +12,6 @@ from tropmarg.families import (
     UpperTCirculantFamily,
     commute_check,
     deform,
-    family_dim,
-    family_kind,
     is_jones,
     is_ldp,
     make_circulant,
@@ -147,8 +145,8 @@ def test_family_kind_and_dim():
         LdpFamily(5, 10, -1): (MIN, 5),
     }
     for spec, (kind, dim) in specs.items():
-        assert family_kind(spec) is kind
-        assert family_dim(spec) == dim
+        assert spec.kind is kind
+        assert spec.dim == dim
 
 
 @pytest.mark.parametrize(
