@@ -260,7 +260,13 @@ def _crossing(kind: SemiringKind):
     return dual, s_neg
 
 
-def _sample_set(word: WordTemplate, n: int, draw, flip) -> MarginalSet:
+def _require_int(name: str, value) -> None:
+    """Sampler counts and caps feed `random` directly: builtin ints only."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _sample_set(word: WordTemplate, n: int, draw, flip, fixed: bool = False) -> MarginalSet:
     """Up to n distinct min-plus tuples from draw(), carried back to the
     word's semiring by flip; the set is built and verified once: each draw
     raises SelfCheckError unless its tuple keeps the word's value in min-plus
@@ -268,12 +274,16 @@ def _sample_set(word: WordTemplate, n: int, draw, flip) -> MarginalSet:
 
     draw() returns None for a failed draw.  Each tuple gets RETRY_BUDGET
     attempts; when they run out the box is too small for n distinct tuples
-    and what exists is returned, unless nothing does.
+    and what exists is returned, unless nothing does.  fixed says that
+    draw() returns one tuple every time without touching the random stream
+    (a one-point box): it is drawn once, since more draws would only repeat
+    it, and the set and the stream come out as after the full retry loop.
     """
+    _require_int("tuple count", n)
     if n < 1:
         raise ValueError("need n >= 1 tuples")
     tuples: dict[MarginalTuple, None] = {}
-    for _ in range(n):
+    for _ in range(1 if fixed else n):
         for _attempt in range(RETRY_BUDGET):
             t = draw()
             if t is not None and t not in tuples:
@@ -396,29 +406,36 @@ def max_possible_matrix(t_set, x_star: Matrix, l) -> Matrix:
 def _sample_one_sided(
     a: Matrix, n: int, l, rng: random.Random, side: str
 ) -> MarginalSet:
+    """Up to n distinct draws from the box [X*, X̂] of the given side.  A
+    box of one point (no cap reaches past x*, as +150 over max-plus) is
+    drawn once: further draws would repeat it and take nothing from the
+    stream, so the 1-tuple set and the stream are as after n attempts."""
     flip, flip_cap = _crossing(a.kind)
     m = flip(a)
     star = (residual_right(m) if side == "right" else residual_left(m)).x_star
     outer = max_possible_matrix(diagonal_pairs(a.dim), star, flip_cap(as_scalar(l)))
     # Each entry steps uniformly from x* toward the outer corner (inclusive):
     # floor(x̂ - x*) + 1 choices, so tightness at x* stays reachable for
-    # rational bounds.  A Fraction x* plus an int step stays canonical.
+    # rational bounds.  A Fraction x* plus an int step stays canonical, and
+    # an int x* plus an int step is an int, so an all-int x* needs no walk.
     choices = [
         [(x, floor(y - x) + 1) for x, y in zip(row, outer_row)]
         for row, outer_row in zip(star.rows, outer.rows)
     ]
+    build = _built if star.all_int else Matrix
 
     def draw():
         rows = tuple(
             tuple(x + rng.randrange(c) if c > 1 else x for x, c in row) for row in choices
         )
-        x = Matrix(SemiringKind.MIN_PLUS, rows)
+        x = build(SemiringKind.MIN_PLUS, rows)
         if (mat_mul(m, x) if side == "right" else mat_mul(x, m)) != m:
             raise SelfCheckError(f"{side} sample breaks the one-sided product")
         return (x,)
 
     word = right_word(a) if side == "right" else left_word(a)
-    return _sample_set(word, n, draw, flip)
+    one_point = all(c == 1 for row in choices for _, c in row)
+    return _sample_set(word, n, draw, flip, one_point)
 
 
 def sample_right_marginal(a: Matrix, n: int, l, rng: random.Random) -> MarginalSet:
@@ -655,6 +672,8 @@ def _sample_pairs(
     X⊗(B⊗Y) for the sandwich, (A⊗X)⊗(B⊗Y)⊗C for the five-factor word, not
     A⊗(X⊗B⊗Y)⊗C, which would repeat the reduction that formed A⊗B⊗C.
     """
+    _require_int("l1", l1)
+    _require_int("l2", l2)
     if l1 > l2:
         raise ValueError("empty bound range")
     flip, _ = _crossing(word.kind)
@@ -770,6 +789,8 @@ def sample_n_factor_marginal(
     are never positive) and realizes the tightness cover through the
     product's argmin chains, so the repaired tuple always verifies.
     """
+    _require_int("l1", l1)
+    _require_int("l2", l2)
     if l1 > l2:
         raise ValueError("empty bound range")
     chain = list(chain)
@@ -807,6 +828,7 @@ def sample_additive_marginal(a: Matrix, n: int, l: int, rng: random.Random) -> M
     """n matrices A ⊕ X = A: nonnegative offsets up to l away from A, pushed
     in the direction the semiring order allows.  X is (A ⊕ ◯)-marginal iff
     X >= A over min-plus (iff X <= A over max-plus)."""
+    _require_int("l", l)
     if l < 0:
         raise ValueError("offset cap must be >= 0")
     flip, _ = _crossing(a.kind)

@@ -1,10 +1,11 @@
 """Shared checks.
 
-While the matmul, elementwise and n-factor oracle tests run, every matrix
-the library builds is recorded: through `Matrix.__post_init__` (the walk)
-and through `matrix._built` (facts the caller knows).  After each test the
-facts stored on every one of them, `has_inf`, `all_int` and `den`, must
-equal what a fresh walk over its entries finds.
+While the matmul, elementwise, n-factor and one-sided oracle tests run,
+every matrix the library builds is recorded: through
+`Matrix.__post_init__` (the walk) and through `matrix._built` (facts the
+caller knows).  After each test the facts stored on every one of them,
+`has_inf`, `all_int` and `den`, must equal what a fresh walk over its
+entries finds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ FACT_CHECKED = {
     "test_elementwise_oracle",
     "test_nfactor_oracle",
     "test_matrix_facts",
+    "test_one_sided_oracle",
 }
 
 
