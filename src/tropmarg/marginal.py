@@ -416,19 +416,19 @@ def _sample_one_sided(
     outer = max_possible_matrix(diagonal_pairs(a.dim), star, flip_cap(as_scalar(l)))
     # Each entry steps uniformly from x* toward the outer corner (inclusive):
     # floor(x̂ - x*) + 1 choices, so tightness at x* stays reachable for
-    # rational bounds.  A Fraction x* plus an int step stays canonical, and
-    # an int x* plus an int step is an int, so an all-int x* needs no walk.
+    # rational bounds.  An int step keeps each entry's reduced denominator
+    # (p/q + k = (p + kq)/q), so every draw holds x*'s facts: finite, the
+    # same all_int and den, and needs no walk.
     choices = [
         [(x, floor(y - x) + 1) for x, y in zip(row, outer_row)]
         for row, outer_row in zip(star.rows, outer.rows)
     ]
-    build = _built if star.all_int else Matrix
 
     def draw():
         rows = tuple(
             tuple(x + rng.randrange(c) if c > 1 else x for x, c in row) for row in choices
         )
-        x = build(SemiringKind.MIN_PLUS, rows)
+        x = _built(SemiringKind.MIN_PLUS, rows, False, star.all_int, star.den)
         if (mat_mul(m, x) if side == "right" else mat_mul(x, m)) != m:
             raise SelfCheckError(f"{side} sample breaks the one-sided product")
         return (x,)
