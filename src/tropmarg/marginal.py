@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import floor
-from operator import add, sub
+from operator import add, ge, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .matrix import (
@@ -266,6 +266,24 @@ def _require_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
+def _randbelow(rng: random.Random, spans: Iterable[int]) -> list[int]:
+    """rng.randrange(span) for each span in order, as CPython's _randbelow
+    draws it: getrandbits of the span's bit length, drawn again while the
+    value is out of range.  The values and the generator's state afterwards
+    are those of the randrange calls, and every sampler reaches the
+    generator through here, without randrange's three Python frames per
+    value.  Spans are ints >= 1; a span of 1 still takes bits."""
+    bits = rng.getrandbits
+    out = []
+    for span in spans:
+        k = span.bit_length()
+        v = bits(k)
+        while v >= span:
+            v = bits(k)
+        out.append(v)
+    return out
+
+
 def _sample_set(word: WordTemplate, n: int, draw, flip, fixed: bool = False) -> MarginalSet:
     """Up to n distinct min-plus tuples from draw(), carried back to the
     word's semiring by flip; the set is built and verified once: each draw
@@ -413,29 +431,35 @@ def _sample_one_sided(
     flip, flip_cap = _crossing(a.kind)
     m = flip(a)
     star = (residual_right(m) if side == "right" else residual_left(m)).x_star
-    outer = max_possible_matrix(diagonal_pairs(a.dim), star, flip_cap(as_scalar(l)))
-    # Each entry steps uniformly from x* toward the outer corner (inclusive):
-    # floor(x̂ - x*) + 1 choices, so tightness at x* stays reachable for
-    # rational bounds.  An int step keeps each entry's reduced denominator
-    # (p/q + k = (p + kq)/q), so every draw holds x*'s facts: finite, the
-    # same all_int and den, and needs no walk.
+    cap = flip_cap(as_scalar(l))
+    # Each entry steps uniformly from x* toward the outer corner x̂
+    # (inclusive), read off x* and the cap as max_possible_matrix would
+    # build it: one choice on the pinned diagonal and where the cap does not
+    # lie beyond x*, floor(cap - x*) + 1 otherwise, so tightness at x* stays
+    # reachable for rational bounds.  An int step keeps each entry's reduced
+    # denominator (p/q + k = (p + kq)/q), so every draw holds x*'s facts:
+    # finite, the same all_int and den, and needs no walk.
+    k = a.dim
+    flat = [x for row in star.rows for x in row]
     choices = [
-        [(x, floor(y - x) + 1) for x, y in zip(row, outer_row)]
-        for row, outer_row in zip(star.rows, outer.rows)
+        1 if i % (k + 1) == 0 or not s_lt(x, cap) else floor(cap - x) + 1
+        for i, x in enumerate(flat)
     ]
+    positions = [i for i, c in enumerate(choices) if c > 1]
+    spans = [choices[i] for i in positions]
 
     def draw():
-        rows = tuple(
-            tuple(x + rng.randrange(c) if c > 1 else x for x, c in row) for row in choices
-        )
+        vals = flat[:]
+        for i, v in zip(positions, _randbelow(rng, spans)):
+            vals[i] += v
+        rows = tuple(tuple(vals[i : i + k]) for i in range(0, k * k, k))
         x = _built(SemiringKind.MIN_PLUS, rows, False, star.all_int, star.den)
         if (mat_mul(m, x) if side == "right" else mat_mul(x, m)) != m:
             raise SelfCheckError(f"{side} sample breaks the one-sided product")
         return (x,)
 
     word = right_word(a) if side == "right" else left_word(a)
-    one_point = all(c == 1 for row in choices for _, c in row)
-    return _sample_set(word, n, draw, flip, one_point)
+    return _sample_set(word, n, draw, flip, not positions)
 
 
 def sample_right_marginal(a: Matrix, n: int, l, rng: random.Random) -> MarginalSet:
@@ -519,6 +543,12 @@ class BoundTable:
         """Projection of the zero pairs on the last slot."""
         return frozenset(p[-1] for p in self.zero_pairs)
 
+    @functools.cached_property
+    def partners(self) -> dict[int, list[int]]:
+        """For a two-slot table: each p of px, in increasing order, with the
+        r of its zero pairs (p, r)."""
+        return {p: [rr for pp, rr in self.zero_pairs if pp == p] for p in sorted(self.px)}
+
 
 def two_sided_residual(a: Matrix) -> BoundTable:
     """Bounds for X⊗A⊗Y = A: index (i, p, q, j) bounds x_ip + y_qj by
@@ -599,10 +629,9 @@ def _solve_pair(
     - Every other x_pq is the least value its lower bound and its rows
       allow: the largest of R_pq and E[p][s] - (B⊗Y)[q][s] over s.
     """
-    k = table.product.dim
     e, b = table.outer.rows, table.chain[1].rows
-    px = sorted(table.px)
-    partners = {p: [rr for pp, rr in table.zero_pairs if pp == p] for p in px}
+    partners = table.partners
+    px = list(partners)
     y = {rr: s[rr][rr] for rr in table.py}
     for _ in range(len(px) + 1):
         x = {p: -max(y[rr] for rr in partners[p]) for p in px}
@@ -616,43 +645,57 @@ def _solve_pair(
         return None
     if any(x[p] < r[p][p] for p in px):
         return None
-    ys = Matrix(
-        SemiringKind.MIN_PLUS,
-        tuple(
-            tuple(
-                as_scalar(max(column))
-                for column in zip(s[i], *([v - b[p][i] - x[p] for v in e[p]] for p in px))
-            )
-            for i in range(k)
-        ),
+    # Both matrices are formed row by row as max(map(sub, ...)) over
+    # columns, the shape of mat_mul's kernel: y_is = max(S_is, max over p
+    # in px of (E[p][s] - x_p) - B[p][i]), x_pq = max(R_pq, max over s of
+    # E[p][s] - (B⊗Y)[q][s]), x_pp = x_p on px.
+    if px:
+        e_cols = tuple(zip(*([v - x[p] for v in e[p]] for p in px)))
+        b_cols = zip(*(b[p] for p in px))
+        y_rows = [
+            [max(low, max(map(sub, e_col, b_col))) for low, e_col in zip(s_row, e_cols)]
+            for s_row, b_col in zip(s, b_cols)
+        ]
+    else:
+        y_rows = s
+    exact = (
+        table.outer.all_int
+        and table.chain[1].all_int
+        and all(type(v) is int for v in itertools.chain(*r, *s))
     )
+    ys = _exact_rows(y_rows, exact)
     by = mat_mul(table.chain[1], ys)
-    xs = Matrix(
-        SemiringKind.MIN_PLUS,
-        tuple(
-            tuple(
-                as_scalar(x[p]) if p == q and p in x else
-                as_scalar(max(r[p][q], max(map(sub, e[p], by.rows[q]))))
-                for q in range(k)
-            )
-            for p in range(k)
-        ),
-    )
+    x_rows = [
+        [max(low, max(map(sub, e_row, by_row))) for low, by_row in zip(r_row, by.rows)]
+        for r_row, e_row in zip(r, e)
+    ]
+    for p in px:
+        x_rows[p][p] = x[p]
+    xs = _exact_rows(x_rows, exact)
     xby = mat_mul(xs, by)
     _check_pair_point(table, r, s, xs, ys, xby)
     return xs, ys, by, xby
+
+
+def _exact_rows(rows, all_int: bool) -> Matrix:
+    """Min-plus matrix of finite rows: built as they are when all_int says
+    every entry is an int, canonicalized and walked otherwise."""
+    if all_int:
+        return _built(SemiringKind.MIN_PLUS, tuple(map(tuple, rows)))
+    return make_matrix(SemiringKind.MIN_PLUS, rows)
 
 
 def _check_pair_point(table: BoundTable, r, s, xs: Matrix, ys: Matrix, xby: Matrix) -> None:
     """The solver's point check on a pair, given xby = X⊗(B⊗Y): X⊗B⊗Y >= E
     entrywise (which is the whole grid x_pq + y_rs >= E[p][s] - B[q][r]),
     the zero-pair equalities and both lower bounds."""
+    flat = itertools.chain.from_iterable
     x, y = xs.rows, ys.rows
-    if (
-        any(v < w for row, bound in zip(xby.rows, table.outer.rows) for v, w in zip(row, bound))
-        or any(x[p][p] + y[rr][rr] != 0 for p, rr in table.zero_pairs)
-        or any(v < w for row, low in zip(x, r) for v, w in zip(row, low))
-        or any(v < w for row, low in zip(y, s) for v, w in zip(row, low))
+    if not (
+        all(map(ge, flat(xby.rows), flat(table.outer.rows)))
+        and all(x[p][p] + y[rr][rr] == 0 for p, rr in table.zero_pairs)
+        and all(map(ge, flat(x), flat(r)))
+        and all(map(ge, flat(y), flat(s)))
     ):
         raise SelfCheckError("pair solve produced an invalid point")
 
@@ -681,14 +724,17 @@ def _sample_pairs(
     k = table.product.dim
     px, py = table.px, table.py
     first, _, last = table.chain
+    # h, then every r[i][j] and s[i][j] but the pinned diagonals
+    spans = [l2 - l1 + 1] * (1 + 2 * k * k - len(px) - len(py))
 
     def draw():
-        h = rng.randint(l1, l2)
+        h, *free = (l1 + v for v in _randbelow(rng, spans))
+        free = iter(free)
         r = [[0] * k for _ in range(k)]
         s = [[0] * k for _ in range(k)]
         for i, j in itertools.product(range(k), repeat=2):
-            r[i][j] = h if i == j and i in px else rng.randint(l1, l2)
-            s[i][j] = -h if i == j and i in py else rng.randint(l1, l2)
+            r[i][j] = h if i == j and i in px else next(free)
+            s[i][j] = -h if i == j and i in py else next(free)
         solved = _solve_pair(table, r, s)
         if solved is None:
             return None
@@ -797,15 +843,16 @@ def sample_n_factor_marginal(
     flip, _ = _crossing(chain[0].kind)
     table = n_factor_residual([flip(m) for m in chain])
     n, k = table.n_slots, table.product.dim
+    # h₁..hₙ₋₁, then each slot's off-diagonal entries row by row
+    spans = [l2 - l1 + 1] * (n - 1 + n * k * (k - 1))
 
     def draw():
-        hs = [rng.randint(l1, l2) for _ in range(n - 1)]
+        vals = [l1 + v for v in _randbelow(rng, spans)]
+        hs = vals[: n - 1]
         hs.append(-sum(hs))
+        free = iter(vals[n - 1 :])
         mats = [
-            [
-                [hs[t] if i == j else rng.randint(l1, l2) for j in range(k)]
-                for i in range(k)
-            ]
+            [[hs[t] if i == j else next(free) for j in range(k)] for i in range(k)]
             for t in range(n)
         ]
         _repair_chain(table, mats)
@@ -833,9 +880,11 @@ def sample_additive_marginal(a: Matrix, n: int, l: int, rng: random.Random) -> M
         raise ValueError("offset cap must be >= 0")
     flip, _ = _crossing(a.kind)
     m = flip(a)
+    spans = [l + 1] * (a.dim * a.dim)
 
     def draw():
-        rows = tuple(tuple(s_mul(x, rng.randrange(l + 1)) for x in row) for row in m.rows)
+        offsets = iter(_randbelow(rng, spans))
+        rows = tuple(tuple(map(s_mul, row, offsets)) for row in m.rows)
         x = Matrix(SemiringKind.MIN_PLUS, rows)
         if mat_add(m, x) != m:
             raise SelfCheckError("additive sample changes A ⊕ X")

@@ -97,20 +97,22 @@ def make_matrix(kind: SemiringKind, rows: Iterable[Iterable]) -> Matrix:
 
 
 def identity(kind: SemiringKind, n: int) -> Matrix:
-    """Multiplicative identity: 0 on the diagonal, additive neutral elsewhere."""
+    """Multiplicative identity: 0 on the diagonal, additive neutral elsewhere.
+    Built without the walk: it holds the infinity, and so is not all-int,
+    exactly when n > 1."""
+    if n < 1:
+        raise ValueError("empty matrix")
     o = add_neutral(kind)
-    return Matrix(
-        kind,
-        tuple(
-            tuple(MUL_NEUTRAL if i == j else o for j in range(n)) for i in range(n)
-        ),
-    )
+    rows = tuple(tuple(MUL_NEUTRAL if i == j else o for j in range(n)) for i in range(n))
+    return _built(kind, rows, n > 1, n == 1)
 
 
 def neutral_matrix(kind: SemiringKind, n: int) -> Matrix:
     """Additive neutral: every entry is the semiring's infinity."""
+    if n < 1:
+        raise ValueError("empty matrix")
     o = add_neutral(kind)
-    return Matrix(kind, tuple(tuple(o for _ in range(n)) for _ in range(n)))
+    return _built(kind, ((o,) * n,) * n, True, False)
 
 
 def _check_fits(kind: SemiringKind, n: int, b: Matrix) -> None:
@@ -192,6 +194,29 @@ def _scaled(rows, d: int, o) -> tuple:
 def _unscaled(v: int, d: int) -> Scalar:
     q, r = divmod(v, d)
     return q if r == 0 else Fraction(v, d)
+
+
+def powers(a: Matrix, e: int) -> list[Matrix]:
+    """[a, a^⊗2, ..., a^⊗e], each power one product from the last.
+
+    The powers are kept on a, outside ==, hash and repr, so every caller
+    with the same base (two parties drawing from one family, the attack's
+    power bases) forms each power once.  A request past the kept ones
+    replaces them with a new, longer tuple; nothing is changed in place."""
+    if e < 0:
+        raise ValueError("negative power")
+    if e == 0:
+        return []
+    # a^⊗2 onward: holding a itself would make a reference cycle
+    kept = vars(a).get("_powers", ())
+    if len(kept) < e - 1:
+        grown = list(kept)
+        last = grown[-1] if grown else a
+        while len(grown) < e - 1:
+            last = mat_mul(last, a)
+            grown.append(last)
+        kept = vars(a)["_powers"] = tuple(grown)
+    return [a, *kept[: e - 1]]
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
@@ -290,8 +315,6 @@ def poly_eval(p: TropPolynomial, a: Matrix) -> Matrix:
     if p.kind is not a.kind:
         raise TypeError("polynomial and matrix live in different semirings")
     acc = scalar_mul(p.coeffs[0], identity(a.kind, a.dim))
-    power = None
-    for c in p.coeffs[1:]:
-        power = a if power is None else mat_mul(power, a)
+    for c, power in zip(p.coeffs[1:], powers(a, p.degree)):
         acc = mat_add(acc, scalar_mul(c, power))
     return acc

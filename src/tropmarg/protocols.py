@@ -34,7 +34,7 @@ from .marginal import (
     sample_sandwich_marginal,
     sandwich_word,
 )
-from .matrix import Matrix, identity, mat_add, mat_mul, mat_prod
+from .matrix import Matrix, identity, mat_add, mat_mul, mat_prod, powers
 from .semiring import SelfCheckError, SemiringKind, _norm, add_neutral
 
 
@@ -345,10 +345,7 @@ def power_basis(a: Matrix, degree: int) -> list[Matrix]:
     """[I, A, A^⊗2, ..., A^⊗degree], each power one product from the last."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    basis = [identity(a.kind, a.dim)]
-    for e in range(degree):
-        basis.append(mat_mul(basis[-1], a) if e else a)
-    return basis
+    return [identity(a.kind, a.dim), *powers(a, degree)]
 
 
 def attack_decomposition(

@@ -1,6 +1,7 @@
 """Shared checks.
 
-While the matmul, elementwise, n-factor and one-sided oracle tests run,
+While the matmul, elementwise, n-factor, one-sided, pair-solve,
+pair-sampler and draw-stream oracle tests and the matrix-facts tests run,
 every matrix the library builds is recorded: through
 `Matrix.__post_init__` (the walk) and through `matrix._built` (facts the
 caller knows).  After each test the facts stored on every one of them,
@@ -25,6 +26,9 @@ FACT_CHECKED = {
     "test_nfactor_oracle",
     "test_matrix_facts",
     "test_one_sided_oracle",
+    "test_pair_solve_oracle",
+    "test_pair_sampler_oracle",
+    "test_draw_stream",
 }
 
 

@@ -5,7 +5,9 @@ where the library knows them, and they must always equal what a fresh walk
 finds (`conftest.fresh_facts`, which also checks every matrix built in this
 module and in the matmul, elementwise and n-factor oracle tests).  The
 cases here are the ones a walk or a shortcut can get wrong: copies,
-`Fraction(n, 1)` entries, an infinity only in the last row, and duals.
+`Fraction(n, 1)` entries, an infinity only in the last row, duals,
+identities and neutral matrices built without the walk, and matrices that
+keep their powers.
 """
 
 from __future__ import annotations
@@ -18,8 +20,20 @@ from fractions import Fraction
 import pytest
 
 from conftest import fresh_facts, stored_facts
+from tropmarg import matrix
 from tropmarg.marginal import _transpose, residual_left, residual_right
-from tropmarg.matrix import Matrix, dual, identity, make_matrix, mat_add, mat_mul, scalar_mul
+from tropmarg.matrix import (
+    Matrix,
+    dual,
+    identity,
+    make_matrix,
+    mat_add,
+    mat_mul,
+    mat_pow,
+    neutral_matrix,
+    powers,
+    scalar_mul,
+)
 from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind
 from tropmarg.wire import _rows_out, encode_matrix
 
@@ -38,6 +52,17 @@ def test_walk_records_each_fact():
     assert_exact(make_matrix(MAX, [[NEG_INF, 2], [3, Fraction(5, 4)]]), (True, False, 4))
     assert_exact(identity(MIN, 1), (False, True, 1))
     assert_exact(identity(MIN, 3), (True, False, 1))
+
+
+@pytest.mark.parametrize("kind", [MIN, MAX])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identity_and_neutral_matrix_record_their_facts(kind, n):
+    # both are built without the walk, from facts known in advance
+    assert_exact(identity(kind, n), (n > 1, n == 1, 1))
+    assert_exact(neutral_matrix(kind, n), (True, False, 1))
+    for build in (identity, neutral_matrix):
+        with pytest.raises(ValueError, match="empty"):
+            build(kind, 0)
 
 
 @pytest.mark.parametrize("kind, o", [(MIN, POS_INF), (MAX, NEG_INF)])
@@ -100,6 +125,61 @@ def test_copies_keep_exact_facts(clone):
         c = clone(m)
         assert c == m and hash(c) == hash(m) and repr(c) == repr(m)
         assert_exact(c, stored_facts(m))
+
+
+def test_powers_are_formed_once_and_kept_out_of_eq_hash_and_repr(monkeypatch):
+    a = make_matrix(MAX, [[0, 3, -1], [HALF, 1, 2], [-2, 0, Fraction(1, 3)]])
+    plain = make_matrix(MAX, [[0, 3, -1], [HALF, 1, 2], [-2, 0, Fraction(1, 3)]])
+    products = []
+
+    def counted(x, y):
+        products.append(None)
+        return mat_mul(x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matrix, "mat_mul", counted)
+        powers(a, 2)
+        powers(a, 4)
+        powers(a, 3)
+        powers(a, 4)
+    assert len(products) == 3
+    two = powers(a, 2)
+    assert two == [a, mat_mul(a, a)]
+    assert powers(a, 0) == [] and powers(a, 1) == [a]
+    four = powers(a, 4)
+    assert four == [mat_pow(a, e) for e in range(1, 5)]
+    assert four[:2] == two and four[1] is two[1]
+    # a longer list replaces the kept one: a list handed out earlier is as it was
+    assert len(two) == 2
+    assert a == plain and hash(a) == hash(plain) and repr(a) == repr(plain)
+    with pytest.raises(ValueError, match="negative"):
+        powers(a, -1)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _pickled])
+def test_copies_of_a_matrix_with_kept_powers(clone):
+    for m in (
+        make_matrix(MIN, [[1, 2], [3, 4]]),
+        make_matrix(MAX, [[NEG_INF, HALF], [0, Fraction(1, 3)]]),
+    ):
+        kept = powers(m, 3)
+        c = clone(m)
+        assert c == m and hash(c) == hash(m) and repr(c) == repr(m)
+        assert_exact(c, stored_facts(m))
+        assert powers(c, 3) == kept
+        for p in powers(c, 3):
+            assert_exact(p, fresh_facts(p))
+
+
+def test_replace_carries_no_stale_powers():
+    replace = dataclasses.replace
+    m = make_matrix(MIN, [[1, 2], [3, 4]])
+    powers(m, 3)
+    other = replace(m, rows=((0, HALF), (POS_INF, 1)))
+    assert_exact(other, (True, False, 2))
+    assert powers(other, 3) == [mat_pow(other, e) for e in range(1, 4)]
+    assert powers(other, 3) != powers(m, 3)
+    assert powers(replace(m), 3) == powers(m, 3)
 
 
 def test_infinities_survive_copies_as_the_singletons():

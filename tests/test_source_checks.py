@@ -3,7 +3,8 @@
 Every correctness check in `src/` raises a real exception, so that it still
 runs under `python -O`, which strips `assert` statements.  And only the
 self-check and the package's re-exports import the general
-difference-constraint solver, `tropmarg.constraints`.
+difference-constraint solver, `tropmarg.constraints`.  The samplers in
+`marginal.py` reach the random generator only through one helper.
 """
 
 from __future__ import annotations
@@ -80,3 +81,44 @@ def test_only_the_self_check_imports_the_general_solver():
         if SOLVER in imported_modules(path.read_text(encoding="utf-8"))
     }
     assert importers <= SOLVER_IMPORTERS
+
+
+# The samplers reach the random generator only through marginal._randbelow,
+# whose draws are pinned to randrange's stream (tests/test_draw_stream.py):
+# no randint or randrange call is left in marginal.py, and getrandbits is
+# read only inside the helper.
+DRAWS = {"randint", "randrange"}
+
+
+def generator_reads(source: str) -> list[tuple[str, str]]:
+    """(enclosing top-level function or "<module>", attribute) for each call
+    of a draw method and each read of getrandbits in a module's source."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in DRAWS:
+                    found.append((scope, node.func.attr))
+            if isinstance(node, ast.Attribute) and node.attr == "getrandbits":
+                found.append((scope, "getrandbits"))
+    return found
+
+
+def test_the_draw_check_finds_each_form():
+    source = (
+        "def f(rng):\n    return rng.randint(0, 3)\n"
+        "def g(rng):\n    return [rng.randrange(c) for c in (1, 2)]\n"
+        "class C:\n    def h(self, rng):\n        bits = rng.getrandbits\n"
+    )
+    assert generator_reads(source) == [
+        ("f", "randint"),
+        ("g", "randrange"),
+        ("C", "getrandbits"),
+    ]
+    assert generator_reads("randint = 1\nrandrange = randint\n") == []
+
+
+def test_marginal_draws_only_through_the_helper():
+    source = (SRC / "tropmarg" / "marginal.py").read_text(encoding="utf-8")
+    assert generator_reads(source) == [("_randbelow", "getrandbits")]
