@@ -13,8 +13,8 @@ returning it.
 
 All of the residuation, cover, box and sampling work runs over min-plus;
 max-plus inputs cross into it through `dual` at one boundary (_crossing).
-The pair and chain words share one bound table (BoundTable) that stores only
-k×k factors.
+One residuation kernel (_outer) serves every word shape, and the pair and
+chain words share one bound table (BoundTable) of k×k factors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import floor
+from math import floor, lcm
 from operator import add, ge, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -41,6 +41,7 @@ from .matrix import (
     neutral_matrix,
 )
 from .semiring import (
+    POS_INF,
     Scalar,
     SelfCheckError,
     SemiringKind,
@@ -324,50 +325,59 @@ def _require_finite(a: Matrix, op: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# One-sided residuation (A⊗X = A and X⊗A = A)
+# Residuation: one kernel for every word shape
 
 
-@dataclass(frozen=True)
-class OneSidedResidual:
-    """Principal solution of A⊗X = A (residual_right) or X⊗A = A
-    (residual_left).
+def _outer(first: Optional[Matrix], d: Matrix, last: Optional[Matrix]) -> Matrix:
+    """E[p][s] = max over i, j of (d_ij - first[i][p] - last[s][j]) over
+    finite min-plus matrices, in two passes: T[i][s] = max_j(d_ij -
+    last[s][j]), then E[p][s] = max_i(T[i][s] - first[i][p]).  None stands
+    for an identity end and drops its pass.  Entries that are not all
+    builtin ints are scaled by their common denominator, so every
+    difference is an int one, and mapped back."""
+    given = [m for m in (first, d, last) if m is not None]
+    den = lcm(*(m.den for m in given))
+    exact = all(m.all_int for m in given)
+    first, t, last = (
+        m if m is None else m.rows if exact else _scaled(m.rows, den, None)
+        for m in (first, d, last)
+    )
+    if last is not None:
+        t = [[max(map(sub, row, c)) for c in last] for row in t]
+    if first is not None:
+        t_cols = list(zip(*t))
+        t = [[max(map(sub, t_col, a_col)) for t_col in t_cols] for a_col in zip(*first)]
+    if den == 1:
+        return _built(SemiringKind.MIN_PLUS, tuple(map(tuple, t)))
+    return Matrix(
+        SemiringKind.MIN_PLUS, tuple(tuple(_unscaled(v, den) for v in row) for row in t)
+    )
 
-    Over min-plus, X* is the least solution: X solves iff X >= X* and the
-    tight positions cover the equation grid.  Over max-plus the order flips
-    (X <= X*).  The diagonal of X* is always zero and pinning it keeps any
-    X inside the box a solution.
+
+# --------------------------------------------------------------------------
+# One-sided words (A⊗X = A and X⊗A = A)
+
+
+def residual_right(a: Matrix) -> Matrix:
+    """Principal solution X* of A⊗X = A, the one-slot chain A⊗X⊗I:
+    x*_ij = extreme over l of (a_lj - a_li), max for min-plus, min for
+    max-plus.  Over min-plus X solves iff X >= X* and the tight positions
+    cover the equation grid; over max-plus the order flips (X <= X*).  The
+    diagonal of X* is zero, and pinning it keeps any X in the box a solution.
     """
-
-    source: Matrix
-    x_star: Matrix
-
-
-def residual_right(a: Matrix) -> OneSidedResidual:
-    """x*_ij = extreme over l of (a_lj - a_li); max for min-plus, min for
-    max-plus.  Entries that are not all ints are scaled once by their common
-    denominator d, so every difference is an int one, and mapped back."""
     _require_finite(a, "residuation")
     flip, _ = _crossing(a.kind)
     m = flip(a)
-    d = m.den
-    cols = tuple(zip(*m.rows))
-    if not m.all_int:
-        cols = _scaled(cols, d, None)
-    rows = tuple(tuple(max(map(sub, col_j, col_i)) for col_j in cols) for col_i in cols)
-    if d == 1:
-        x_star = _built(SemiringKind.MIN_PLUS, rows)
-    else:
-        x_star = Matrix(
-            SemiringKind.MIN_PLUS, tuple(tuple(_unscaled(v, d) for v in row) for row in rows)
-        )
-    return OneSidedResidual(a, flip(x_star))
+    return flip(_outer(m, m, None))
 
 
-def residual_left(a: Matrix) -> OneSidedResidual:
-    """x*_ij = extreme over l of (a_il - a_jl): the transpose of the right
-    residual of Aᵀ, since X⊗A = A iff Aᵀ⊗Xᵀ = Aᵀ."""
-    star = residual_right(_transpose(a)).x_star
-    return OneSidedResidual(a, _transpose(star))
+def residual_left(a: Matrix) -> Matrix:
+    """Principal solution X* of X⊗A = A, the one-slot chain I⊗X⊗A:
+    x*_ij = extreme over l of (a_il - a_jl); mirror of residual_right."""
+    _require_finite(a, "residuation")
+    flip, _ = _crossing(a.kind)
+    m = flip(a)
+    return flip(_outer(None, m, m))
 
 
 def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
@@ -384,7 +394,7 @@ def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
         raise ValueError("side must be 'right' or 'left'")
     flip, _ = _crossing(a.kind)
     a, x = flip(a), flip(x)
-    star = residual_right(a).x_star
+    star = residual_right(a)
     n = a.dim
     if any(s_lt(x.rows[i][j], star.rows[i][j]) for i in range(n) for j in range(n)):
         raise ValueError("X escapes the principal solution's bound")
@@ -399,24 +409,14 @@ def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
     return len(covered) == n * n
 
 
-def diagonal_pairs(n: int) -> frozenset[tuple[int, int]]:
-    return frozenset((i, i) for i in range(n))
-
-
-def max_possible_matrix(t_set, x_star: Matrix, l) -> Matrix:
-    """Outer corner of the sampling box: x* on the pinned positions, the cap
+def max_possible_matrix(x_star: Matrix, l) -> Matrix:
+    """Outer corner of the sampling box: x* on the pinned diagonal, the cap
     l pushed against x* elsewhere (max over min-plus, min over max-plus)."""
     flip, flip_cap = _crossing(x_star.kind)
     l = flip_cap(as_scalar(l))
-    star = flip(x_star).rows
-    pinned = set(t_set)
-    n = x_star.dim
     rows = tuple(
-        tuple(
-            star[i][j] if (i, j) in pinned else s_max(l, star[i][j])
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(x if i == j else s_max(l, x) for j, x in enumerate(row))
+        for i, row in enumerate(flip(x_star).rows)
     )
     return flip(Matrix(SemiringKind.MIN_PLUS, rows))
 
@@ -427,11 +427,14 @@ def _sample_one_sided(
     """Up to n distinct draws from the box [X*, X̂] of the given side.  A
     box of one point (no cap reaches past x*, as +150 over max-plus) is
     drawn once: further draws would repeat it and take nothing from the
-    stream, so the 1-tuple set and the stream are as after n attempts."""
+    stream, so the 1-tuple set and the stream are as after n attempts.  An
+    infinite cap beyond x* leaves the box unbounded: ValueError."""
     flip, flip_cap = _crossing(a.kind)
     m = flip(a)
-    star = (residual_right(m) if side == "right" else residual_left(m)).x_star
+    star = residual_right(m) if side == "right" else residual_left(m)
     cap = flip_cap(as_scalar(l))
+    if cap is POS_INF:
+        raise ValueError("the cap leaves the one-sided box unbounded")
     # Each entry steps uniformly from x* toward the outer corner x̂
     # (inclusive), read off x* and the cap as max_possible_matrix would
     # build it: one choice on the pinned diagonal and where the cap does not
@@ -552,7 +555,8 @@ class BoundTable:
 
 def two_sided_residual(a: Matrix) -> BoundTable:
     """Bounds for X⊗A⊗Y = A: index (i, p, q, j) bounds x_ip + y_qj by
-    a_ij - a_pq."""
+    a_ij - a_pq.  The chain is (None, A, None), the residuation kernel's
+    case with both ends identity, where E = A: nothing is computed."""
     _require_finite(a, "residuation")
     return BoundTable(a, a, (None, a, None))
 
@@ -573,6 +577,7 @@ def render_two_sided_constraints(a: Matrix) -> tuple[str, ...]:
 
 
 def n_factor_residual(chain: Sequence[Matrix]) -> BoundTable:
+    """Bounds for A₁⊗X₁⊗...⊗Xₙ⊗Aₙ₊₁ = A₁⊗...⊗Aₙ₊₁."""
     chain = tuple(chain)
     if len(chain) < 2:
         raise ValueError("chain needs at least two matrices")
@@ -584,13 +589,7 @@ def n_factor_residual(chain: Sequence[Matrix]) -> BoundTable:
     flip, _ = _crossing(first.kind)
     lowered = [flip(m) for m in chain]
     d = functools.reduce(mat_mul, lowered)
-    # E[p][s] = max_i (T[i][s] - A₁[i][p]) with T[i][s] = max_j (D[i][j] - Aₙ₊₁[s][j])
-    t = [[max(map(sub, row, c)) for c in lowered[-1].rows] for row in d.rows]
-    outer = tuple(
-        tuple(as_scalar(max(map(sub, t_col, a_col))) for t_col in zip(*t))
-        for a_col in zip(*lowered[0].rows)
-    )
-    return BoundTable(flip(d), flip(Matrix(SemiringKind.MIN_PLUS, outer)), chain)
+    return BoundTable(flip(d), flip(_outer(lowered[0], d, lowered[-1])), chain)
 
 
 def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:

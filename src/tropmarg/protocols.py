@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from operator import add, sub
 from typing import Callable, Optional, Sequence
 
-from .families import FamilySpec, commute_check, sample_family_member
+from .families import FamilySpec, _require_ints, commute_check, sample_family_member
 from .marginal import (
     RETRY_BUDGET,
     MarginalSet,
@@ -72,6 +72,8 @@ class ProtocolParams:
     n_tuples, l, l1, l2 parameterize the marginal samplers.  seed is the
     default stream; a scripted replay, when present, supplies the secrets,
     published sets and tuple choices verbatim and is never serialized.
+    dim, n_tuples, l, l1, l2 and seed take builtin ints only (TypeError
+    otherwise), so every params that builds decodes back from its bytes.
     """
 
     kind: SemiringKind
@@ -87,6 +89,7 @@ class ProtocolParams:
     script: Optional[ProtocolScript] = None
 
     def __post_init__(self):
+        _require_ints(self, "dim", "n_tuples", "l", "l1", "l2", "seed")
         if not self.publics:
             raise ValueError("need at least one public matrix")
         for w in self.publics:

@@ -509,15 +509,8 @@ def _params_in(obj) -> ProtocolParams:
         raise WireFormatError("params must be an object")
     kind = _kind_in(obj.get("kind"))
     dim = obj.get("dim")
-    if not _is_int(dim):
-        raise WireFormatError("params dim must be an integer")
-    for key in ("n_tuples", "l", "l1", "l2", "seed"):
-        if not _is_int(obj.get(key)):
-            raise WireFormatError(f"params field {key} must be an integer")
-    if obj["n_tuples"] > MAX_TUPLES:
-        raise WireFormatError(f"params n_tuples above {MAX_TUPLES}")
     try:
-        return ProtocolParams(
+        params = ProtocolParams(
             kind=kind,
             dim=dim,
             publics=tuple(_rows_in(kind, rows) for rows in obj.get("publics", [])),
@@ -527,14 +520,17 @@ def _params_in(obj) -> ProtocolParams:
             right_families=tuple(
                 _family_in(f, kind, dim) for f in obj.get("right", [])
             ),
-            n_tuples=obj["n_tuples"],
-            l=obj["l"],
-            l1=obj["l1"],
-            l2=obj["l2"],
-            seed=obj["seed"],
+            n_tuples=obj.get("n_tuples"),
+            l=obj.get("l"),
+            l1=obj.get("l1"),
+            l2=obj.get("l2"),
+            seed=obj.get("seed"),
         )
     except (TypeError, ValueError) as e:
         raise WireFormatError(str(e)) from e
+    if params.n_tuples > MAX_TUPLES:
+        raise WireFormatError(f"params n_tuples above {MAX_TUPLES}")
+    return params
 
 
 def decode_params(data: bytes) -> ProtocolParams:

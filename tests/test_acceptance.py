@@ -40,7 +40,6 @@ from tropmarg.marginal import (
     additive_word,
     chain_word,
     cover_check,
-    diagonal_pairs,
     five_factor_residual,
     left_word,
     make_marginal_set,
@@ -124,9 +123,9 @@ def _criterion(label):
 def test_criterion_01_principal_solution_and_cap_goldens():
     with _criterion("criterion 01 principal solution and cap goldens"):
         a = _mm([[0, 85, -6], [-72, 53, -97], [-72, 52, -69]])
-        star = residual_right(a).x_star
+        star = residual_right(a)
         assert star == _mm([[0, 125, 3], [-85, 0, -91], [25, 150, 0]])
-        outer = max_possible_matrix(diagonal_pairs(3), star, 100)
+        outer = max_possible_matrix(star, 100)
         assert outer == _mm([[0, 125, 100], [100, 0, 100], [100, 150, 0]])
 
 
@@ -449,8 +448,7 @@ def _grid_instances():
         side = "right" if case % 4 < 2 else "left"
         rng = random.Random(20000 + case)
         a = _random_matrix(kind, 2, -5, 5, rng)
-        table = residual_right(a) if side == "right" else residual_left(a)
-        star = table.x_star
+        star = residual_right(a) if side == "right" else residual_left(a)
         sign = 1 if kind is MIN else -1
 
         def solves(x):
@@ -714,7 +712,7 @@ def test_criterion_10_wire_round_trips_and_selftest():
         ):
             _assert_bytes_stable(encode_word, decode_word, word)
         raw_set = make_marginal_set(
-            right_word(a3), [residual_right(a3).x_star]
+            right_word(a3), [residual_right(a3)]
         )
         for encoding, s in (
             ("raw", raw_set),

@@ -210,8 +210,8 @@ def test_library_ops_build_exact_facts():
         assert_exact(scalar_mul(HALF, a), fresh_facts(scalar_mul(HALF, a)))
     for a in (ints, fracs):
         for m in (a, dual(a)):
-            assert_exact(residual_right(m).x_star, fresh_facts(residual_right(m).x_star))
-            assert_exact(residual_left(m).x_star, fresh_facts(residual_left(m).x_star))
+            assert_exact(residual_right(m), fresh_facts(residual_right(m)))
+            assert_exact(residual_left(m), fresh_facts(residual_left(m)))
 
 
 def test_all_int_rows_go_to_json_as_they_are():

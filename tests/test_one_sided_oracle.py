@@ -34,7 +34,6 @@ from tropmarg.marginal import (
     WordTemplate,
     _crossing,
     _verified_set,
-    diagonal_pairs,
     left_word,
     max_possible_matrix,
     residual_left,
@@ -75,8 +74,8 @@ def ref_sample_one_sided(
 ) -> MarginalSet:
     flip, flip_cap = _crossing(a.kind)
     m = flip(a)
-    star = (residual_right(m) if side == "right" else residual_left(m)).x_star
-    outer = max_possible_matrix(diagonal_pairs(a.dim), star, flip_cap(as_scalar(l)))
+    star = residual_right(m) if side == "right" else residual_left(m)
+    outer = max_possible_matrix(star, flip_cap(as_scalar(l)))
     # Each entry steps uniformly from x* toward the outer corner (inclusive):
     # floor(x̂ - x*) + 1 choices, so tightness at x* stays reachable for
     # rational bounds.  A Fraction x* plus an int step stays canonical.
@@ -125,7 +124,7 @@ def box_edge(a: Matrix, side: str):
     dim 1): a min-plus cap at or below it pins the whole box."""
     flip, _ = _crossing(a.kind)
     m = flip(a)
-    star = (residual_right(m) if side == "right" else residual_left(m)).x_star
+    star = residual_right(m) if side == "right" else residual_left(m)
     off = [x for i, row in enumerate(star.rows) for j, x in enumerate(row) if i != j]
     return min(off, default=0)
 
@@ -188,7 +187,7 @@ def test_pinned_box_costs_one_product_check(monkeypatch):
             before = rng.getstate()
             s = sampler(a, 4, 150, rng)
         assert len(calls) == 1
-        star = (residual_right(a) if side == "right" else residual_left(a)).x_star
+        star = residual_right(a) if side == "right" else residual_left(a)
         assert s.tuples == ((star,),)
         assert rng.getstate() == before
         # the reference checks the same tuple once more per retry

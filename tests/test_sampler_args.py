@@ -2,7 +2,9 @@
 
 A float, a bool or a `Fraction` in a tuple count or an integer cap is
 refused with TypeError before the first draw, so the generator's state is
-left as it was.  The one-sided caps stay any exact scalar.
+left as it was.  The one-sided caps stay any exact scalar; an infinite
+cap beyond x* leaves the box unbounded and is refused with ValueError,
+while the other infinity pins the box at x*.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from fractions import Fraction
 import pytest
 
 from tropmarg.marginal import (
+    residual_left,
+    residual_right,
     sample_additive_marginal,
     sample_five_factor_marginal,
     sample_left_marginal,
@@ -20,8 +24,8 @@ from tropmarg.marginal import (
     sample_right_marginal,
     sample_sandwich_marginal,
 )
-from tropmarg.matrix import make_matrix
-from tropmarg.semiring import SemiringKind
+from tropmarg.matrix import dual, make_matrix
+from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind
 
 A = make_matrix(SemiringKind.MIN_PLUS, [[0, 3, 5], [2, 0, 4], [1, 6, 0]])
 B = make_matrix(SemiringKind.MIN_PLUS, [[1, 0, 2], [3, 1, 0], [0, 2, 1]])
@@ -82,3 +86,24 @@ def test_int_arguments_still_draw():
     assert len(sample_sandwich_marginal(A, 2, -3, 4, rng)) == 2
     assert len(sample_five_factor_marginal(A, B, A, 2, -3, 4, rng)) == 2
     assert len(sample_n_factor_marginal([A, B, A], 2, -3, 4, rng)) == 2
+
+
+ONE_SIDED = [
+    (sample_right_marginal, residual_right),
+    (sample_left_marginal, residual_left),
+]
+
+
+@pytest.mark.parametrize("sampler, residual", ONE_SIDED)
+@pytest.mark.parametrize(
+    "a, unbounded, pinned",
+    [(A, POS_INF, NEG_INF), (dual(A), NEG_INF, POS_INF)],
+    ids=["min-plus", "max-plus"],
+)
+def test_one_sided_infinite_caps(sampler, residual, a, unbounded, pinned):
+    rng = random.Random(3)
+    before = rng.getstate()
+    with pytest.raises(ValueError, match="unbounded"):
+        sampler(a, 3, unbounded, rng)
+    assert rng.getstate() == before
+    assert sampler(a, 3, pinned, rng).tuples == ((residual(a),),)
