@@ -48,7 +48,7 @@ from .protocols import (
     run_sidelnikov,
     sample_finite_member,
 )
-from .semiring import SelfCheckError, SemiringKind
+from .semiring import SelfCheckError, SemiringKind, require_int
 from .wire import (
     MAX_POLY_DEGREE,
     MAX_TUPLES,
@@ -97,6 +97,19 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(2, "bad-arguments", message)
+
+
+def _int_within(lo: int, hi: int):
+    """argparse type for a capped int option: a value outside lo..hi fails
+    the parse, before any file is read."""
+
+    def parse(text: str) -> int:
+        try:
+            return require_int("value", int(text), lo, hi)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
 
 
 def _print(line: str) -> None:
@@ -216,28 +229,23 @@ def _load_params(source: str) -> ProtocolParams:
 
 def _cmd_gen_params(args) -> int:
     kind = SemiringKind(args.semiring)
-    if not 1 <= args.dim <= MAX_DIM:
-        raise CliError(2, "bad-arguments", f"--dim must be within 1..{MAX_DIM}")
     lo, hi = _parse_range(args.range)
     name, options = _parse_family_spec(args.family)
     rng = random.Random(args.seed)
     w = _random_matrix(kind, args.dim, lo, hi, rng)
-    try:
-        left, right = _family_pair(name, options, kind, args.dim, lo, hi, rng)
-        params = ProtocolParams(
-            kind=kind,
-            dim=args.dim,
-            publics=(w,),
-            left_families=(left,),
-            right_families=(right,),
-            n_tuples=args.tuples,
-            l=args.cap,
-            l1=args.pair_lo,
-            l2=args.pair_hi,
-            seed=args.seed,
-        )
-    except ValueError as e:
-        raise CliError(2, "bad-arguments", str(e))
+    left, right = _family_pair(name, options, kind, args.dim, lo, hi, rng)
+    params = ProtocolParams(
+        kind=kind,
+        dim=args.dim,
+        publics=(w,),
+        left_families=(left,),
+        right_families=(right,),
+        n_tuples=args.tuples,
+        l=args.cap,
+        l1=args.pair_lo,
+        l2=args.pair_hi,
+        seed=args.seed,
+    )
     try:
         data = encode_params(params)
     except WireFormatError as e:
@@ -249,33 +257,26 @@ def _cmd_gen_params(args) -> int:
 
 def _cmd_gen_marginal(args) -> int:
     params = _load_params(args.in_file)
-    if args.count < 1:
-        raise CliError(2, "bad-arguments", "--count must be >= 1")
-    if args.count > MAX_TUPLES:
-        raise CliError(2, "bad-arguments", f"--count must be <= {MAX_TUPLES}")
     seed = params.seed if args.seed is None else args.seed
     rng = random.Random(seed)
     w = params.publics[0]
-    try:  # the params' caps may leave a sampler nothing to draw from
-        if args.word == "right":
-            anchor = sample_finite_member(params.left_families[0], rng)
-            s = sample_right_marginal(anchor, args.count, params.l, rng)
-        elif args.word == "left":
-            anchor = sample_finite_member(params.right_families[0], rng)
-            s = sample_left_marginal(anchor, args.count, params.l, rng)
-        elif args.word == "sandwich":
-            q = sample_finite_member(params.right_families[0], rng)
-            p = sample_finite_member(params.left_families[0], rng)
-            s = sample_sandwich_marginal(mat_mul(q, p), args.count, params.l1, params.l2, rng)
-        elif args.word == "five-factor":
-            p = sample_finite_member(params.left_families[0], rng)
-            q = sample_finite_member(params.right_families[0], rng)
-            s = sample_five_factor_marginal(p, w, q, args.count, params.l1, params.l2, rng)
-        else:  # additive
-            anchor = sample_family_member(params.left_families[0], rng)
-            s = sample_additive_marginal(anchor, args.count, params.l, rng)
-    except ValueError as e:
-        raise CliError(2, "bad-arguments", str(e))
+    if args.word == "right":
+        anchor = sample_finite_member(params.left_families[0], rng)
+        s = sample_right_marginal(anchor, args.count, params.l, rng)
+    elif args.word == "left":
+        anchor = sample_finite_member(params.right_families[0], rng)
+        s = sample_left_marginal(anchor, args.count, params.l, rng)
+    elif args.word == "sandwich":
+        q = sample_finite_member(params.right_families[0], rng)
+        p = sample_finite_member(params.left_families[0], rng)
+        s = sample_sandwich_marginal(mat_mul(q, p), args.count, params.l1, params.l2, rng)
+    elif args.word == "five-factor":
+        p = sample_finite_member(params.left_families[0], rng)
+        q = sample_finite_member(params.right_families[0], rng)
+        s = sample_five_factor_marginal(p, w, q, args.count, params.l1, params.l2, rng)
+    else:  # additive
+        anchor = sample_family_member(params.left_families[0], rng)
+        s = sample_additive_marginal(anchor, args.count, params.l, rng)
     data = encode_marginal_set(s, encoding=args.encoding)
     write_bytes(args.out, data)
     _print(f"marginal set written to {args.out}: {len(s)} tuple(s), word {args.word}")
@@ -312,10 +313,6 @@ def _cmd_run_protocol(args) -> int:
     if args.blocks is not None:
         if args.protocol != "multiblock":
             raise CliError(2, "bad-arguments", "--blocks applies to multiblock only")
-        if args.blocks < 1:
-            raise CliError(2, "bad-arguments", "--blocks must be >= 1")
-        if args.blocks > MAX_BLOCKS:
-            raise CliError(2, "bad-arguments", f"--blocks must be <= {MAX_BLOCKS}")
         if params.blocks == 1 and args.blocks > 1:
             if params.script is not None:
                 raise CliError(2, "bad-arguments", "scripted params fix their block count")
@@ -332,10 +329,7 @@ def _cmd_run_protocol(args) -> int:
                 f"params hold {params.blocks} block(s), cannot reshape to {args.blocks}",
             )
     params = replace(params, seed=seed)
-    try:
-        transcript = _RUNNERS[args.protocol](params, random.Random(seed))
-    except ValueError as e:
-        raise CliError(2, "bad-arguments", str(e))
+    transcript = _RUNNERS[args.protocol](params, random.Random(seed))
     write_bytes(args.out, encode_transcript(transcript))
     if not transcript.agreed:
         raise CliError(1, "keys-disagree", "the two derived keys differ")
@@ -345,10 +339,6 @@ def _cmd_run_protocol(args) -> int:
 
 def _cmd_attack(args) -> int:
     transcript = decode_transcript(read_bytes(args.transcript))
-    if args.degree < 0:
-        raise CliError(2, "bad-arguments", "--degree must be >= 0")
-    if args.degree > MAX_POLY_DEGREE:
-        raise CliError(2, "bad-arguments", f"--degree must be <= {MAX_POLY_DEGREE}")
     try:
         u = transcript.message("u")
         v = transcript.message("v")
@@ -370,8 +360,6 @@ def _cmd_attack(args) -> int:
     except NoDecomposition as e:
         decomposed = False
         z_table = e.z_table
-    except ValueError as e:
-        raise CliError(2, "bad-arguments", str(e))
     expected = transcript.key_a
     match = decomposed and candidate == expected
     report = {
@@ -424,7 +412,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-params", help="generate a parameter file")
     p.add_argument("--semiring", choices=["min-plus", "max-plus"], required=True)
-    p.add_argument("--dim", type=int, required=True, help=f"at most {MAX_DIM}")
+    p.add_argument("--dim", type=_int_within(1, MAX_DIM), required=True,
+                   help=f"at most {MAX_DIM}")
     p.add_argument("--range", required=True, metavar="LO..HI")
     p.add_argument("--family", required=True, metavar="SPEC",
                    help="poly[:deg=D] | circulant | upper-t[:t=T] | lower-s[:s=S] "
@@ -441,7 +430,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--word", required=True,
                    choices=["right", "left", "sandwich", "five-factor", "additive"])
     p.add_argument("--in", dest="in_file", required=True, metavar="PARAMS")
-    p.add_argument("--count", type=int, required=True, help=f"at most {MAX_TUPLES}")
+    p.add_argument("--count", type=_int_within(1, MAX_TUPLES), required=True,
+                   help=f"at most {MAX_TUPLES}")
     p.add_argument("--seed", type=int, default=None,
                    help="override the seed stored in the params")
     p.add_argument("--encoding", choices=["raw", "interval", "delta"], default="raw")
@@ -459,14 +449,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--params", required=True,
                    help="params file, or builtin:NAME for a bundled fixture")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--blocks", type=int, default=None,
+    p.add_argument("--blocks", type=_int_within(1, MAX_BLOCKS), default=None,
                    help=f"multiblock only; at most {MAX_BLOCKS}")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_run_protocol)
 
     p = sub.add_parser("attack", help="decomposition attack on a transcript")
     p.add_argument("--transcript", required=True, metavar="FILE")
-    p.add_argument("--degree", type=int, default=2,
+    p.add_argument("--degree", type=_int_within(0, MAX_POLY_DEGREE), default=2,
                    help=f"power basis degree, at most {MAX_POLY_DEGREE}")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_attack)
@@ -491,6 +481,9 @@ def main(argv=None) -> int:
         return 1
     except WireFormatError as e:
         _error_record(2, "malformed-input", str(e))
+        return 2
+    except ValueError as e:  # after its subclasses above: a value the library refuses
+        _error_record(2, "bad-arguments", str(e))
         return 2
     except SamplerExhausted as e:
         _error_record(3, "sampler-exhausted", str(e))

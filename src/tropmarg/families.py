@@ -34,6 +34,7 @@ from .semiring import (
     add_neutral,
     as_scalar,
     is_finite,
+    require_int,
     s_le,
     s_mul,
 )
@@ -195,13 +196,6 @@ class _OfBase:
         return self.base.dim
 
 
-def _require_ints(spec, *names: str) -> None:
-    """Int fields take builtin ints only: a bool or a Fraction is refused."""
-    for name in names:
-        if type(getattr(spec, name)) is not int:
-            raise TypeError(f"{type(spec).__name__}.{name} must be an int")
-
-
 def _require_matrix(base) -> None:
     if not isinstance(base, Matrix):
         raise TypeError("base must be a Matrix")
@@ -221,9 +215,9 @@ class PolyFamily(_OfBase):
 
     def __post_init__(self):
         _require_matrix(self.base)
-        _require_ints(self, "max_degree", "coeff_lo", "coeff_hi")
-        if self.max_degree < 0 or self.coeff_lo > self.coeff_hi:
-            raise ValueError("bad polynomial family parameters")
+        require_int("PolyFamily.max_degree", self.max_degree, 0)
+        require_int("PolyFamily.coeff_lo", self.coeff_lo)
+        require_int("PolyFamily.coeff_hi", self.coeff_hi, self.coeff_lo)
 
 
 def _check_circulant(spec, scale: str = "") -> None:
@@ -231,9 +225,10 @@ def _check_circulant(spec, scale: str = "") -> None:
     stores its scale as a canonical scalar, never the dual's neutral."""
     if not isinstance(spec.kind, SemiringKind):
         raise TypeError("kind must be a SemiringKind")
-    _require_ints(spec, "dim", "lo", "hi")
-    if spec.dim < 1 or spec.lo > spec.hi:
-        raise ValueError("circulant family needs dim >= 1 and lo <= hi")
+    name = type(spec).__name__
+    require_int(f"{name}.dim", spec.dim, 1)
+    require_int(f"{name}.lo", spec.lo)
+    require_int(f"{name}.hi", spec.hi, spec.lo)
     if scale:
         value = as_scalar(getattr(spec, scale))
         if value is add_neutral(spec.kind.dual):
@@ -305,9 +300,7 @@ class JonesDeformFamily(_OfBase):
             object.__setattr__(self, name, _exact_alpha(getattr(self, name)))
         if not (0 <= self.alpha_lo <= self.alpha_hi <= 1):
             raise ValueError("alpha range must sit inside [0, 1]")
-        _require_ints(self, "max_denominator")
-        if self.max_denominator < 1:
-            raise ValueError("max_denominator must be >= 1")
+        require_int("JonesDeformFamily.max_denominator", self.max_denominator, 1)
 
 
 @dataclass(frozen=True)
@@ -320,10 +313,9 @@ class LdpFamily:
     k: int
 
     def __post_init__(self):
-        _require_ints(self, "dim", "r", "k")
-        if self.dim < 1:
-            raise ValueError("ldp family needs dim >= 1")
-        _check_ldp_params(self.kind, self.r, self.k)
+        require_int("LdpFamily.dim", self.dim, 1)
+        require_int("LdpFamily.r", self.r, 0)
+        require_int("LdpFamily.k", self.k, hi=0)
 
 
 FamilySpec = Union[

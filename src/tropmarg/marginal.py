@@ -46,6 +46,7 @@ from .semiring import (
     SelfCheckError,
     SemiringKind,
     as_scalar,
+    require_int,
     s_lt,
     s_max,
     s_mul,
@@ -93,6 +94,9 @@ class WordTemplate:
     n_circle: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.kind, SemiringKind):
+            raise TypeError("kind must be a SemiringKind")
+        require_int("word dim", self.dim, 1)
         boxes, circles = [], []
         for c in self.constants:
             if c.kind is not self.kind or c.dim != self.dim:
@@ -104,14 +108,13 @@ class WordTemplate:
                 raise ValueError("empty summand")
             for atom in summand:
                 if isinstance(atom, Const):
-                    if not 0 <= atom.index < len(self.constants):
-                        raise ValueError("constant index out of range")
+                    require_int("constant index", atom.index, 0, len(self.constants) - 1)
                 elif isinstance(atom, Box):
-                    boxes.append(atom.slot)
+                    boxes.append(require_int("box slot", atom.slot))
                 elif isinstance(atom, Circle):
                     if len(summand) != 1:
                         raise ValueError("an additive slot must stand alone")
-                    circles.append(atom.slot)
+                    circles.append(require_int("circle slot", atom.slot))
                 else:
                     raise TypeError(f"not an atom: {atom!r}")
         if sorted(boxes) != list(range(len(boxes))):
@@ -261,12 +264,6 @@ def _crossing(kind: SemiringKind):
     return dual, s_neg
 
 
-def _require_int(name: str, value) -> None:
-    """Sampler counts and caps feed `random` directly: builtin ints only."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-
-
 def _randbelow(rng: random.Random, spans: Iterable[int]) -> list[int]:
     """rng.randrange(span) for each span in order, as CPython's _randbelow
     draws it: getrandbits of the span's bit length, drawn again while the
@@ -298,9 +295,7 @@ def _sample_set(word: WordTemplate, n: int, draw, flip, fixed: bool = False) -> 
     (a one-point box): it is drawn once, since more draws would only repeat
     it, and the set and the stream come out as after the full retry loop.
     """
-    _require_int("tuple count", n)
-    if n < 1:
-        raise ValueError("need n >= 1 tuples")
+    require_int("tuple count", n, 1)
     tuples: dict[MarginalTuple, None] = {}
     for _ in range(1 if fixed else n):
         for _attempt in range(RETRY_BUDGET):
@@ -714,10 +709,8 @@ def _sample_pairs(
     X⊗(B⊗Y) for the sandwich, (A⊗X)⊗(B⊗Y)⊗C for the five-factor word, not
     A⊗(X⊗B⊗Y)⊗C, which would repeat the reduction that formed A⊗B⊗C.
     """
-    _require_int("l1", l1)
-    _require_int("l2", l2)
-    if l1 > l2:
-        raise ValueError("empty bound range")
+    require_int("l1", l1)
+    require_int("l2", l2, l1)
     flip, _ = _crossing(word.kind)
     table = residual(*(flip(m) for m in word.constants))
     k = table.product.dim
@@ -834,10 +827,8 @@ def sample_n_factor_marginal(
     are never positive) and realizes the tightness cover through the
     product's argmin chains, so the repaired tuple always verifies.
     """
-    _require_int("l1", l1)
-    _require_int("l2", l2)
-    if l1 > l2:
-        raise ValueError("empty bound range")
+    require_int("l1", l1)
+    require_int("l2", l2, l1)
     chain = list(chain)
     flip, _ = _crossing(chain[0].kind)
     table = n_factor_residual([flip(m) for m in chain])
@@ -874,9 +865,7 @@ def sample_additive_marginal(a: Matrix, n: int, l: int, rng: random.Random) -> M
     """n matrices A ⊕ X = A: nonnegative offsets up to l away from A, pushed
     in the direction the semiring order allows.  X is (A ⊕ ◯)-marginal iff
     X >= A over min-plus (iff X <= A over max-plus)."""
-    _require_int("l", l)
-    if l < 0:
-        raise ValueError("offset cap must be >= 0")
+    require_int("l", l, 0)
     flip, _ = _crossing(a.kind)
     m = flip(a)
     spans = [l + 1] * (a.dim * a.dim)

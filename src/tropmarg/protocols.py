@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from operator import add, sub
 from typing import Callable, Optional, Sequence
 
-from .families import FamilySpec, _require_ints, commute_check, sample_family_member
+from .families import FamilySpec, commute_check, sample_family_member
 from .marginal import (
     RETRY_BUDGET,
     MarginalSet,
@@ -35,7 +35,7 @@ from .marginal import (
     sandwich_word,
 )
 from .matrix import Matrix, identity, mat_add, mat_mul, mat_prod, powers
-from .semiring import SelfCheckError, SemiringKind, _norm, add_neutral
+from .semiring import SelfCheckError, SemiringKind, _norm, add_neutral, require_int
 
 
 # --------------------------------------------------------------------------
@@ -73,7 +73,8 @@ class ProtocolParams:
     default stream; a scripted replay, when present, supplies the secrets,
     published sets and tuple choices verbatim and is never serialized.
     dim, n_tuples, l, l1, l2 and seed take builtin ints only (TypeError
-    otherwise), so every params that builds decodes back from its bytes.
+    otherwise), so every params that builds decodes back from its bytes;
+    dim and n_tuples are at least 1, and l1..l2 is not empty (ValueError).
     """
 
     kind: SemiringKind
@@ -89,7 +90,12 @@ class ProtocolParams:
     script: Optional[ProtocolScript] = None
 
     def __post_init__(self):
-        _require_ints(self, "dim", "n_tuples", "l", "l1", "l2", "seed")
+        require_int("ProtocolParams.dim", self.dim, 1)
+        require_int("ProtocolParams.n_tuples", self.n_tuples, 1)
+        require_int("ProtocolParams.l", self.l)
+        require_int("ProtocolParams.l1", self.l1)
+        require_int("ProtocolParams.l2", self.l2, self.l1)
+        require_int("ProtocolParams.seed", self.seed)
         if not self.publics:
             raise ValueError("need at least one public matrix")
         for w in self.publics:
@@ -102,8 +108,6 @@ class ProtocolParams:
         for spec in (*self.left_families, *self.right_families):
             if spec.kind is not self.kind or spec.dim != self.dim:
                 raise ValueError("family spec does not match params kind/dim")
-        if self.n_tuples < 1:
-            raise ValueError("marginal sets need at least one tuple")
 
     @property
     def blocks(self) -> int:
@@ -346,8 +350,7 @@ class NoDecomposition(RuntimeError):
 
 def power_basis(a: Matrix, degree: int) -> list[Matrix]:
     """[I, A, A^⊗2, ..., A^⊗degree], each power one product from the last."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    require_int("degree", degree, 0)
     return [identity(a.kind, a.dim), *powers(a, degree)]
 
 

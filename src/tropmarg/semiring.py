@@ -23,6 +23,22 @@ class SelfCheckError(RuntimeError):
     raises it imports this one."""
 
 
+def require_int(name: str, value, lo=None, hi=None) -> int:
+    """value, if it is a builtin int within lo..hi (a None bound is open).
+
+    The one int contract of every layer: a bool, a Fraction, a float or
+    anything else raises TypeError("{name} must be an int, not {type}"), and
+    an int outside the bounds raises ValueError("{name} must be >= {lo}") or
+    ValueError("{name} must be <= {hi}")."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}")
+    return value
+
+
 class SemiringKind(enum.Enum):
     MIN_PLUS = "min-plus"
     MAX_PLUS = "max-plus"

@@ -73,12 +73,6 @@ def scalar_to_token(x: Scalar):
     raise WireFormatError(f"not a serializable scalar: {x!r}")
 
 
-def _is_int(value) -> bool:
-    """The one integer check for decoded fields: JSON true/false are Python
-    bools, which isinstance(_, int) would let through."""
-    return type(value) is int
-
-
 def token_to_scalar(tok) -> Scalar:
     if isinstance(tok, bool):
         raise WireFormatError("bool is not a scalar")
@@ -209,9 +203,6 @@ def _word_in(obj) -> WordTemplate:
     if not isinstance(obj, dict):
         raise WireFormatError("word must be an object")
     kind = _kind_in(obj.get("kind"))
-    dim = obj.get("dim")
-    if not _is_int(dim):
-        raise WireFormatError("word dim must be an integer")
     constants, raw_summands = obj.get("constants", []), obj.get("summands", [])
     if not _is_list_of_lists(constants) or not _is_list_of_lists(raw_summands):
         raise WireFormatError("word constants and summands must be arrays of arrays")
@@ -225,13 +216,12 @@ def _word_in(obj) -> WordTemplate:
                 or len(pair) != 2
                 or not isinstance(pair[0], str)
                 or pair[0] not in _ATOM_TAGS
-                or not _is_int(pair[1])
             ):
                 raise WireFormatError(f"bad word atom {pair!r}")
             atoms.append(_ATOM_TAGS[pair[0]](pair[1]))
         summands.append(tuple(atoms))
     try:
-        return WordTemplate(kind, dim, constants, tuple(summands))
+        return WordTemplate(kind, obj.get("dim"), constants, tuple(summands))
     except (TypeError, ValueError) as e:
         raise WireFormatError(str(e)) from e
 
@@ -355,12 +345,12 @@ def _marginal_set_payload(obj) -> MarginalSet:
         for i in range(n):
             for j in range(n):
                 cell = box[i][j]
-                if _is_int(cell):
+                if type(cell) is int:
                     cells.append(range(cell, cell + 1))
                 elif (
                     isinstance(cell, list)
                     and len(cell) == 2
-                    and all(_is_int(x) for x in cell)
+                    and all(type(x) is int for x in cell)
                 ):
                     cells.append(range(cell[0], cell[1] + 1))
                 else:
@@ -388,7 +378,7 @@ def _marginal_set_payload(obj) -> MarginalSet:
                     (i, j), tok = change
                 except (TypeError, ValueError) as e:
                     raise WireFormatError(f"bad delta cell {change!r}") from e
-                if not all(_is_int(x) and 1 <= x <= base.dim for x in (i, j)):
+                if not all(type(x) is int and 1 <= x <= base.dim for x in (i, j)):
                     raise WireFormatError(f"delta position {(i, j)!r} out of range")
                 rows[i - 1][j - 1] = token_to_scalar(tok)
             mats.append(Matrix(kind, tuple(tuple(r) for r in rows)))
@@ -604,7 +594,7 @@ def decode_transcript(data: bytes) -> ProtocolTranscript:
     if not isinstance(protocol, str) or protocol not in _EXCHANGES:
         raise WireFormatError(f"unknown protocol {protocol!r}")
     seed = obj.get("seed")
-    if not _is_int(seed):
+    if type(seed) is not int:
         raise WireFormatError("transcript seed must be an integer")
     records = obj.get("messages", [])
     if not isinstance(records, list):
@@ -666,19 +656,33 @@ def encode_report(report: dict) -> bytes:
 
 
 def decode_report(data: bytes) -> dict:
+    """The report's fields as encode_report takes them, plus "type"; every
+    field encode_report writes must be present and well formed."""
     obj = from_canonical_bytes(data)
     _expect_type(obj, "report")
     kind = _kind_in(obj.get("kind"))
+    protocol = obj.get("protocol")
+    if not isinstance(protocol, str) or protocol not in _EXCHANGES:
+        raise WireFormatError(f"unknown protocol {protocol!r}")
+    degree = obj.get("degree")
+    if type(degree) is not int or not 0 <= degree <= MAX_POLY_DEGREE:
+        raise WireFormatError(f"report degree must be an int within 0..{MAX_POLY_DEGREE}")
+    if type(obj.get("decomposed")) is not bool:
+        raise WireFormatError("report decomposed must be a boolean")
+    if "match" not in obj or not (obj["match"] is None or type(obj["match"]) is bool):
+        raise WireFormatError("report match must be a boolean or null")
+    if not {"z", "candidate", "expected"} <= obj.keys():
+        raise WireFormatError("report needs z, candidate and expected (rows or null)")
     out = dict(obj)
     out["kind"] = kind
-    if obj.get("z") is not None:
+    if obj["z"] is not None:
         if not _is_list_of_lists(obj["z"]):
             raise WireFormatError("report z must be an array of arrays")
         out["z"] = tuple(
             tuple(token_to_scalar(x) for x in row) for row in obj["z"]
         )
-    if obj.get("candidate") is not None:
+    if obj["candidate"] is not None:
         out["candidate"] = _rows_in(kind, obj["candidate"])
-    if obj.get("expected") is not None:
+    if obj["expected"] is not None:
         out["expected"] = _rows_in(kind, obj["expected"])
     return out

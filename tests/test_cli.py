@@ -719,7 +719,7 @@ def test_option_over_its_cap_is_one_fast_exit_2_record(
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["reason"] == "bad-arguments"
-    assert record["detail"] == f"{option} must be <= {_CAPS[option]}"
+    assert record["detail"] == f"argument {option}: value must be <= {_CAPS[option]}"
     assert not (tmp_path / "out.json").exists()
 
 

@@ -5,8 +5,9 @@ cap + 1 and 10**12 (options without a cap at 0, -1 and 10**12), and every
 file argument as a missing path or a directory.  Each call must return 0,
 1, 2 or 3, write nothing to stderr, print exactly one JSON error record when
 it fails and finish within CALL_BOUND_S.  The sweep covers each option at
-each edge once; the derandomized Hypothesis test mixes them.  A params file
-whose caps leave a sampler nothing to draw is an exit 2 too.  The last test
+each edge once; the derandomized Hypothesis test mixes them.  Params whose
+caps leave a sampler nothing to draw are an exit 2 too: gen-params refuses
+an empty pair range, and the additive sampler a negative cap.  The last test
 checks that the CLI's runners, the protocol table and the transcript decoder
 name the same protocols.
 """
@@ -202,12 +203,32 @@ def test_missing_and_unreadable_files(files, command, option, where):
     ],
 )
 def test_params_that_leave_a_sampler_nothing_exit_2(tmp_path, params_args, word):
-    params = str(tmp_path / "params.json")
-    assert _call(["gen-params", "--semiring", "min-plus", "--dim", "3", "--range", "-9..9",
-                  "--family", "poly", "--seed", "1", "--out", params, *params_args])[0] == 0
-    code, lines = _call(["gen-marginal", "--word", word, "--in", params, "--count", "2",
-                         "--out", str(tmp_path / "set.json")])
-    assert code == 2 and json.loads(lines[0])["reason"] == "bad-arguments"
+    """ProtocolParams refuses an empty pair range, so gen-params writes no
+    file and a file edited to hold one is malformed input; a negative cap
+    is read only by the additive sampler, which refuses it."""
+    params = tmp_path / "params.json"
+    gen = ["gen-params", "--semiring", "min-plus", "--dim", "3", "--range", "-9..9",
+           "--family", "poly", "--seed", "1", "--out", str(params)]
+    sample = ["gen-marginal", "--word", word, "--in", str(params), "--count", "2",
+              "--out", str(tmp_path / "set.json")]
+    if word == "additive":
+        assert _call([*gen, *params_args])[0] == 0
+        code, lines = _call(sample)
+        assert code == 2 and json.loads(lines[0])["reason"] == "bad-arguments"
+        return
+    code, lines = _call([*gen, *params_args])
+    assert code == 2 and len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "type": "error", "code": 2, "reason": "bad-arguments",
+        "detail": "ProtocolParams.l2 must be >= 10",
+    }
+    assert not params.exists()
+    assert _call(gen)[0] == 0
+    obj = from_canonical_bytes(params.read_bytes())
+    obj["l1"], obj["l2"] = 10, -10
+    params.write_bytes(to_canonical_bytes(obj))
+    code, lines = _call(sample)
+    assert code == 2 and json.loads(lines[0])["reason"] == "malformed-input"
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from tropmarg.marginal import (
     MarginalSet,
     WordTemplate,
     _crossing,
-    _require_int,
     _sample_set,
     _solve_pair,
     five_factor_residual,
@@ -44,7 +43,7 @@ from tropmarg.marginal import (
     two_sided_residual,
 )
 from tropmarg.matrix import Matrix, dual, make_matrix, mat_mul
-from tropmarg.semiring import SelfCheckError, SemiringKind, as_scalar
+from tropmarg.semiring import SelfCheckError, SemiringKind, as_scalar, require_int
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -114,8 +113,8 @@ def ref_check_pair_point(table: BoundTable, r, s, xs: Matrix, ys: Matrix, xby: M
 def ref_sample_pairs(
     word: WordTemplate, residual, n: int, l1: int, l2: int, rng: random.Random
 ) -> MarginalSet:
-    _require_int("l1", l1)
-    _require_int("l2", l2)
+    require_int("l1", l1)
+    require_int("l2", l2)
     if l1 > l2:
         raise ValueError("empty bound range")
     flip, _ = _crossing(word.kind)

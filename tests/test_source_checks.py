@@ -4,7 +4,8 @@ Every correctness check in `src/` raises a real exception, so that it still
 runs under `python -O`, which strips `assert` statements.  And only the
 self-check and the package's re-exports import the general
 difference-constraint solver, `tropmarg.constraints`.  The samplers in
-`marginal.py` reach the random generator only through one helper.
+`marginal.py` reach the random generator only through one helper, and every
+int contract goes through one helper, `semiring.require_int`.
 """
 
 from __future__ import annotations
@@ -122,3 +123,60 @@ def test_the_draw_check_finds_each_form():
 def test_marginal_draws_only_through_the_helper():
     source = (SRC / "tropmarg" / "marginal.py").read_text(encoding="utf-8")
     assert generator_reads(source) == [("_randbelow", "getrandbits")]
+
+
+# Every int contract goes through semiring.require_int: no other module
+# raises its TypeError text or keeps an int check of its own.
+INT_HELPER_HOME = "semiring.py"
+
+
+def int_contract_breaches(source: str) -> list[str]:
+    """Int-check helpers (`_require_int*`, `_is_int`) a module defines, and
+    each `raise TypeError(...)` whose message says "must be an int"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_require_int") or node.name == "_is_int":
+                found.append(f"def {node.name}")
+        elif (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "TypeError"
+            and any(
+                isinstance(part, ast.Constant)
+                and isinstance(part.value, str)
+                and "must be an int" in part.value
+                for arg in node.exc.args
+                for part in ast.walk(arg)
+            )
+        ):
+            found.append(f"raise at line {node.lineno}")
+    return found
+
+
+def test_the_int_contract_check_finds_each_form():
+    source = (
+        "def _require_int(name, v):\n    pass\n"
+        "def _require_ints(spec, *names):\n    pass\n"
+        "def _is_int(v):\n    return type(v) is int\n"
+        "def f(v):\n    raise TypeError(f'{v} must be an int, not bool')\n"
+        "def g():\n    raise TypeError('dim must be an int')\n"
+    )
+    assert int_contract_breaches(source) == [
+        "def _require_int", "def _require_ints", "def _is_int",
+        "raise at line 8", "raise at line 10",
+    ]
+    assert int_contract_breaches(
+        "def require_int(v):\n    raise ValueError('x must be an int')\n"
+        "def h():\n    raise TypeError('not an exact scalar')\n"
+    ) == []
+
+
+def test_only_the_scalar_layer_holds_the_int_check():
+    found = {
+        path.name: int_contract_breaches(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "tropmarg").rglob("*.py"))
+    }
+    assert len(found.pop(INT_HELPER_HOME)) == 1  # require_int's own raise
+    assert {name: hits for name, hits in found.items() if hits} == {}
