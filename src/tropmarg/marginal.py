@@ -33,7 +33,6 @@ from .matrix import (
     _scaled,
     _unscaled,
     dual,
-    identity,
     make_matrix,
     mat_add,
     mat_mul,
@@ -157,9 +156,18 @@ class WordTemplate:
 
     @functools.cached_property
     def _neutral_value(self) -> Matrix:
-        e = identity(self.kind, self.dim)
-        o = neutral_matrix(self.kind, self.dim)
-        return self.evaluate([e] * self.n_box + [o] * self.n_circle)
+        # An identity drops out of its product, so each product summand is
+        # the product of its constants alone (the identity when it has
+        # none); a circle summand is the all-infinity matrix, neutral for ⊕,
+        # and is left out of the sum.
+        total = None
+        for summand in self.summands:
+            if isinstance(summand[0], Circle):
+                continue
+            consts = [self.constants[a.index] for a in summand if isinstance(a, Const)]
+            term = mat_prod(self.kind, self.dim, consts)
+            total = term if total is None else mat_add(total, term)
+        return neutral_matrix(self.kind, self.dim) if total is None else total
 
 
 def right_word(a: Matrix) -> WordTemplate:
@@ -286,7 +294,11 @@ def _sample_set(word: WordTemplate, n: int, draw, flip, fixed: bool = False) -> 
     """Up to n distinct min-plus tuples from draw(), carried back to the
     word's semiring by flip; the set is built and verified once: each draw
     raises SelfCheckError unless its tuple keeps the word's value in min-plus
-    coordinates, and flip is exact, so that is the word check.
+    coordinates, and flip is exact, so that is the word check.  The pair,
+    chain and additive draws check the word's value itself (from the
+    products the solve formed, or one ⊕); a one-sided draw checks that it
+    lies above X* with x*'s zero diagonal, which with the sampler's one
+    product m⊗X* = m proves the value (_sample_one_sided).
 
     draw() returns None for a failed draw.  Each tuple gets RETRY_BUDGET
     attempts; when they run out the box is too small for n distinct tuples
@@ -329,14 +341,13 @@ def _outer(first: Optional[Matrix], d: Matrix, last: Optional[Matrix]) -> Matrix
     last[s][j]), then E[p][s] = max_i(T[i][s] - first[i][p]).  None stands
     for an identity end and drops its pass.  Entries that are not all
     builtin ints are scaled by their common denominator, so every
-    difference is an int one, and mapped back."""
-    given = [m for m in (first, d, last) if m is not None]
-    den = lcm(*(m.den for m in given))
-    exact = all(m.all_int for m in given)
-    first, t, last = (
-        m if m is None else m.rows if exact else _scaled(m.rows, den, None)
-        for m in (first, d, last)
-    )
+    difference is an int one, and mapped back; an operand passed twice (a
+    one-sided word's matrix is both d and an end) is scaled once."""
+    given = {id(m): m for m in (first, d, last) if m is not None}
+    den = lcm(*(m.den for m in given.values()))
+    exact = all(m.all_int for m in given.values())
+    rows = {key: m.rows if exact else _scaled(m.rows, den, None) for key, m in given.items()}
+    first, t, last = (m if m is None else rows[id(m)] for m in (first, d, last))
     if last is not None:
         t = [[max(map(sub, row, c)) for c in last] for row in t]
     if first is not None:
@@ -423,13 +434,26 @@ def _sample_one_sided(
     box of one point (no cap reaches past x*, as +150 over max-plus) is
     drawn once: further draws would repeat it and take nothing from the
     stream, so the 1-tuple set and the stream are as after n attempts.  An
-    infinite cap beyond x* leaves the box unbounded: ValueError."""
+    infinite cap beyond x* leaves the box unbounded: ValueError.
+
+    The set costs one product, whatever n.  In min-plus coordinates, for
+    the right side: m⊗X* = m, checked once here, and X >= X* give
+    m⊗X >= m, since the product is monotone; x*'s zero diagonal, which no
+    draw moves, gives (m⊗X)_ij <= m_ij + x_jj = m_ij.  So every X >= X*
+    with x*'s diagonal solves m⊗X = m, and each draw checks just that, in
+    O(k²).  The left side is the mirror, (X⊗m)_ij <= x_ii + m_ij.  The cap
+    X̂ bounds what is drawn, not what is correct.  Either check failing
+    raises SelfCheckError."""
     flip, flip_cap = _crossing(a.kind)
     m = flip(a)
     star = residual_right(m) if side == "right" else residual_left(m)
     cap = flip_cap(as_scalar(l))
     if cap is POS_INF:
         raise ValueError("the cap leaves the one-sided box unbounded")
+    k = a.dim
+    flat = [x for row in star.rows for x in row]
+    if any(flat[:: k + 1]) or (mat_mul(m, star) if side == "right" else mat_mul(star, m)) != m:
+        raise SelfCheckError(f"{side} principal solution breaks the one-sided product")
     # Each entry steps uniformly from x* toward the outer corner x̂
     # (inclusive), read off x* and the cap as max_possible_matrix would
     # build it: one choice on the pinned diagonal and where the cap does not
@@ -437,8 +461,6 @@ def _sample_one_sided(
     # reachable for rational bounds.  An int step keeps each entry's reduced
     # denominator (p/q + k = (p + kq)/q), so every draw holds x*'s facts:
     # finite, the same all_int and den, and needs no walk.
-    k = a.dim
-    flat = [x for row in star.rows for x in row]
     choices = [
         1 if i % (k + 1) == 0 or not s_lt(x, cap) else floor(cap - x) + 1
         for i, x in enumerate(flat)
@@ -450,11 +472,10 @@ def _sample_one_sided(
         vals = flat[:]
         for i, v in zip(positions, _randbelow(rng, spans)):
             vals[i] += v
+        if any(vals[:: k + 1]) or not all(map(ge, vals, flat)):
+            raise SelfCheckError(f"{side} sample leaves the box above X*")
         rows = tuple(tuple(vals[i : i + k]) for i in range(0, k * k, k))
-        x = _built(SemiringKind.MIN_PLUS, rows, False, star.all_int, star.den)
-        if (mat_mul(m, x) if side == "right" else mat_mul(x, m)) != m:
-            raise SelfCheckError(f"{side} sample breaks the one-sided product")
-        return (x,)
+        return (_built(SemiringKind.MIN_PLUS, rows, False, star.all_int, star.den),)
 
     word = right_word(a) if side == "right" else left_word(a)
     return _sample_set(word, n, draw, flip, not positions)
@@ -462,7 +483,9 @@ def _sample_one_sided(
 
 def sample_right_marginal(a: Matrix, n: int, l, rng: random.Random) -> MarginalSet:
     """n random solutions of A⊗X = A, entrywise uniform over [X*, X̂] with
-    the diagonal pinned at x* (which alone already covers the system)."""
+    the diagonal pinned at x* (which alone already covers the system).  The
+    set is checked by one product, A⊗X* = A, and each draw by its place in
+    the box: above X* with the zero diagonal, in O(k²)."""
     return _sample_one_sided(a, n, l, rng, "right")
 
 

@@ -24,6 +24,7 @@ from .semiring import (
     _norm,
     add_neutral,
     as_scalar,
+    require_int,
 )
 
 
@@ -100,8 +101,7 @@ def identity(kind: SemiringKind, n: int) -> Matrix:
     """Multiplicative identity: 0 on the diagonal, additive neutral elsewhere.
     Built without the walk: it holds the infinity, and so is not all-int,
     exactly when n > 1."""
-    if n < 1:
-        raise ValueError("empty matrix")
+    require_int("matrix dim", n, 1)
     o = add_neutral(kind)
     rows = tuple(tuple(MUL_NEUTRAL if i == j else o for j in range(n)) for i in range(n))
     return _built(kind, rows, n > 1, n == 1)
@@ -109,8 +109,7 @@ def identity(kind: SemiringKind, n: int) -> Matrix:
 
 def neutral_matrix(kind: SemiringKind, n: int) -> Matrix:
     """Additive neutral: every entry is the semiring's infinity."""
-    if n < 1:
-        raise ValueError("empty matrix")
+    require_int("matrix dim", n, 1)
     o = add_neutral(kind)
     return _built(kind, ((o,) * n,) * n, True, False)
 
@@ -203,9 +202,7 @@ def powers(a: Matrix, e: int) -> list[Matrix]:
     with the same base (two parties drawing from one family, the attack's
     power bases) forms each power once.  A request past the kept ones
     replaces them with a new, longer tuple; nothing is changed in place."""
-    if e < 0:
-        raise ValueError("negative power")
-    if e == 0:
+    if require_int("exponent", e, 0) == 0:
         return []
     # a^⊗2 onward: holding a itself would make a reference cycle
     kept = vars(a).get("_powers", ())
@@ -221,9 +218,7 @@ def powers(a: Matrix, e: int) -> list[Matrix]:
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
     """e-fold tropical power; e = 0 gives the identity."""
-    if e < 0:
-        raise ValueError("negative power")
-    if e == 0:
+    if require_int("exponent", e, 0) == 0:
         return identity(a.kind, a.dim)
     acc = a
     for _ in range(e - 1):

@@ -632,25 +632,48 @@ def decode_transcript(data: bytes) -> ProtocolTranscript:
 # Attack reports
 
 
+def _check_report(report: dict) -> None:
+    """The report fields both codecs require as they are: a known protocol,
+    a degree in 0..MAX_POLY_DEGREE, a boolean decomposed and a boolean or
+    null match (present)."""
+    protocol = report.get("protocol")
+    if not isinstance(protocol, str) or protocol not in _EXCHANGES:
+        raise WireFormatError(f"unknown protocol {protocol!r}")
+    degree = report.get("degree")
+    if type(degree) is not int or not 0 <= degree <= MAX_POLY_DEGREE:
+        raise WireFormatError(f"report degree must be an int within 0..{MAX_POLY_DEGREE}")
+    if type(report.get("decomposed")) is not bool:
+        raise WireFormatError("report decomposed must be a boolean")
+    if "match" not in report or not (report["match"] is None or type(report["match"]) is bool):
+        raise WireFormatError("report match must be a boolean or null")
+
+
 def encode_report(report: dict) -> bytes:
     """report fields: protocol, degree, decomposed, match, z (scalar rows or
-    null), candidate (rows or null), expected (rows or null), kind."""
+    null), candidate (rows or null), expected (rows or null), kind.  Fields
+    that decode_report would refuse raise WireFormatError instead."""
+    _check_report(report)
+    kind = _kind_in(str(report.get("kind")))
+    mats = {}
+    for name in ("candidate", "expected"):
+        m = report.get(name)
+        if m is not None and not (isinstance(m, Matrix) and m.kind is kind):
+            raise WireFormatError(f"report {name} must be a {kind} matrix or null")
+        mats[name] = None if m is None else _rows_out(m)
+    z = report.get("z")
+    try:
+        z = None if z is None else [[scalar_to_token(x) for x in row] for row in z]
+    except TypeError as e:
+        raise WireFormatError("report z must be rows of scalars or null") from e
     out = {
         "type": "report",
         "protocol": report["protocol"],
         "degree": report["degree"],
-        "kind": str(report["kind"]),
-        "decomposed": bool(report["decomposed"]),
+        "kind": str(kind),
+        "decomposed": report["decomposed"],
         "match": report["match"],
-        "z": None
-        if report.get("z") is None
-        else [[scalar_to_token(x) for x in row] for row in report["z"]],
-        "candidate": None
-        if report.get("candidate") is None
-        else _rows_out(report["candidate"]),
-        "expected": None
-        if report.get("expected") is None
-        else _rows_out(report["expected"]),
+        "z": z,
+        **mats,
     }
     return to_canonical_bytes(out)
 
@@ -661,16 +684,7 @@ def decode_report(data: bytes) -> dict:
     obj = from_canonical_bytes(data)
     _expect_type(obj, "report")
     kind = _kind_in(obj.get("kind"))
-    protocol = obj.get("protocol")
-    if not isinstance(protocol, str) or protocol not in _EXCHANGES:
-        raise WireFormatError(f"unknown protocol {protocol!r}")
-    degree = obj.get("degree")
-    if type(degree) is not int or not 0 <= degree <= MAX_POLY_DEGREE:
-        raise WireFormatError(f"report degree must be an int within 0..{MAX_POLY_DEGREE}")
-    if type(obj.get("decomposed")) is not bool:
-        raise WireFormatError("report decomposed must be a boolean")
-    if "match" not in obj or not (obj["match"] is None or type(obj["match"]) is bool):
-        raise WireFormatError("report match must be a boolean or null")
+    _check_report(obj)
     if not {"z", "candidate", "expected"} <= obj.keys():
         raise WireFormatError("report needs z, candidate and expected (rows or null)")
     out = dict(obj)

@@ -41,7 +41,7 @@ from tropmarg.marginal import (
     sample_n_factor_marginal,
     sample_sandwich_marginal,
 )
-from tropmarg.matrix import make_matrix
+from tropmarg.matrix import identity, make_matrix, mat_pow, neutral_matrix, powers
 from tropmarg.protocols import ProtocolParams, power_basis
 from tropmarg.semiring import SemiringKind, require_int
 from tropmarg.wire import decode_word, encode_word
@@ -128,6 +128,10 @@ BOUNDS = {
     "ldp dim": (lambda v: LdpFamily(v, 2, -1), 1, 0, "LdpFamily.dim must be >= 1"),
     "ldp r": (lambda v: LdpFamily(3, v, -1), 0, -1, "LdpFamily.r must be >= 0"),
     "ldp k": (lambda v: LdpFamily(3, 2, v), 0, 1, "LdpFamily.k must be <= 0"),
+    "powers exponent": (lambda v: powers(A, v), 0, -1, "exponent must be >= 0"),
+    "mat_pow exponent": (lambda v: mat_pow(A, v), 0, -1, "exponent must be >= 0"),
+    "identity dim": (lambda v: identity(MIN, v), 1, 0, "matrix dim must be >= 1"),
+    "neutral_matrix dim": (lambda v: neutral_matrix(MAX, v), 1, 0, "matrix dim must be >= 1"),
 }
 
 
@@ -138,6 +142,26 @@ def test_a_folded_bound_holds_at_the_bound_and_refuses_past_it(name):
     with pytest.raises(ValueError) as e:
         call(past)
     assert str(e.value) == message
+
+
+# A bool exponent was taken as 0 or 1, and a float one failed inside range().
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda v: mat_pow(A, v), "exponent", True),
+        (lambda v: powers(A, v), "exponent", True),
+        (lambda v: mat_pow(A, v), "exponent", 2.5),
+        (lambda v: powers(A, v), "exponent", Fraction(2)),
+        (lambda v: identity(MIN, v), "matrix dim", True),
+        (lambda v: neutral_matrix(MIN, v), "matrix dim", 2.0),
+    ],
+    ids=["mat_pow-bool", "powers-bool", "mat_pow-float", "powers-fraction",
+         "identity-bool", "neutral_matrix-float"],
+)
+def test_matrix_ints_go_through_the_helper(call, name, value):
+    with pytest.raises(TypeError) as e:
+        call(value)
+    assert str(e.value) == f"{name} must be an int, not {type(value).__name__}"
 
 
 # option -> (argv with the value, the lowest value it takes)

@@ -4,8 +4,11 @@ import itertools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmarg.fixtures import (
     BIL_A,
@@ -64,7 +67,7 @@ from tropmarg.matrix import (
     neutral_matrix,
     scalar_mul,
 )
-from tropmarg.semiring import POS_INF, SelfCheckError, SemiringKind, s_le
+from tropmarg.semiring import NEG_INF, POS_INF, SelfCheckError, SemiringKind, s_le
 from tropmarg.wire import (
     MarginalVerificationError,
     decode_marginal_set,
@@ -522,6 +525,55 @@ def _neutral_substitution(word):
     return (e,) * word.n_box + (o,) * word.n_circle
 
 
+# Every word shape, both semirings, int and Fraction constants, some with the
+# semiring's infinity: the neutral value is formed from the constants alone,
+# and must equal the word evaluated at identities and all-infinity matrices.
+_WORD_SHAPES = {
+    "right": (1, lambda cs: right_word(cs[0])),
+    "left": (1, lambda cs: left_word(cs[0])),
+    "sandwich": (1, lambda cs: sandwich_word(cs[0])),
+    "five-factor": (3, lambda cs: five_factor_word(*cs)),
+    "chain-2": (2, chain_word),
+    "chain-4": (4, chain_word),
+    "additive": (1, lambda cs: additive_word(cs[0])),
+    "mixed": (1, lambda cs: WordTemplate(
+        cs[0].kind, cs[0].dim, cs,
+        ((Box(1), Const(0), Box(0)), (Circle(1),), (Const(0),), (Circle(0),)))),
+    "boxes-only": (1, lambda cs: WordTemplate(
+        cs[0].kind, cs[0].dim, cs, ((Box(0), Box(1)), (Const(0), Box(2))))),
+    "circles-only": (1, lambda cs: WordTemplate(
+        cs[0].kind, cs[0].dim, cs, ((Circle(0),), (Circle(1),)))),
+}
+
+
+@st.composite
+def _shaped_words(draw):
+    kind = draw(st.sampled_from([MIN, MAX]))
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4)),
+        st.just(POS_INF if kind is MIN else NEG_INF),
+    )
+    if not draw(st.booleans()):
+        entry = st.integers(-9, 9)
+    count, build = _WORD_SHAPES[draw(st.sampled_from(sorted(_WORD_SHAPES)))]
+    constants = [
+        make_matrix(kind, [[draw(entry) for _ in range(n)] for _ in range(n)])
+        for _ in range(count)
+    ]
+    return build(constants)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_shaped_words())
+def test_neutral_value_equals_the_neutral_substitution(word):
+    want = word.evaluate(list(_neutral_substitution(word)))
+    got = word.neutral_value()
+    assert got == want
+    assert (got.has_inf, got.all_int, got.den) == (want.has_inf, want.all_int, want.den)
+
+
 @pytest.mark.parametrize("kind", [MIN, MAX])
 def test_decoding_a_raw_set_evaluates_each_tuple_once(evaluations, kind):
     rng = random.Random(9)
@@ -530,7 +582,7 @@ def test_decoding_a_raw_set_evaluates_each_tuple_once(evaluations, kind):
     del evaluations[:]
     s = decode_marginal_set(data)
     assert len(s) == 4
-    assert Counter(evaluations) == Counter([_neutral_substitution(s.word), *s.tuples])
+    assert Counter(evaluations) == Counter(s.tuples)
 
 
 def _box_file(word, box) -> bytes:
@@ -557,7 +609,7 @@ def test_decoding_a_box_evaluates_its_two_corners(evaluations):
     members = _box_members(MIN, box)
     assert len(s) == len(members) == 4096
     assert s.tuples == tuple(members)
-    assert Counter(evaluations) == Counter([_neutral_substitution(s.word), members[0], members[-1]])
+    assert Counter(evaluations) == Counter([members[0], members[-1]])
 
 
 @pytest.mark.parametrize(

@@ -239,5 +239,5 @@ def test_bad_first_factor_raises_as_before(first, count):
 
 
 def test_negative_power_raises():
-    with pytest.raises(ValueError, match="negative power"):
+    with pytest.raises(ValueError, match="exponent must be >= 0"):
         mat_pow(make_matrix(MIN, [[0]]), -1)

@@ -61,7 +61,7 @@ def test_identity_and_neutral_matrix_record_their_facts(kind, n):
     assert_exact(identity(kind, n), (n > 1, n == 1, 1))
     assert_exact(neutral_matrix(kind, n), (True, False, 1))
     for build in (identity, neutral_matrix):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="matrix dim must be >= 1"):
             build(kind, 0)
 
 
@@ -152,7 +152,7 @@ def test_powers_are_formed_once_and_kept_out_of_eq_hash_and_repr(monkeypatch):
     # a longer list replaces the kept one: a list handed out earlier is as it was
     assert len(two) == 2
     assert a == plain and hash(a) == hash(plain) and repr(a) == repr(plain)
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match="exponent must be >= 0"):
         powers(a, -1)
 
 

@@ -10,6 +10,11 @@ generator in the same state.  Cases run over both semirings, dims 1-6, int
 anchors and `Fraction`-valued Jones deformations, with caps that pin the
 whole box, caps that leave a few points and wide caps, and n from 1 to 6.
 
+The sampler checks a set by one product, m⊗X* = m, and each draw by its
+place in the box: above X*, with x*'s zero diagonal.  Tests below count
+that one product at dims 1-8, check every published tuple against [X*, X̂],
+and step a draw below X* or lift x*'s diagonal to see the checks raise.
+
 This module is in `FACT_CHECKED`, so the facts of every draw built without
 the walk are checked against a fresh one.
 """
@@ -21,6 +26,7 @@ import random
 from fractions import Fraction
 from math import floor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +47,7 @@ from tropmarg.marginal import (
     right_word,
     sample_left_marginal,
     sample_right_marginal,
+    verify_marginal,
 )
 from tropmarg.matrix import Matrix, dual, make_matrix, mat_mul
 from tropmarg.semiring import SelfCheckError, SemiringKind, as_scalar
@@ -197,3 +204,108 @@ def test_pinned_box_costs_one_product_check(monkeypatch):
             assert ref_sample_one_sided(a, 4, 150, rng, side).tuples == s.tuples
         assert len(calls) == 1 + RETRY_BUDGET
         assert rng.getstate() == before
+
+
+# ---------------------------------------------------------------------------
+# One product per set.  The sampler checks m⊗X* = m once and each draw only
+# by its place in the box: above X*, with x*'s zero diagonal.  The tests
+# below count the products, check every published tuple against the box
+# [X*, X̂] (the cap is a sampling bound, which no product checks now), and
+# step a draw below X* to see the per-draw check raise.
+
+
+@st.composite
+def boxes(draw):
+    """A one-sided case at dims 1-8 and n 1-10: a cap that pins the box,
+    leaves a few points, or leaves it wide."""
+    kind = draw(st.sampled_from([MIN, MAX]))
+    side = draw(st.sampled_from(["right", "left"]))
+    a = draw(anchors(kind, draw(st.integers(1, 8))))
+    offset = draw(st.one_of(
+        st.integers(-5, 0), st.sampled_from([1, Fraction(3, 2)]), st.integers(3, 30)
+    ))
+    _, flip_cap = _crossing(kind)
+    cap = flip_cap(as_scalar(box_edge(a, side) + offset))
+    return a, draw(st.integers(1, 10)), cap, draw(st.integers(0, 2**32)), side
+
+
+def _counted(calls):
+    def counted(x, y):
+        calls.append(None)
+        return mat_mul(x, y)
+
+    return counted
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(boxes())
+def test_each_one_sided_set_costs_one_product(case):
+    a, n, cap, seed, side = case
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(marginal, "mat_mul", _counted(calls))
+        SAMPLERS[side](a, n, cap, random.Random(seed))
+    assert len(calls) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(boxes())
+def test_every_published_tuple_lies_in_the_box(case):
+    a, n, cap, seed, side = case
+    flip, flip_cap = _crossing(a.kind)
+    m = flip(a)
+    star = residual_right(m) if side == "right" else residual_left(m)
+    outer = max_possible_matrix(star, flip_cap(cap))
+    s = SAMPLERS[side](a, n, cap, random.Random(seed))
+    k = a.dim
+    for t in s.tuples:
+        (x,) = (flip(v) for v in t)
+        for i in range(k):
+            assert star[i][i] == x[i][i] == 0
+            for j in range(k):
+                assert star[i][j] <= x[i][j] <= outer[i][j]
+        assert verify_marginal(s.word, t)
+
+
+# A wide box over both semirings: every off-diagonal entry has choices.
+WIDE = make_matrix(MAX, [[0, 3, -2, 5], [1, 0, 4, -1], [-3, 2, 0, 6], [2, -4, 1, 0]])
+
+
+@pytest.mark.parametrize("position", [0, -1])
+@pytest.mark.parametrize("kind", [MIN, MAX])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_draw_below_x_star_raises(monkeypatch, side, kind, position):
+    a = WIDE if kind is MAX else dual(WIDE)
+    draws = marginal._randbelow
+
+    def stepped_down(rng, spans):
+        values = draws(rng, spans)
+        values[position] = -1
+        return values
+
+    monkeypatch.setattr(marginal, "_randbelow", stepped_down)
+    with pytest.raises(SelfCheckError, match="box above X"):
+        SAMPLERS[side](a, 3, 40 if kind is MIN else -40, random.Random(5))
+
+
+def _diagonal_raised(x: Matrix) -> Matrix:
+    return Matrix(MIN, tuple(
+        tuple(v + 1 if i == j else v for j, v in enumerate(row)) for i, row in enumerate(x.rows)
+    ))
+
+
+@pytest.mark.parametrize("kind", [MIN, MAX])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_principal_solution_off_its_zero_diagonal_raises(monkeypatch, side, kind):
+    # Over an all-zero anchor, x* raised by 1 on its diagonal still gives
+    # m⊗X* = m, but the box above it holds non-solutions: the diagonal
+    # check, not the product, refuses it.
+    a = make_matrix(kind, [[0] * 3] * 3)
+    name = f"residual_{side}"
+    solve = getattr(marginal, name)
+    raised = _diagonal_raised(solve(dual(a) if kind is MAX else a))
+    zero = make_matrix(MIN, [[0] * 3] * 3)
+    assert mat_mul(zero, raised) == mat_mul(raised, zero) == zero
+    monkeypatch.setattr(marginal, name, lambda m: _diagonal_raised(solve(m)))
+    with pytest.raises(SelfCheckError, match="principal solution"):
+        SAMPLERS[side](a, 3, 40 if kind is MIN else -40, random.Random(5))

@@ -126,16 +126,35 @@ def test_marginal_draws_only_through_the_helper():
 
 
 # Every int contract goes through semiring.require_int: no other module
-# raises its TypeError text or keeps an int check of its own.
+# raises its TypeError text or keeps an int check of its own, such as
+# matrix.py's `if e < 0: raise ValueError("negative power")` once was.
 INT_HELPER_HOME = "semiring.py"
+ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _hand_bound_check(node) -> bool:
+    """`if name <op> int: ... raise ...`: a bound tested by hand."""
+    test = node.test
+    return (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ORDER)
+        and isinstance(test.left, ast.Name)
+        and isinstance(test.comparators[0], ast.Constant)
+        and type(test.comparators[0].value) is int
+        and any(isinstance(s, ast.Raise) for s in node.body)
+    )
 
 
 def int_contract_breaches(source: str) -> list[str]:
-    """Int-check helpers (`_require_int*`, `_is_int`) a module defines, and
-    each `raise TypeError(...)` whose message says "must be an int"."""
+    """Int-check helpers (`_require_int*`, `_is_int`) a module defines, each
+    `raise TypeError(...)` whose message says "must be an int", and each
+    `if` that tests a name against an int bound and raises."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, ast.If) and _hand_bound_check(node):
+            found.append(f"bound at line {node.lineno}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.name.startswith("_require_int") or node.name == "_is_int":
                 found.append(f"def {node.name}")
         elif (
@@ -162,15 +181,30 @@ def test_the_int_contract_check_finds_each_form():
         "def _is_int(v):\n    return type(v) is int\n"
         "def f(v):\n    raise TypeError(f'{v} must be an int, not bool')\n"
         "def g():\n    raise TypeError('dim must be an int')\n"
+        "def powers(a, e):\n    if e < 0:\n        raise ValueError('negative power')\n"
     )
     assert int_contract_breaches(source) == [
         "def _require_int", "def _require_ints", "def _is_int",
-        "raise at line 8", "raise at line 10",
+        "raise at line 8", "raise at line 10", "bound at line 12",
     ]
     assert int_contract_breaches(
         "def require_int(v):\n    raise ValueError('x must be an int')\n"
         "def h():\n    raise TypeError('not an exact scalar')\n"
+        "def m(rows):\n    if len(rows) == 0:\n        raise ValueError('empty matrix')\n"
+        "def k(n):\n    if n < 1:\n        return None\n"
     ) == []
+
+
+def test_matrix_keeps_no_int_check_of_its_own():
+    source = (SRC / "tropmarg" / "matrix.py").read_text(encoding="utf-8")
+    assert int_contract_breaches(source) == []
+    # the exponent and size checks call the helper instead
+    calls = [
+        node.func.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert calls.count("require_int") == 4
 
 
 def test_only_the_scalar_layer_holds_the_int_check():

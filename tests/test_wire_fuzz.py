@@ -5,8 +5,9 @@ edits of valid files (a value replaced, a key or an item dropped, anywhere
 or at the top level).  Every
 `wire.decode_*` must return a value that its encoder writes again, or raise
 `WireFormatError` or `MarginalVerificationError`; `cli.main` must return 0, 1, 2 or 3 and print
-exactly one record.  The runs are derandomized, so the suite sees the same
-inputs on every run.
+exactly one record.  The other way round, `encode_report` must raise
+`WireFormatError` on every report whose bytes `decode_report` would refuse.
+The runs are derandomized, so the suite sees the same inputs on every run.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from tropmarg.protocols import (
     run_protocol_sandwich,
     run_sidelnikov,
 )
-from tropmarg.semiring import SemiringKind
+from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind
 from tropmarg.wire import (
     MarginalVerificationError,
     WireFormatError,
@@ -303,6 +304,72 @@ def test_decoders_return_or_raise_typed_errors(data):
         except TYPED:
             continue
         ENCODERS[name](value)
+
+
+# ---------------------------------------------------------------------------
+# The report encoder refuses what the decoder refuses
+
+_MIN_W = make_matrix(MIN, [[0, POS_INF], [2, 1]])
+_MAX_W = make_matrix(MAX, [[0, NEG_INF], [2, 1]])
+_VALID_REPORT = {
+    "protocol": "sidelnikov", "degree": 2, "kind": MIN, "decomposed": True, "match": False,
+    "z": ((0, -2), (5, POS_INF)), "candidate": _MIN_W, "expected": _MIN_W,
+}
+# each field's values, the valid ones first
+_REPORT_VALUES = {
+    "protocol": ["one-sided", "sandwich", "multiblock", "nope", 3, None, ""],
+    "degree": [0, 64, 65, -1, True, False, "2", 2.0, None],
+    "kind": [MAX, "min-plus", "bogus", None, 0],
+    "decomposed": [False, 1, 0, None, "yes"],
+    "match": [True, None, 3, 1, 0, "no"],
+    "z": [None, [], [[1]], 5, [5], "ab", [[1.5]], [[True]], [["1/0"]]],
+    "candidate": [None, _MAX_W, make_matrix(MAX, [[0, 1], [2, 1]]), [[1]], 4],
+    "expected": [None, _MAX_W, [[0]], "x"],
+}
+
+
+@st.composite
+def report_inputs(draw):
+    """The valid report with up to three fields replaced or dropped."""
+    report = dict(_VALID_REPORT)
+    for name in draw(st.sets(st.sampled_from(sorted(_REPORT_VALUES)), max_size=3)):
+        if draw(st.integers(0, 5)):
+            report[name] = draw(st.sampled_from(_REPORT_VALUES[name]))
+        else:
+            del report[name]
+    return report
+
+
+@FUZZ
+@given(report_inputs())
+def test_the_report_encoder_writes_only_what_decodes(report):
+    try:
+        data = encode_report(report)
+    except WireFormatError:
+        return
+    assert encode_report(decode_report(data)) == data
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"protocol": "nope", "degree": 65, "match": 3},
+        {"protocol": "nope"},
+        {"degree": 65},
+        {"degree": True},
+        {"match": 3},
+        {"decomposed": 1},
+        {"kind": "bogus"},
+        {"candidate": _MAX_W},
+        {"z": [[1.5]]},
+        {"z": 5},
+    ],
+    ids=repr,
+)
+def test_the_report_encoder_refuses_what_the_decoder_refuses(fields):
+    report = {**_VALID_REPORT, **fields}
+    with pytest.raises(WireFormatError):
+        encode_report(report)
 
 
 # ---------------------------------------------------------------------------
