@@ -18,6 +18,7 @@ from dataclasses import replace
 
 from . import fixtures, selfcheck
 from .families import (
+    MAX_POLY_DEGREE,
     CirculantFamily,
     JonesDeformFamily,
     LdpFamily,
@@ -38,6 +39,7 @@ from .marginal import (
 )
 from .matrix import Matrix, make_matrix, mat_mul
 from .protocols import (
+    MAX_TUPLES,
     NoDecomposition,
     ProtocolParams,
     attack_decomposition,
@@ -50,8 +52,6 @@ from .protocols import (
 )
 from .semiring import SelfCheckError, SemiringKind, require_int
 from .wire import (
-    MAX_POLY_DEGREE,
-    MAX_TUPLES,
     MarginalVerificationError,
     WireFormatError,
     decode_marginal_set,
@@ -70,8 +70,8 @@ from .wire import (
 
 # Most blocks `run-protocol multiblock --blocks` may ask for.  The run and
 # its transcript grow with the block count (64 blocks of a dim-3 params
-# file: 0.07 s and 76 KB); --count and --degree take the caps the params
-# decoder puts on n_tuples and max_degree.
+# file: 0.07 s and 76 KB); --count and --degree take the caps that
+# ProtocolParams and PolyFamily put on n_tuples and max_degree.
 MAX_BLOCKS = 64
 # Largest `gen-params --dim`: the draws grow with dim² and a Jones base's
 # checks with dim³ (dim 64: under 1 s and 40 KB); a file's own dim is bounded
@@ -246,11 +246,7 @@ def _cmd_gen_params(args) -> int:
         l2=args.pair_hi,
         seed=args.seed,
     )
-    try:
-        data = encode_params(params)
-    except WireFormatError as e:
-        raise CliError(2, "bad-arguments", str(e))
-    write_bytes(args.out, data)
+    write_bytes(args.out, encode_params(params))
     _print(f"params written to {args.out}: {kind} dim {args.dim}, family {name}, seed {args.seed}")
     return 0
 

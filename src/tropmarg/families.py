@@ -201,6 +201,12 @@ def _require_matrix(base) -> None:
         raise TypeError("base must be a Matrix")
 
 
+# Largest max_degree of a PolyFamily: a few bytes of a params file can name
+# any number, and a member of degree D costs D matrix products.  The CLI
+# defaults, the builtin fixtures and the benchmark use at most degree 3.
+MAX_POLY_DEGREE = 64
+
+
 @dataclass(frozen=True)
 class PolyFamily(_OfBase):
     """Tropical polynomials of `base` with degree <= max_degree and integer
@@ -215,7 +221,7 @@ class PolyFamily(_OfBase):
 
     def __post_init__(self):
         _require_matrix(self.base)
-        require_int("PolyFamily.max_degree", self.max_degree, 0)
+        require_int("PolyFamily.max_degree", self.max_degree, 0, MAX_POLY_DEGREE)
         require_int("PolyFamily.coeff_lo", self.coeff_lo)
         require_int("PolyFamily.coeff_hi", self.coeff_hi, self.coeff_lo)
 

@@ -626,8 +626,8 @@ def _solve_pair(
     and X⊗B⊗Y it formed on the way, or None when it is infeasible.
 
     The system is x_pq + y_rs >= E[p][s] - B[q][r] for all p, q, r, s,
-    x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S; selfcheck builds it
-    in full (_pair_system) as the reference for the worked instances.
+    x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S; the tests build it
+    in full (_pair_system in tests/pair_reference.py) as the reference.
     It is solved from the k×k factors E and B alone, to the point that
     solve_feasible_min returns for it: Y pointwise least, X least given Y.
 

@@ -63,6 +63,12 @@ class ProtocolScript:
         return len(self.alice_p)
 
 
+# Largest n_tuples of a ProtocolParams: a few bytes of a params file can name
+# any number, and a run draws n_tuples tuples per published set.  The CLI
+# defaults, the builtin fixtures and the benchmark use at most 3.
+MAX_TUPLES = 256
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Public agreement for one run.
@@ -74,7 +80,7 @@ class ProtocolParams:
     published sets and tuple choices verbatim and is never serialized.
     dim, n_tuples, l, l1, l2 and seed take builtin ints only (TypeError
     otherwise), so every params that builds decodes back from its bytes;
-    dim and n_tuples are at least 1, and l1..l2 is not empty (ValueError).
+    dim >= 1, 1 <= n_tuples <= MAX_TUPLES and l1 <= l2 (ValueError otherwise).
     """
 
     kind: SemiringKind
@@ -91,7 +97,7 @@ class ProtocolParams:
 
     def __post_init__(self):
         require_int("ProtocolParams.dim", self.dim, 1)
-        require_int("ProtocolParams.n_tuples", self.n_tuples, 1)
+        require_int("ProtocolParams.n_tuples", self.n_tuples, 1, MAX_TUPLES)
         require_int("ProtocolParams.l", self.l)
         require_int("ProtocolParams.l1", self.l1)
         require_int("ProtocolParams.l2", self.l2, self.l1)
@@ -120,9 +126,17 @@ class Message:
     label: str
     payload: object  # Matrix | MarginalSet | tuple[Matrix, ...]
 
+    def __post_init__(self):
+        if self.sender not in ("alice", "bob"):
+            raise ValueError(f"unknown sender {self.sender!r}")
+        if not isinstance(self.label, str):
+            raise TypeError("message label must be a str")
+
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
+    """A run as published; every transcript that builds decodes back."""
+
     protocol: str
     params: ProtocolParams
     seed: int
@@ -130,6 +144,13 @@ class ProtocolTranscript:
     key_a: Matrix
     key_b: Matrix
     annotations: tuple[str, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.protocol, str) or self.protocol not in _EXCHANGES:
+            raise ValueError(f"unknown protocol {self.protocol!r}")
+        require_int("ProtocolTranscript.seed", self.seed)
+        if not all(isinstance(a, str) for a in self.annotations):
+            raise TypeError("annotations must be strs")
 
     @property
     def agreed(self) -> bool:

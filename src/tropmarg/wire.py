@@ -20,7 +20,7 @@ import tempfile
 from fractions import Fraction
 from typing import Sequence, get_args, get_type_hints
 
-from .families import FamilySpec
+from .families import MAX_POLY_DEGREE, FamilySpec
 from .marginal import (
     Box,
     Circle,
@@ -250,16 +250,6 @@ def _expect_type(obj, expected: str) -> None:
 # bytes of box could otherwise stand for billions of tuples.
 MAX_BOX_TUPLES = 4096
 
-# Largest polynomial degree and tuple count a params file may ask for.  A
-# few bytes can name any number, and the work grows with both: drawing a
-# family member of degree D costs D matrix products, and a run draws
-# n_tuples tuples per published set.  The CLI defaults, the builtin fixtures
-# and the benchmark use at most degree 3 and 3 tuples.  The encoder refuses
-# what the decoder would reject, so no params file is written that cannot
-# be read back.
-MAX_POLY_DEGREE = 64
-MAX_TUPLES = 256
-
 
 def _box_form(s: MarginalSet):
     """Interval body if the set is exactly an integer box, else None.  Cell
@@ -422,17 +412,10 @@ _FAMILIES = {cls.tag: (cls, _field_plan(cls)) for cls in get_args(FamilySpec)}
 _CONTEXT = ("kind", "dim")
 
 
-def _within_caps(spec: FamilySpec) -> FamilySpec:
-    if getattr(spec, "max_degree", 0) > MAX_POLY_DEGREE:
-        raise WireFormatError(f"polynomial degree above {MAX_POLY_DEGREE}")
-    return spec
-
-
 def _family_out(spec: FamilySpec):
     cls, plan = _FAMILIES.get(getattr(spec, "tag", None), (None, ()))
     if type(spec) is not cls:
         raise WireFormatError(f"unknown family spec {spec!r}")
-    _within_caps(spec)
     out = {"family": cls.tag}
     for name, hint in plan:
         if name not in _CONTEXT:
@@ -460,10 +443,9 @@ def _family_in(obj, kind: SemiringKind, dim: int) -> FamilySpec:
             value = token_to_scalar(value)
         fields[name] = value
     try:
-        spec = cls(**fields)
+        return cls(**fields)
     except (TypeError, ValueError) as e:
         raise WireFormatError(f"bad {tag} family spec: {e}") from e
-    return _within_caps(spec)
 
 
 # --------------------------------------------------------------------------
@@ -471,8 +453,6 @@ def _family_in(obj, kind: SemiringKind, dim: int) -> FamilySpec:
 
 
 def _params_body(p: ProtocolParams):
-    if p.n_tuples > MAX_TUPLES:
-        raise WireFormatError(f"params n_tuples above {MAX_TUPLES}")
     return {
         "kind": str(p.kind),
         "dim": p.dim,
@@ -500,7 +480,7 @@ def _params_in(obj) -> ProtocolParams:
     kind = _kind_in(obj.get("kind"))
     dim = obj.get("dim")
     try:
-        params = ProtocolParams(
+        return ProtocolParams(
             kind=kind,
             dim=dim,
             publics=tuple(_rows_in(kind, rows) for rows in obj.get("publics", [])),
@@ -518,9 +498,6 @@ def _params_in(obj) -> ProtocolParams:
         )
     except (TypeError, ValueError) as e:
         raise WireFormatError(str(e)) from e
-    if params.n_tuples > MAX_TUPLES:
-        raise WireFormatError(f"params n_tuples above {MAX_TUPLES}")
-    return params
 
 
 def decode_params(data: bytes) -> ProtocolParams:
@@ -587,45 +564,38 @@ def encode_transcript(t: ProtocolTranscript) -> bytes:
 
 
 def decode_transcript(data: bytes) -> ProtocolTranscript:
+    """Checks the JSON shape; Message and ProtocolTranscript check the fields."""
     obj = from_canonical_bytes(data)
     _expect_type(obj, "transcript")
     params = _params_in(obj.get("params", {}))
-    protocol = obj.get("protocol")
-    if not isinstance(protocol, str) or protocol not in _EXCHANGES:
-        raise WireFormatError(f"unknown protocol {protocol!r}")
-    seed = obj.get("seed")
-    if type(seed) is not int:
-        raise WireFormatError("transcript seed must be an integer")
     records = obj.get("messages", [])
-    if not isinstance(records, list):
-        raise WireFormatError("transcript messages must be an array")
-    messages = []
-    for m in records:
-        if not isinstance(m, dict) or m.get("sender") not in ("alice", "bob"):
-            raise WireFormatError("bad message record")
-        label = m.get("label")
-        if not isinstance(label, str):
-            raise WireFormatError("bad message label")
-        messages.append(
-            Message(m["sender"], label, _payload_in(m.get("payload"), params.kind))
-        )
+    if not isinstance(records, list) or not all(isinstance(m, dict) for m in records):
+        raise WireFormatError("transcript messages must be an array of objects")
     keys = obj.get("keys")
     if not isinstance(keys, dict):
         raise WireFormatError("transcript needs a keys object")
     annotations = obj.get("annotations", [])
-    if not isinstance(annotations, list) or not all(
-        isinstance(a, str) for a in annotations
-    ):
-        raise WireFormatError("annotations must be an array of strings")
-    return ProtocolTranscript(
-        protocol=protocol,
-        params=params,
-        seed=seed,
-        messages=tuple(messages),
-        key_a=_rows_in(params.kind, keys.get("alice")),
-        key_b=_rows_in(params.kind, keys.get("bob")),
-        annotations=tuple(annotations),
-    )
+    if not isinstance(annotations, list):
+        raise WireFormatError("annotations must be an array")
+    # decoded before the try: a set that fails verification raises
+    # MarginalVerificationError, a ValueError that is not a format error
+    payloads = [_payload_in(m.get("payload"), params.kind) for m in records]
+    key_a, key_b = (_rows_in(params.kind, keys.get(party)) for party in ("alice", "bob"))
+    try:
+        return ProtocolTranscript(
+            protocol=obj.get("protocol"),
+            params=params,
+            seed=obj.get("seed"),
+            messages=tuple(
+                Message(m.get("sender"), m.get("label"), payload)
+                for m, payload in zip(records, payloads)
+            ),
+            key_a=key_a,
+            key_b=key_b,
+            annotations=tuple(annotations),
+        )
+    except (TypeError, ValueError) as e:
+        raise WireFormatError(str(e)) from e
 
 
 # --------------------------------------------------------------------------

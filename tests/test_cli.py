@@ -6,9 +6,9 @@ import time
 import pytest
 
 from tropmarg.cli import MAX_BLOCKS, main
+from tropmarg.families import MAX_POLY_DEGREE
+from tropmarg.protocols import MAX_TUPLES
 from tropmarg.wire import (
-    MAX_POLY_DEGREE,
-    MAX_TUPLES,
     decode_marginal_set,
     decode_params,
     decode_report,

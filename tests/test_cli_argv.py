@@ -25,9 +25,9 @@ from hypothesis import strategies as st
 
 from tropmarg import cli, protocols
 from tropmarg.cli import MAX_BLOCKS, MAX_DIM, main
+from tropmarg.families import MAX_POLY_DEGREE
+from tropmarg.protocols import MAX_TUPLES
 from tropmarg.wire import (
-    MAX_POLY_DEGREE,
-    MAX_TUPLES,
     WireFormatError,
     decode_transcript,
     from_canonical_bytes,

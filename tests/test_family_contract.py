@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tropmarg.families import (
+    MAX_POLY_DEGREE,
     CirculantFamily,
     JonesDeformFamily,
     LdpFamily,
@@ -33,7 +34,6 @@ from tropmarg.matrix import make_matrix
 from tropmarg.protocols import ProtocolParams
 from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind, add_neutral
 from tropmarg.wire import (
-    MAX_POLY_DEGREE,
     WireFormatError,
     decode_params,
     encode_params,
@@ -120,9 +120,8 @@ def test_scales_are_stored_canonically():
 
 
 def test_the_degree_cap_holds_on_both_sides():
-    too_deep = PolyFamily(OS_A, MAX_POLY_DEGREE + 1, 0, 1)
-    with pytest.raises(WireFormatError):
-        encode_params(_params(too_deep))
+    with pytest.raises(ValueError, match=f"PolyFamily.max_degree must be <= {MAX_POLY_DEGREE}"):
+        PolyFamily(OS_A, MAX_POLY_DEGREE + 1, 0, 1)
     data = encode_params(_params(PolyFamily(OS_A, MAX_POLY_DEGREE, 0, 1)))
     field = '"max_degree":{}'
     over = data.replace(

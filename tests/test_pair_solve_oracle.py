@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropmarg.fixtures as fx
 from tropmarg.constraints import Infeasible, solve_feasible_min
 from tropmarg.marginal import (
     BoundTable,
@@ -25,7 +26,7 @@ from tropmarg.marginal import (
     two_sided_residual,
 )
 from tropmarg.matrix import make_matrix
-from tropmarg.selfcheck import _assignment_to_pair, _pair_system
+from pair_reference import _assignment_to_pair, _pair_system
 from tropmarg.semiring import SemiringKind
 
 MIN = SemiringKind.MIN_PLUS
@@ -159,3 +160,20 @@ def test_chain_needing_every_round():
     assert table.zero_pairs == frozenset({(0, 0), (0, 1)})
     x, y = assert_agrees(table, [[-9, 0], [0, 0]], [[0, 0], [0, 4]])
     assert x.rows[0][0] == -4 and y.rows[0][0] == 4 and y.rows[1][1] == 4
+
+
+
+@pytest.mark.parametrize("shape", ["sandwich", "five-factor"])
+def test_the_recorded_pairs_solve_the_recorded_bounds(shape):
+    # the cross-solve of the worked instances: `tropmarg selftest` checks
+    # the pair solve against the recorded pairs, this checks the recorded
+    # pairs against the general solver on the full system
+    if shape == "sandwich":
+        table = two_sided_residual(fx.BIL_A)
+        bounds, pair = (fx.BIL_R, fx.BIL_S), (fx.BIL_X, fx.BIL_Y)
+    else:
+        table = five_factor_residual(fx.FF_A, fx.FF_B, fx.FF_C)
+        bounds, pair = (fx.FF_R, fx.FF_S), (fx.FF_X, fx.FF_Y)
+    r, s = ([list(row) for row in m.rows] for m in bounds)
+    assert reference(table, r, s) == pair
+    assert assert_agrees(table, r, s) == pair

@@ -23,7 +23,7 @@ from tropmarg import constraints
 from tropmarg.constraints import ConstraintSystem, Edge, Infeasible, VarId
 from tropmarg.marginal import five_factor_residual, two_sided_residual
 from tropmarg.matrix import make_matrix
-from tropmarg.selfcheck import _pair_system
+from pair_reference import _pair_system
 from tropmarg.semiring import Scalar, SelfCheckError, SemiringKind
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Checks on the library's source tree.
 
 Every correctness check in `src/` raises a real exception, so that it still
-runs under `python -O`, which strips `assert` statements.  And only the
-self-check and the package's re-exports import the general
-difference-constraint solver, `tropmarg.constraints`.  The samplers in
-`marginal.py` reach the random generator only through one helper, and every
-int contract goes through one helper, `semiring.require_int`.
+runs under `python -O`, which strips `assert` statements.  And no module
+of the library imports the general difference-constraint solver,
+`tropmarg.constraints`, which only the tests use as a reference.  The
+samplers in `marginal.py` reach the random generator only through one
+helper, and every int contract goes through one helper,
+`semiring.require_int`.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ def test_src_has_no_assert_statements():
     assert found == []
 
 
-# No runtime path calls the general difference-constraint solver: only the
-# self-check, which cross-solves the recorded worked instances, and the
-# package's re-exports import it.
+# No library module imports the general difference-constraint solver: the
+# pair solve is checked against it in the tests (tests/pair_reference.py),
+# and the self-check compares the pair solve with the recorded pairs.
 SOLVER = "tropmarg.constraints"
-SOLVER_IMPORTERS = {"__init__.py", "selfcheck.py"}
+SOLVER_IMPORTERS: set[str] = set()
 
 
 def imported_modules(source: str, package: str = "tropmarg") -> set[str]:
@@ -75,13 +76,31 @@ def test_the_import_check_resolves_each_import_form():
     assert SOLVER not in imported_modules("from .marginal import constraints_of\n")
 
 
-def test_only_the_self_check_imports_the_general_solver():
+def test_no_library_module_imports_the_general_solver():
     importers = {
         path.relative_to(SRC / "tropmarg").as_posix()
         for path in (SRC / "tropmarg").rglob("*.py")
         if SOLVER in imported_modules(path.read_text(encoding="utf-8"))
     }
     assert importers <= SOLVER_IMPORTERS
+
+
+def test_the_package_cli_and_self_check_never_load_the_solver():
+    """What a CLI run loads, and every self-check row, under python -O."""
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import sys, tropmarg, tropmarg.cli; from tropmarg import selfcheck; "
+        "rows = selfcheck.run_all(); "
+        f"sys.exit(0 if rows and all(ok for _, ok, _ in rows) and {SOLVER!r} not in sys.modules else 1)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # The samplers reach the random generator only through marginal._randbelow,

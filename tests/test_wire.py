@@ -301,6 +301,17 @@ class TestTranscriptCodec:
         back = decode_transcript(to_canonical_bytes(obj))
         assert not back.agreed
 
+    def test_tampered_set_message_is_a_verification_error(self):
+        # a ValueError, raised outside the decoder's format-error mapping
+        params = fx.builtin_params("sandwich4x4")
+        t = run_protocol_sandwich(params, random.Random(params.seed))
+        obj = from_canonical_bytes(encode_transcript(t))
+        sets = [m for m in obj["messages"] if m["payload"]["kind"] == "marginal-set"]
+        sets[0]["payload"]["tuples"][1][0][0][0] = "-500"
+        with pytest.raises(MarginalVerificationError) as exc:
+            decode_transcript(to_canonical_bytes(obj))
+        assert exc.value.indices == (1,)
+
 
 class TestReportCodec:
     def test_round_trip(self):

@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +36,7 @@ from tropmarg.families import (
 from tropmarg.marginal import make_marginal_set, right_word
 from tropmarg.matrix import make_matrix
 from tropmarg.protocols import (
+    Message,
     NoDecomposition,
     ProtocolParams,
     attack_decomposition,
@@ -370,6 +372,57 @@ def test_the_report_encoder_refuses_what_the_decoder_refuses(fields):
     report = {**_VALID_REPORT, **fields}
     with pytest.raises(WireFormatError):
         encode_report(report)
+
+
+# ---------------------------------------------------------------------------
+# A transcript owns its fields: the encoder writes only what decodes
+
+_TRANSCRIPT = decode_transcript(VALID["transcript-sets"])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: replace(t, protocol="nope"),
+        lambda t: replace(t, seed=True),
+        lambda t: replace(t, annotations=(1,)),
+        lambda t: Message("carol", "u", t.messages[0].payload),
+    ],
+    ids=["protocol", "seed", "annotation", "sender"],
+)
+def test_a_transcript_that_would_not_decode_does_not_build(build):
+    with pytest.raises((TypeError, ValueError)):
+        build(_TRANSCRIPT)
+
+
+_TRANSCRIPT_VALUES = {
+    "protocol": ["sidelnikov", "one-sided", "multiblock", "nope", "", 3, None],
+    "seed": [0, -5, 2**40, True, False, 1.0, "7", None],
+    "annotations": [(), ("x", "y"), (1,), ("a", None), (b"x",)],
+    "sender": ["alice", "bob", "carol", "", None, 1],
+    "label": ["u", "", 5, None, b"u"],
+}
+
+
+@st.composite
+def transcript_edits(draw):
+    """Up to three of the valid transcript's fields, with new values: sender
+    and label are those of its first message."""
+    names = draw(st.sets(st.sampled_from(sorted(_TRANSCRIPT_VALUES)), max_size=3))
+    return {name: draw(st.sampled_from(_TRANSCRIPT_VALUES[name])) for name in sorted(names)}
+
+
+@FUZZ
+@given(transcript_edits())
+def test_every_transcript_that_builds_round_trips(edits):
+    t = _TRANSCRIPT
+    first = {k: edits.pop(k) for k in ("sender", "label") if k in edits}
+    try:
+        t = replace(t, messages=(replace(t.messages[0], **first), *t.messages[1:]), **edits)
+    except (TypeError, ValueError):
+        return
+    data = encode_transcript(t)
+    assert encode_transcript(decode_transcript(data)) == data
 
 
 # ---------------------------------------------------------------------------
