@@ -112,10 +112,6 @@ def _int_within(lo: int, hi: int):
     return parse
 
 
-def _print(line: str) -> None:
-    sys.stdout.write(line + "\n")
-
-
 def _error_record(code: int, reason: str, detail: str) -> None:
     record = {"type": "error", "code": code, "reason": reason, "detail": detail}
     sys.stdout.write(to_canonical_bytes(record).decode("utf-8"))
@@ -247,7 +243,7 @@ def _cmd_gen_params(args) -> int:
         seed=args.seed,
     )
     write_bytes(args.out, encode_params(params))
-    _print(f"params written to {args.out}: {kind} dim {args.dim}, family {name}, seed {args.seed}")
+    print(f"params written to {args.out}: {kind} dim {args.dim}, family {name}, seed {args.seed}")
     return 0
 
 
@@ -275,7 +271,7 @@ def _cmd_gen_marginal(args) -> int:
         s = sample_additive_marginal(anchor, args.count, params.l, rng)
     data = encode_marginal_set(s, encoding=args.encoding)
     write_bytes(args.out, data)
-    _print(f"marginal set written to {args.out}: {len(s)} tuple(s), word {args.word}")
+    print(f"marginal set written to {args.out}: {len(s)} tuple(s), word {args.word}")
     return 0
 
 
@@ -291,7 +287,7 @@ def _cmd_verify_marginal(args) -> int:
             raise CliError(
                 1, "verification-failed", f"tuples at indices {bad} fail under the given word"
             )
-    _print(f"all {len(s)} tuple(s) verify")
+    print(f"all {len(s)} tuple(s) verify")
     return 0
 
 
@@ -329,7 +325,7 @@ def _cmd_run_protocol(args) -> int:
     write_bytes(args.out, encode_transcript(transcript))
     if not transcript.agreed:
         raise CliError(1, "keys-disagree", "the two derived keys differ")
-    _print(f"transcript written to {args.out}: {args.protocol}, keys agree")
+    print(f"transcript written to {args.out}: {args.protocol}, keys agree")
     return 0
 
 
@@ -375,7 +371,7 @@ def _cmd_attack(args) -> int:
     if not match:
         _error_record(1, "attack-missed", f"report written to {args.out}")
         return 1
-    _print(f"report written to {args.out}: key recovered, matches transcript")
+    print(f"report written to {args.out}: key recovered, matches transcript")
     return 0
 
 
@@ -384,11 +380,11 @@ def _cmd_selftest(args) -> int:
     failures = 0
     for name, ok, detail in rows:
         if ok:
-            _print(f"ok   {name}" + (f": {detail}" if args.verbose else ""))
+            print(f"ok   {name}" + (f": {detail}" if args.verbose else ""))
         else:
             failures += 1
-            _print(f"FAIL {name}: {detail}")
-    _print(f"{len(rows) - failures}/{len(rows)} checks passed")
+            print(f"FAIL {name}: {detail}")
+    print(f"{len(rows) - failures}/{len(rows)} checks passed")
     return 0 if failures == 0 else 1
 
 

@@ -105,7 +105,14 @@ def deform(a: Matrix, alpha) -> Matrix:
         raise ValueError("alpha outside [0, 1]")
     if not is_jones(a):
         raise ValueError("deformation requires a Jones matrix")
+    _require_finite_diagonal(a)
     return _deform(a, alpha)
+
+
+def _require_finite_diagonal(a: Matrix) -> None:
+    """Checked once per base (deform, JonesDeformFamily), not per member."""
+    if not all(is_finite(row[i]) for i, row in enumerate(a.rows)):
+        raise ValueError("deformation requires finite diagonal entries")
 
 
 def _exact_alpha(alpha) -> Fraction:
@@ -115,13 +122,10 @@ def _exact_alpha(alpha) -> Fraction:
 
 
 def _deform(a: Matrix, alpha: Fraction) -> Matrix:
-    """deform() for a Jones base and an exact alpha in [0, 1], unchecked.
-    The shift (alpha - 1) * max(a_ii, a_jj) is the shift of the larger of
-    the two diagonal entries, so it is computed once per diagonal entry."""
-    n = a.dim
-    diag = [a.rows[i][i] for i in range(n)]
-    if not all(is_finite(d) for d in diag):
-        raise ValueError("deformation requires finite diagonal entries")
+    """deform() for a Jones base of finite diagonal and an exact alpha in
+    [0, 1], unchecked.  The shift (alpha - 1) * max(a_ii, a_jj) is the shift
+    of the larger diagonal entry, so it is computed once per entry."""
+    diag = [row[i] for i, row in enumerate(a.rows)]
     shift = [as_scalar((alpha - 1) * d) for d in diag]
     return Matrix(
         a.kind,
@@ -300,8 +304,7 @@ class JonesDeformFamily(_OfBase):
         _require_matrix(self.base)
         if not is_jones(self.base):
             raise ValueError("base must be a Jones matrix")
-        if not all(is_finite(row[i]) for i, row in enumerate(self.base.rows)):
-            raise ValueError("deformation requires finite diagonal entries")
+        _require_finite_diagonal(self.base)
         for name in ("alpha_lo", "alpha_hi"):
             object.__setattr__(self, name, _exact_alpha(getattr(self, name)))
         if not (0 <= self.alpha_lo <= self.alpha_hi <= 1):

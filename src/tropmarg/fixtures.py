@@ -253,7 +253,6 @@ TB_K = _m([[-308, -310, -315], [-305, -320, -278], [-330, -332, -290]])
 # Commuting-deformation golden (max-plus)
 
 JONES_BASE = make_matrix(MAX, [[2, 1], [1, 3]])
-JONES_HALF_DEFORM_ROWS = "[[1, -1/2], [-1/2, 3/2]]"  # documented in tests
 
 
 # --------------------------------------------------------------------------

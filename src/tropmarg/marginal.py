@@ -300,25 +300,23 @@ def _sample_set(word: WordTemplate, n: int, draw, flip, fixed: bool = False) -> 
     lies above X* with x*'s zero diagonal, which with the sampler's one
     product m⊗X* = m proves the value (_sample_one_sided).
 
-    draw() returns None for a failed draw.  Each tuple gets RETRY_BUDGET
-    attempts; when they run out the box is too small for n distinct tuples
-    and what exists is returned, unless nothing does.  fixed says that
-    draw() returns one tuple every time without touching the random stream
-    (a one-point box): it is drawn once, since more draws would only repeat
-    it, and the set and the stream come out as after the full retry loop.
+    Every draw gives a tuple, so the set is never empty; RETRY_BUDGET bounds
+    duplicates only: when a new tuple's attempts run out, the box is too
+    small for n distinct tuples and what exists is returned.  fixed says
+    that draw() returns one tuple every time without touching the random
+    stream (a one-point box): it is drawn once, since more draws would only
+    repeat it, and the set and the stream come out as after the full loop.
     """
     require_int("tuple count", n, 1)
     tuples: dict[MarginalTuple, None] = {}
     for _ in range(1 if fixed else n):
         for _attempt in range(RETRY_BUDGET):
             t = draw()
-            if t is not None and t not in tuples:
+            if t not in tuples:
                 tuples[t] = None
                 break
         else:
             break
-    if not tuples:
-        raise SamplerExhausted("sampler retry budget exhausted")
     return _verified_set(word, tuple(tuple(flip(x) for x in t) for t in tuples))
 
 
@@ -726,11 +724,13 @@ def _sample_pairs(
     A pin value h and the free lower bounds are drawn from [l1, l2]; rows of
     the zero-pair projections get their diagonal bounds pinned to h and -h,
     the zero pairs themselves become equalities, and _solve_pair produces
-    the canonical pair.  Infeasible draws retry within the budget.  Max-plus
-    inputs run through the min-plus reduction by negation, with l1..l2 read
-    in the reduced coordinates.  The word check reads the solve's products:
-    X⊗(B⊗Y) for the sandwich, (A⊗X)⊗(B⊗Y)⊗C for the five-factor word, not
-    A⊗(X⊗B⊗Y)⊗C, which would repeat the reduction that formed A⊗B⊗C.
+    the canonical pair.  Every all-diagonal bound is <= 0
+    (BoundTable.zero_pairs), so the pinned system is always feasible and an
+    infeasible solve raises SelfCheckError.  Max-plus inputs run through the
+    min-plus reduction by negation, with l1..l2 read in the reduced
+    coordinates.  The word check reads the solve's products: X⊗(B⊗Y) for
+    the sandwich, (A⊗X)⊗(B⊗Y)⊗C for the five-factor word, not A⊗(X⊗B⊗Y)⊗C,
+    which would repeat the reduction that formed A⊗B⊗C.
     """
     require_int("l1", l1)
     require_int("l2", l2, l1)
@@ -752,7 +752,7 @@ def _sample_pairs(
             s[i][j] = -h if i == j and i in py else next(free)
         solved = _solve_pair(table, r, s)
         if solved is None:
-            return None
+            raise SelfCheckError("pinned pair system is infeasible")
         xs, ys, by, xby = solved
         value = xby if first is None else mat_mul(mat_mul(mat_mul(first, xs), by), last)
         if value != table.product:
@@ -776,8 +776,7 @@ def sample_sandwich_marginal(
 def sample_five_factor_marginal(
     a: Matrix, b: Matrix, c: Matrix, n: int, l1: int, l2: int, rng: random.Random
 ) -> MarginalSet:
-    """n pairs (X, Y) with A⊗X⊗B⊗Y⊗C = A⊗B⊗C; always feasible, but a
-    retry budget guards the loop."""
+    """n pairs (X, Y) with A⊗X⊗B⊗Y⊗C = A⊗B⊗C; every draw is feasible."""
     return _sample_pairs(five_factor_word(a, b, c), five_factor_residual, n, l1, l2, rng)
 
 

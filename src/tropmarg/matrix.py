@@ -218,12 +218,7 @@ def powers(a: Matrix, e: int) -> list[Matrix]:
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
     """e-fold tropical power; e = 0 gives the identity."""
-    if require_int("exponent", e, 0) == 0:
-        return identity(a.kind, a.dim)
-    acc = a
-    for _ in range(e - 1):
-        acc = mat_mul(acc, a)
-    return acc
+    return mat_prod(a.kind, a.dim, [a] * require_int("exponent", e, 0))
 
 
 def scalar_mul(c, a: Matrix) -> Matrix:

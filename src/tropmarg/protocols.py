@@ -8,8 +8,9 @@ skeleton (_run) and differ only in one row of data each (_EXCHANGES).  A
 decomposition attack against the baseline is included; it recovers the key
 whenever the secrets lie in the span of a public basis.
 
-All runs are deterministic functions of (params, rng) and produce a
-transcript whose public section never contains party secrets.
+All runs are deterministic functions of (params, rng).  Their transcripts
+do not yet hide the secrets: a set payload carries its word's constants
+(ROADMAP, "Transcripts publish the secrets the sets hide").
 """
 
 from __future__ import annotations
@@ -131,11 +132,15 @@ class Message:
             raise ValueError(f"unknown sender {self.sender!r}")
         if not isinstance(self.label, str):
             raise TypeError("message label must be a str")
+        items = self.payload if isinstance(self.payload, tuple) else (self.payload,)
+        if not (isinstance(self.payload, MarginalSet) or all(isinstance(m, Matrix) for m in items)):
+            raise TypeError("payload must be a Matrix, a MarginalSet or a tuple of Matrix")
 
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """A run as published; every transcript that builds decodes back."""
+    """A run as published.  It checks its fields, so every transcript that
+    builds encodes to bytes that decode back to it (README, Input contracts)."""
 
     protocol: str
     params: ProtocolParams
@@ -151,6 +156,18 @@ class ProtocolTranscript:
         require_int("ProtocolTranscript.seed", self.seed)
         if not all(isinstance(a, str) for a in self.annotations):
             raise TypeError("annotations must be strs")
+        carried = [self.key_a, self.key_b]
+        if not (
+            isinstance(self.params, ProtocolParams)
+            and all(isinstance(x, Matrix) for x in carried)
+            and all(isinstance(m, Message) for m in self.messages)
+        ):
+            raise TypeError("a transcript takes ProtocolParams, Messages and Matrix keys")
+        for p in (m.payload for m in self.messages):
+            carried += p if isinstance(p, tuple) else [p.word if isinstance(p, MarginalSet) else p]
+        kind, dim = self.params.kind, self.params.dim
+        if any(x.kind is not kind or x.dim != dim for x in carried):
+            raise ValueError(f"a key or payload is not a {kind} matrix of dim {dim}")
 
     @property
     def agreed(self) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -252,35 +253,22 @@ MAX_BOX_TUPLES = 4096
 
 
 def _box_form(s: MarginalSet):
-    """Interval body if the set is exactly an integer box, else None.  Cell
-    form: a bare value for a constant entry, [lo, hi] for a full contiguous
-    range."""
-    n = s.word.dim
-    per_cell = [[set() for _ in range(n)] for _ in range(n)]
-    for (m,) in s.tuples:
-        if not m.all_int:
-            return None
-        for i in range(n):
-            for j in range(n):
-                per_cell[i][j].add(m.rows[i][j])
-    total = 1
-    for i in range(n):
-        for j in range(n):
-            vals = per_cell[i][j]
-            if max(vals) - min(vals) + 1 != len(vals):
-                return None  # gaps: not a contiguous range
-            total *= len(vals)
-    if total != len(s.tuples) or total > MAX_BOX_TUPLES:
+    """Interval body if the set is exactly an integer box, else None: its
+    matrices are all-int, distinct, and as many as the points between their
+    entrywise minimum and maximum, which are then the box's corners (as
+    many distinct points fit only in a box whose every cell is full).  Cell
+    form: a bare value for a constant entry, [lo, hi] for a range."""
+    mats = [m for (m,) in s.tuples]
+    if not all(m.all_int for m in mats) or len({m.rows for m in mats}) != len(mats):
         return None
-    return {
-        "box": [
-            [
-                min(c) if len(c) == 1 else [min(c), max(c)]
-                for c in (per_cell[i][j] for j in range(n))
-            ]
-            for i in range(n)
-        ]
-    }
+    corners = [
+        [(min(cell), max(cell)) for cell in zip(*(m.rows[i] for m in mats))]
+        for i in range(s.word.dim)
+    ]
+    points = math.prod(hi - lo + 1 for row in corners for lo, hi in row)
+    if points != len(mats) or points > MAX_BOX_TUPLES:
+        return None
+    return {"box": [[lo if lo == hi else [lo, hi] for lo, hi in row] for row in corners]}
 
 
 def _delta_form(s: MarginalSet):
@@ -303,7 +291,8 @@ def _delta_form(s: MarginalSet):
 def encode_marginal_set(s: MarginalSet, encoding: str = "raw") -> bytes:
     """Serialize with the requested encoding, falling back silently down the
     ladder interval, delta, raw: interval and delta need a non-empty set of
-    single matrices, interval also an exact integer box; raw always applies."""
+    single matrices, interval also an exact integer box of distinct matrices
+    (a set that repeats one falls back to delta); raw always applies."""
     if encoding not in ("raw", "interval", "delta"):
         raise WireFormatError(f"unknown encoding {encoding!r}")
     used = encoding if s.word.arity == 1 and s.tuples else "raw"
@@ -519,9 +508,7 @@ def _payload_out(payload):
             "word": _word_out(payload.word),
             "tuples": [[_rows_out(m) for m in t] for t in payload.tuples],
         }
-    if isinstance(payload, tuple):
-        return {"kind": "matrix-tuple", "items": [_rows_out(m) for m in payload]}
-    raise WireFormatError(f"unknown payload {payload!r}")
+    return {"kind": "matrix-tuple", "items": [_rows_out(m) for m in payload]}
 
 
 def _payload_in(obj, kind: SemiringKind):

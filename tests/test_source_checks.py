@@ -6,7 +6,8 @@ of the library imports the general difference-constraint solver,
 `tropmarg.constraints`, which only the tests use as a reference.  The
 samplers in `marginal.py` reach the random generator only through one
 helper, and every int contract goes through one helper,
-`semiring.require_int`.
+`semiring.require_int`.  Only `selfcheck._agree` returns a failing row,
+and no sampler draw in `marginal.py` can return None.
 """
 
 from __future__ import annotations
@@ -233,3 +234,102 @@ def test_only_the_scalar_layer_holds_the_int_check():
     }
     assert len(found.pop(INT_HELPER_HOME)) == 1  # require_int's own raise
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# One failure path per job: in selfcheck.py only the comparison helper
+# _agree returns a failing row, (False, detail); every check hands it
+# (label, recomputed, recorded) rows.  In marginal.py every sampler's draw()
+# returns a tuple: none returns None, ends with a bare `return`, or falls
+# off its end, since _sample_set takes every draw as a tuple.
+def _own_nodes(func):
+    """The nodes of a function's body, not descending into nested defs."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _functions(source: str, name=None):
+    return [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (name is None or node.name == name)
+    ]
+
+
+def false_row_returns(source: str) -> list[str]:
+    """Each function that returns a tuple whose first item is the constant
+    False, by name."""
+    return [
+        func.name
+        for func in _functions(source)
+        if any(
+            isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Tuple)
+            and node.value.elts
+            and isinstance(node.value.elts[0], ast.Constant)
+            and node.value.elts[0].value is False
+            for node in _own_nodes(func)
+        )
+    ]
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def none_draws(source: str) -> list[int]:
+    """Line of each `return`, `return None` or fall-off end in a function
+    named draw."""
+    found = []
+    for func in _functions(source, "draw"):
+        found += [
+            node.lineno
+            for node in _own_nodes(func)
+            if isinstance(node, ast.Return)
+            and (node.value is None or _is_none(node.value))
+        ]
+        if not isinstance(func.body[-1], (ast.Return, ast.Raise)):
+            found.append(func.body[-1].lineno)
+    return sorted(found)
+
+
+def test_the_failure_row_check_finds_each_form():
+    source = (
+        "def _agree(ok, *rows):\n    return False, 'x'\n"
+        "def f():\n    if g():\n        return False, 'bad'\n    return True, 'ok'\n"
+        "def h():\n    def inner():\n        return (False,)\n    return inner\n"
+    )
+    assert false_row_returns(source) == ["_agree", "f", "inner"]
+    assert false_row_returns(
+        "def f():\n    return ('x', False)\ndef g():\n    return False\n"
+        "def k():\n    ok, detail = False, 'x'\n    return ok, detail\n"
+    ) == []
+
+
+def test_only_agree_returns_a_failing_row():
+    source = (SRC / "tropmarg" / "selfcheck.py").read_text(encoding="utf-8")
+    assert false_row_returns(source) == ["_agree"]
+
+
+def test_the_draw_check_finds_each_failed_draw():
+    source = (
+        "def s():\n    def draw():\n        if x:\n            return None\n        return (1,)\n"
+        "def t():\n    def draw():\n        if x:\n            return\n        return (1,)\n"
+        "def u():\n    def draw():\n        y = 1\n"
+    )
+    assert none_draws(source) == [4, 9, 13]
+    assert none_draws(
+        "def s():\n    def draw():\n        def f():\n            return None\n"
+        "        if x:\n            raise E()\n        return (1,)\n"
+        "def g():\n    return None\n"
+    ) == []
+
+
+def test_every_sampler_draw_gives_a_tuple():
+    source = (SRC / "tropmarg" / "marginal.py").read_text(encoding="utf-8")
+    assert len(_functions(source, "draw")) == 4
+    assert none_draws(source) == []

@@ -1,8 +1,11 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropmarg.fixtures as fx
 import tropmarg.wire as wire
@@ -15,6 +18,7 @@ from tropmarg.families import (
     UpperTCirculantFamily,
 )
 from tropmarg.marginal import (
+    MarginalSet,
     additive_word,
     make_marginal_set,
     right_word,
@@ -213,6 +217,29 @@ class TestMarginalSetCodec:
         data = encode_marginal_set(s, encoding="interval")
         assert from_canonical_bytes(data)["encoding"] == "delta"
         assert decode_marginal_set(data).tuples == s.tuples
+
+    def test_interval_falls_back_to_delta_for_repeated_matrices(self):
+        # two distinct matrices, each twice: as many tuples as the points of
+        # the box between them, but only half of those points are in the set
+        lo = make_matrix(MIN, [[0, 0], [0, 0]])
+        hi = make_matrix(MIN, [[1, 1], [0, 0]])
+        s = MarginalSet(additive_word(lo), ((lo,), (hi,), (lo,), (hi,)))
+        data = encode_marginal_set(s, encoding="interval")
+        assert from_canonical_bytes(data)["encoding"] == "delta"
+        assert decode_marginal_set(data) == s
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_interval_keeps_the_multiset_of_a_set_with_repeats(self, cells, data):
+        mats = [make_matrix(MIN, [c[:2], c[2:]]) for c in cells]
+        mats.append(data.draw(st.sampled_from(mats)))  # at least one repeat
+        zero = make_matrix(MIN, [[0, 0], [0, 0]])
+        s = MarginalSet(additive_word(zero), tuple((m,) for m in mats))
+        back = decode_marginal_set(encode_marginal_set(s, encoding="interval"))
+        assert Counter(back.tuples) == Counter(s.tuples)
 
     def test_tampered_tuple_is_flagged_with_its_index(self):
         s = make_marginal_set(right_word(fx.DEF3_A), [fx.DEF3_C1, fx.DEF3_C2])

@@ -34,7 +34,7 @@ from tropmarg.families import (
     sample_jones,
 )
 from tropmarg.marginal import make_marginal_set, right_word
-from tropmarg.matrix import make_matrix
+from tropmarg.matrix import dual, make_matrix
 from tropmarg.protocols import (
     Message,
     NoDecomposition,
@@ -378,6 +378,8 @@ def test_the_report_encoder_refuses_what_the_decoder_refuses(fields):
 # A transcript owns its fields: the encoder writes only what decodes
 
 _TRANSCRIPT = decode_transcript(VALID["transcript-sets"])
+_OTHER_DIM = make_matrix(MIN, [[0, 1], [2, 3]])
+_MAX_SET = make_marginal_set(right_word(dual(fx.DEF3_A)), [dual(fx.DEF3_C1)])
 
 
 @pytest.mark.parametrize(
@@ -387,8 +389,21 @@ _TRANSCRIPT = decode_transcript(VALID["transcript-sets"])
         lambda t: replace(t, seed=True),
         lambda t: replace(t, annotations=(1,)),
         lambda t: Message("carol", "u", t.messages[0].payload),
+        lambda t: replace(t, messages=(1,)),
+        lambda t: replace(t, key_a=dual(t.key_a)),
+        lambda t: replace(t, key_b=_OTHER_DIM),
+        lambda t: replace(t, key_a=None),
+        lambda t: replace(t, params=None),
+        lambda t: replace(t, messages=(Message("alice", "u", dual(t.message("u"))),)),
+        lambda t: replace(t, messages=(Message("alice", "u", (_OTHER_DIM,)),)),
+        lambda t: replace(t, messages=(Message("alice", "M1", _MAX_SET),)),
+        lambda t: Message("alice", "u", "x"),
+        lambda t: Message("alice", "u", (t.key_a, "x")),
+        lambda t: Message("alice", "u", [t.key_a]),
     ],
-    ids=["protocol", "seed", "annotation", "sender"],
+    ids=["protocol", "seed", "annotation", "sender", "message", "key-kind", "key-dim",
+         "key-none", "params-none", "payload-kind", "item-dim", "set-kind", "payload-str",
+         "item-str", "payload-list"],
 )
 def test_a_transcript_that_would_not_decode_does_not_build(build):
     with pytest.raises((TypeError, ValueError)):
@@ -401,13 +416,20 @@ _TRANSCRIPT_VALUES = {
     "annotations": [(), ("x", "y"), (1,), ("a", None), (b"x",)],
     "sender": ["alice", "bob", "carol", "", None, 1],
     "label": ["u", "", 5, None, b"u"],
+    "payload": [
+        _TRANSCRIPT.message("u"), dual(_TRANSCRIPT.message("u")), _OTHER_DIM, (),
+        (_TRANSCRIPT.key_a, _TRANSCRIPT.key_b), (_TRANSCRIPT.key_a, _OTHER_DIM), _MAX_SET,
+        make_marginal_set(right_word(fx.DEF3_A), [fx.DEF3_C1]), "x", None, [],
+    ],
+    "messages": [(), (1,), _TRANSCRIPT.messages[::-1], _TRANSCRIPT.messages[:1]],
+    "key_a": [_TRANSCRIPT.key_b, dual(_TRANSCRIPT.key_a), _OTHER_DIM, None, "x"],
 }
 
 
 @st.composite
 def transcript_edits(draw):
-    """Up to three of the valid transcript's fields, with new values: sender
-    and label are those of its first message."""
+    """Up to three of the valid transcript's fields, with new values: sender,
+    label and payload are those of its first message."""
     names = draw(st.sets(st.sampled_from(sorted(_TRANSCRIPT_VALUES)), max_size=3))
     return {name: draw(st.sampled_from(_TRANSCRIPT_VALUES[name])) for name in sorted(names)}
 
@@ -416,13 +438,16 @@ def transcript_edits(draw):
 @given(transcript_edits())
 def test_every_transcript_that_builds_round_trips(edits):
     t = _TRANSCRIPT
-    first = {k: edits.pop(k) for k in ("sender", "label") if k in edits}
+    first = {k: edits.pop(k) for k in ("sender", "label", "payload") if k in edits}
     try:
-        t = replace(t, messages=(replace(t.messages[0], **first), *t.messages[1:]), **edits)
+        t = replace(t, messages=(replace(t.messages[0], **first), *t.messages[1:]))
+        t = replace(t, **edits)
     except (TypeError, ValueError):
         return
     data = encode_transcript(t)
-    assert encode_transcript(decode_transcript(data)) == data
+    back = decode_transcript(data)
+    assert back == replace(t, params=t.public_params())
+    assert encode_transcript(back) == data
 
 
 # ---------------------------------------------------------------------------
