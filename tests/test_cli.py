@@ -422,6 +422,7 @@ def _transcript_mutations():
         "params-not-an-object": lambda t: t.update(params=5),
         "params-an-array": lambda t: t.update(params=[]),
         "matrix-tuple-items-not-an-array": message_items,
+        "payload-kind-unknown": lambda t: t["messages"][0]["payload"].update(kind="nope"),
     }
 
 

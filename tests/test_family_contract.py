@@ -25,6 +25,7 @@ from tropmarg.families import (
     LowerSCirculantFamily,
     PolyFamily,
     UpperTCirculantFamily,
+    deform,
     is_jones,
     sample_family_member,
     sample_jones,
@@ -100,6 +101,8 @@ def test_a_jones_base_with_an_infinite_diagonal_is_refused_when_built():
     assert is_jones(base)
     with pytest.raises(ValueError):
         JonesDeformFamily(base)
+    with pytest.raises(ValueError, match="finite diagonal"):
+        deform(base, 1)
 
 
 def test_bool_ints_are_refused_when_built():

@@ -109,6 +109,10 @@ class TestWordTemplates:
         with pytest.raises(ValueError):
             w.evaluate([BIL_A])
 
+    def test_dim_enforced_at_evaluation(self):
+        with pytest.raises(ValueError, match="does not fit the template"):
+            right_word(DEF3_A).evaluate([BIL_A])
+
     def test_neutral_values(self):
         # identity in product slots, all-infinity in additive slots
         assert right_word(DEF3_A).neutral_value() == DEF3_A
@@ -497,6 +501,14 @@ def test_pair_word_check_reads_the_pair(monkeypatch, shape, kind):
             sample_sandwich_marginal(a, 2, -8, 8, rng)
         else:
             sample_five_factor_marginal(a, b, c, 2, -8, 8, rng)
+
+
+def test_an_infeasible_pair_solve_is_a_self_check_failure(monkeypatch):
+    import tropmarg.marginal as marginal
+
+    monkeypatch.setattr(marginal, "_solve_pair", lambda table, r, s: None)
+    with pytest.raises(SelfCheckError, match="pinned pair system is infeasible"):
+        sample_sandwich_marginal(BIL_A, 2, -5, 5, random.Random(0))
 
 
 @pytest.mark.parametrize("name", _SAMPLER_NAMES)

@@ -57,6 +57,13 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             ProtocolParams(MIN, 3, (fx.OS_W, fx.OS_W), (fam,), (fam,))
 
+    @pytest.mark.parametrize("kind,dim", [(MAX, 3), (MIN, 4)], ids=["kind", "dim"])
+    def test_public_must_match_kind_and_dim(self, kind, dim):
+        fam = CirculantFamily(MIN, 3, -5, 5)
+        public = make_matrix(kind, [[0] * dim for _ in range(dim)])
+        with pytest.raises(ValueError, match="public matrix does not match"):
+            ProtocolParams(MIN, 3, (public,), (fam,), (fam,))
+
     def test_blocks_property(self):
         assert fx.builtin_params("two-block-3x3").blocks == 2
         assert fx.builtin_params("one-sided-3x3").blocks == 1

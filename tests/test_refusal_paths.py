@@ -1,41 +1,19 @@
-"""Refusals that no other test reaches: each gives its exit code and reason,
-or its exception type, and nothing else."""
+"""CLI refusals that no other test reaches: each gives its exit code and
+reason, and nothing else."""
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import replace
 
 import pytest
 
 import tropmarg.cli as cli
 import tropmarg.fixtures as fx
-import tropmarg.marginal as marginal
-from tropmarg.families import JonesDeformFamily, deform
-from tropmarg.marginal import (
-    make_marginal_set,
-    right_word,
-    sample_sandwich_marginal,
-    sandwich_word,
-    verify_marginal,
-)
-from tropmarg.matrix import make_matrix, scalar_mul
-from tropmarg.protocols import ProtocolParams, run_sidelnikov
-from tropmarg.semiring import NEG_INF, SelfCheckError, SemiringKind
-from tropmarg.wire import (
-    WireFormatError,
-    decode_report,
-    decode_transcript,
-    encode_marginal_set,
-    encode_transcript,
-    encode_word,
-    from_canonical_bytes,
-    to_canonical_bytes,
-)
+from tropmarg.marginal import make_marginal_set, right_word, sandwich_word, verify_marginal
+from tropmarg.matrix import scalar_mul
+from tropmarg.wire import decode_transcript, encode_marginal_set, encode_word
 
-MIN = SemiringKind.MIN_PLUS
-MAX = SemiringKind.MAX_PLUS
 
 
 @pytest.fixture
@@ -182,54 +160,3 @@ def test_gen_params_parse_errors_are_exit_2(run, tmp_path, option, value, detail
         "type": "error", "code": 2, "reason": "bad-arguments", "detail": detail,
     }
     assert not (tmp_path / "p.json").exists()
-
-
-# --------------------------------------------------------------------------
-# Library contracts
-
-
-def test_a_word_refuses_a_matrix_of_another_dim():
-    with pytest.raises(ValueError, match="does not fit the template"):
-        right_word(fx.DEF3_A).evaluate([fx.BIL_A])
-
-
-@pytest.mark.parametrize("kind,extra", [(MAX, 0), (MIN, 1)], ids=["kind", "dim"])
-def test_params_refuse_a_public_matrix_of_another_kind_or_dim(kind, extra):
-    spec = fx.builtin_params("attack-demo").left_families[0]
-    n = spec.dim + extra
-    public = make_matrix(kind, [[0] * n for _ in range(n)])
-    with pytest.raises(ValueError, match="public matrix does not match"):
-        ProtocolParams(MIN, spec.dim, (public,), (spec,), (spec,))
-
-
-def test_a_transcript_payload_of_unknown_kind_is_a_format_error():
-    params = fx.builtin_params("attack-demo")
-    obj = from_canonical_bytes(encode_transcript(run_sidelnikov(params, random.Random(0))))
-    obj["messages"][0]["payload"]["kind"] = "nope"
-    with pytest.raises(WireFormatError, match="unknown payload kind 'nope'"):
-        decode_transcript(to_canonical_bytes(obj))
-
-
-@pytest.mark.parametrize("field", ["z", "candidate", "expected"])
-def test_a_report_without_a_matrix_field_is_a_format_error(field):
-    report = {
-        "type": "report", "protocol": "sidelnikov", "degree": 2, "kind": "min-plus",
-        "decomposed": False, "match": None, "z": None, "candidate": None, "expected": None,
-    }
-    del report[field]
-    with pytest.raises(WireFormatError, match="report needs z, candidate and expected"):
-        decode_report(to_canonical_bytes(report))
-
-
-def test_deform_refuses_a_jones_base_of_infinite_diagonal():
-    base = make_matrix(MAX, [[NEG_INF, NEG_INF], [NEG_INF, NEG_INF]])
-    with pytest.raises(ValueError, match="finite diagonal"):
-        deform(base, 1)
-    with pytest.raises(ValueError, match="finite diagonal"):
-        JonesDeformFamily(base)
-
-
-def test_an_infeasible_pair_solve_is_a_self_check_failure(monkeypatch):
-    monkeypatch.setattr(marginal, "_solve_pair", lambda table, r, s: None)
-    with pytest.raises(SelfCheckError, match="pinned pair system is infeasible"):
-        sample_sandwich_marginal(fx.BIL_A, 2, -5, 5, random.Random(0))

@@ -331,5 +331,5 @@ def test_the_draw_check_finds_each_failed_draw():
 
 def test_every_sampler_draw_gives_a_tuple():
     source = (SRC / "tropmarg" / "marginal.py").read_text(encoding="utf-8")
-    assert len(_functions(source, "draw")) == 4
+    assert _functions(source, "draw"), "no draw found, so the check below would pass vacuously"
     assert none_draws(source) == []

@@ -273,14 +273,17 @@ def _set_family(side, **fields):
 
 
 # Inputs the fuzzing found escaping as TypeError or ValueError, from a
-# decoder or from the CLI run on what it decoded; each is now rejected when
-# it is decoded.
+# decoder or from the CLI run on what it decoded, and a report without each
+# of its matrix fields; each is rejected when it is decoded.
 REGRESSIONS = {
     "word-atom-tag-a-list": ("set-raw", _set_atom),
     "report-z-row-an-int": ("report", lambda obj: obj["z"].__setitem__(1, 9)),
     "report-without-protocol": ("report", lambda obj: obj.pop("protocol")),
     "report-decomposed-an-int": ("report", lambda obj: obj.update(decomposed=5)),
     "report-degree-a-bool": ("report", lambda obj: obj.update(degree=True)),
+    "report-without-z": ("report", lambda obj: obj.pop("z")),
+    "report-without-candidate": ("report", lambda obj: obj.pop("candidate")),
+    "report-without-expected": ("report", lambda obj: obj.pop("expected")),
     "circulant-hi-an-object": ("params-0", _set_family("left", hi={})),
     "circulant-empty-range": ("params-0", _set_family("left", lo=5, hi=4)),
     "upper-t-lo-a-string": ("params-0", _set_family("right", lo="x")),
