@@ -4,118 +4,6 @@ protocols built on it, and canonical wire formats.
 The package is organized bottom-up: semiring scalars, square matrices and
 polynomials, commuting families, marginal words with residuation tables
 and samplers, the protocols and the attack, and finally serialization plus
-the command line in cli.py.
+the command line in cli.py.  Import each name from the module that
+defines it; the package itself re-exports nothing.
 """
-
-from .semiring import (
-    NEG_INF,
-    POS_INF,
-    Scalar,
-    SelfCheckError,
-    SemiringKind,
-    as_scalar,
-    is_finite,
-    s_add,
-    s_mul,
-    s_neg,
-    s_sub,
-)
-from .matrix import (
-    Matrix,
-    TropPolynomial,
-    dual,
-    identity,
-    make_matrix,
-    make_poly,
-    mat_add,
-    mat_mul,
-    mat_pow,
-    mat_prod,
-    neutral_matrix,
-    poly_eval,
-    scalar_mul,
-)
-from .families import (
-    CirculantFamily,
-    FamilySpec,
-    JonesDeformFamily,
-    LdpFamily,
-    LowerSCirculantFamily,
-    PolyFamily,
-    UpperTCirculantFamily,
-    commute_check,
-    deform,
-    is_jones,
-    is_ldp,
-    make_circulant,
-    make_lower_s_circulant,
-    make_upper_t_circulant,
-    sample_family_member,
-    sample_jones,
-    sample_ldp,
-)
-from .marginal import (
-    BoundTable,
-    Box,
-    Circle,
-    Const,
-    MarginalSet,
-    MarginalTuple,
-    SamplerExhausted,
-    WordTemplate,
-    additive_word,
-    chain_word,
-    cover_check,
-    five_factor_residual,
-    five_factor_word,
-    left_word,
-    make_marginal_set,
-    max_possible_matrix,
-    n_factor_residual,
-    render_two_sided_constraints,
-    residual_left,
-    residual_right,
-    right_word,
-    sample_additive_marginal,
-    sample_five_factor_marginal,
-    sample_left_marginal,
-    sample_n_factor_marginal,
-    sample_right_marginal,
-    sample_sandwich_marginal,
-    sandwich_word,
-    two_sided_residual,
-    verify_marginal,
-)
-from .protocols import (
-    Message,
-    NoDecomposition,
-    ProtocolParams,
-    ProtocolScript,
-    ProtocolTranscript,
-    attack_decomposition,
-    power_basis,
-    run_protocol_multiblock,
-    run_protocol_one_sided,
-    run_protocol_sandwich,
-    run_sidelnikov,
-)
-from .wire import (
-    MarginalVerificationError,
-    WireFormatError,
-    decode_marginal_set,
-    decode_matrix,
-    decode_params,
-    decode_report,
-    decode_transcript,
-    decode_word,
-    encode_marginal_set,
-    encode_matrix,
-    encode_params,
-    encode_report,
-    encode_transcript,
-    encode_word,
-    read_bytes,
-    write_bytes,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

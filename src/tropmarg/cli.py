@@ -84,7 +84,6 @@ class CliError(Exception):
         super().__init__(detail)
         self.code = code
         self.reason = reason
-        self.detail = detail
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +95,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+$|^-\d+\.\.-?\d+$")
 
     def error(self, message):
-        raise CliError(2, "bad-arguments", message)
+        raise ValueError(message)
 
 
 def _int_within(lo: int, hi: int):
@@ -120,13 +119,13 @@ def _error_record(code: int, reason: str, detail: str) -> None:
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise CliError(2, "bad-arguments", f"range must look like LO..HI, got {text!r}")
+        raise ValueError(f"range must look like LO..HI, got {text!r}")
     try:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError:
-        raise CliError(2, "bad-arguments", f"non-integer range bound in {text!r}")
+        raise ValueError(f"non-integer range bound in {text!r}")
     if lo_i > hi_i:
-        raise CliError(2, "bad-arguments", f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return lo_i, hi_i
 
 
@@ -137,11 +136,11 @@ def _parse_family_spec(text: str) -> tuple[str, dict]:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
             if not eq:
-                raise CliError(2, "bad-arguments", f"family option {item!r} needs key=value")
+                raise ValueError(f"family option {item!r} needs key=value")
             try:
                 options[key] = int(value)
             except ValueError:
-                raise CliError(2, "bad-arguments", f"family option {item!r} must be an integer")
+                raise ValueError(f"family option {item!r} must be an integer")
     return name, options
 
 
@@ -161,7 +160,7 @@ def _family_pair(
 
     def done(left, right):
         if opts:
-            raise CliError(2, "bad-arguments", f"unknown family options {sorted(opts)}")
+            raise ValueError(f"unknown family options {sorted(opts)}")
         return left, right
 
     if name == "poly":
@@ -182,7 +181,7 @@ def _family_pair(
         return done(family(kind, dim, left, lo, hi), family(kind, dim, right, lo, hi))
     if name == "jones":
         if kind is not SemiringKind.MAX_PLUS:
-            raise CliError(2, "bad-arguments", "jones family requires --semiring max-plus")
+            raise ValueError("jones family requires --semiring max-plus")
         den = opts.pop("den", 12)
         base_l = sample_jones(dim, lo, hi, rng)
         base_r = sample_jones(dim, lo, hi, rng)
@@ -192,10 +191,10 @@ def _family_pair(
         )
     if name == "ldp":
         if kind is not SemiringKind.MIN_PLUS:
-            raise CliError(2, "bad-arguments", "ldp family requires --semiring min-plus")
+            raise ValueError("ldp family requires --semiring min-plus")
         spec = LdpFamily(dim, opts.pop("r", abs(hi)), opts.pop("k", -abs(lo)))
         return done(spec, spec)
-    raise CliError(2, "bad-arguments", f"unknown family {name!r}")
+    raise ValueError(f"unknown family {name!r}")
 
 
 def _random_matrix(
@@ -211,11 +210,7 @@ def _load_params(source: str) -> ProtocolParams:
         try:
             return fixtures.builtin_params(source[len("builtin:"):])
         except KeyError:
-            raise CliError(
-                2,
-                "bad-arguments",
-                f"unknown builtin {source!r}; have {', '.join(fixtures.BUILTIN_NAMES)}",
-            )
+            raise ValueError(f"unknown builtin {source!r}; have {', '.join(fixtures.BUILTIN_NAMES)}")
     return decode_params(read_bytes(source))
 
 
@@ -282,7 +277,7 @@ def _cmd_verify_marginal(args) -> int:
         try:
             bad = [k for k, t in enumerate(s.tuples) if not verify_marginal(word, t)]
         except (TypeError, ValueError) as e:
-            raise CliError(2, "malformed-input", f"word does not fit the set: {e}")
+            raise WireFormatError(f"word does not fit the set: {e}")
         if bad:
             raise CliError(
                 1, "verification-failed", f"tuples at indices {bad} fail under the given word"
@@ -304,10 +299,10 @@ def _cmd_run_protocol(args) -> int:
     seed = params.seed if args.seed is None else args.seed
     if args.blocks is not None:
         if args.protocol != "multiblock":
-            raise CliError(2, "bad-arguments", "--blocks applies to multiblock only")
+            raise ValueError("--blocks applies to multiblock only")
         if params.blocks == 1 and args.blocks > 1:
             if params.script is not None:
-                raise CliError(2, "bad-arguments", "scripted params fix their block count")
+                raise ValueError("scripted params fix their block count")
             params = replace(
                 params,
                 publics=params.publics * args.blocks,
@@ -315,10 +310,8 @@ def _cmd_run_protocol(args) -> int:
                 right_families=params.right_families * args.blocks,
             )
         elif params.blocks != args.blocks:
-            raise CliError(
-                2,
-                "bad-arguments",
-                f"params hold {params.blocks} block(s), cannot reshape to {args.blocks}",
+            raise ValueError(
+                f"params hold {params.blocks} block(s), cannot reshape to {args.blocks}"
             )
     params = replace(params, seed=seed)
     transcript = _RUNNERS[args.protocol](params, random.Random(seed))
@@ -335,13 +328,13 @@ def _cmd_attack(args) -> int:
         u = transcript.message("u")
         v = transcript.message("v")
     except KeyError as e:
-        raise CliError(2, "malformed-input", f"transcript lacks message {e}")
+        raise WireFormatError(f"transcript lacks message {e}")
     if not isinstance(u, Matrix) or not isinstance(v, Matrix):
-        raise CliError(2, "bad-arguments", "attack needs single-matrix messages")
+        raise ValueError("attack needs single-matrix messages")
     left = transcript.params.left_families[0]
     right = transcript.params.right_families[0]
     if not isinstance(left, PolyFamily) or not isinstance(right, PolyFamily):
-        raise CliError(2, "bad-arguments", "attack needs polynomial families on both sides")
+        raise ValueError("attack needs polynomial families on both sides")
     w = transcript.params.publics[0]
     left_basis = power_basis(left.base, args.degree)
     right_basis = power_basis(right.base, args.degree)
@@ -466,7 +459,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.handler(args)
     except CliError as e:
-        _error_record(e.code, e.reason, e.detail)
+        _error_record(e.code, e.reason, str(e))
         return e.code
     except MarginalVerificationError as e:
         _error_record(1, "verification-failed", str(e))

@@ -186,13 +186,8 @@ def sandwich_word(a: Matrix) -> WordTemplate:
 
 
 def five_factor_word(a: Matrix, b: Matrix, c: Matrix) -> WordTemplate:
-    """A ⊗ □ ⊗ B ⊗ □ ⊗ C"""
-    return WordTemplate(
-        a.kind,
-        a.dim,
-        (a, b, c),
-        ((Const(0), Box(0), Const(1), Box(1), Const(2)),),
-    )
+    """A ⊗ □ ⊗ B ⊗ □ ⊗ C: the chain word of three constants."""
+    return chain_word((a, b, c))
 
 
 def chain_word(constants: Sequence[Matrix]) -> WordTemplate:

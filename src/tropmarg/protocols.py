@@ -108,9 +108,7 @@ class ProtocolParams:
         for w in self.publics:
             if w.kind is not self.kind or w.dim != self.dim:
                 raise ValueError("public matrix does not match params kind/dim")
-        if len(self.left_families) != len(self.publics) or len(
-            self.right_families
-        ) != len(self.publics):
+        if not len(self.left_families) == len(self.right_families) == len(self.publics):
             raise ValueError("need one family pair per public matrix")
         for spec in (*self.left_families, *self.right_families):
             if spec.kind is not self.kind or spec.dim != self.dim:
@@ -286,13 +284,21 @@ def _run(exchange: str, params: ProtocolParams, rng: random.Random) -> ProtocolT
         ]
         return [p for p, _ in drawn], [q for _, q in drawn]
 
-    def publish(own, replay) -> list[MarginalSet]:
+    def plan(own, replay) -> list:
         specs = ex.sets(params, *own) if ex.sets else []
+        if replay is not None and len(replay[2]) != len(specs):
+            raise ValueError(
+                f"{exchange} exchange publishes {len(specs)} set(s) per party, "
+                f"script gives {len(replay[2])}"
+            )
+        return specs
+
+    def publish(specs, replay) -> list[MarginalSet]:
         if replay is None:
             return [f(*anchors, params.n_tuples, *caps, rng) for f, _, anchors, caps in specs]
         return [
             make_marginal_set(word(*anchors), body)
-            for (_, word, anchors, _), body in zip(specs, replay[2], strict=True)
+            for (_, word, anchors, _), body in zip(specs, replay[2])
         ]
 
     def masked(ps, qs, their_sets, replay) -> tuple[Matrix, ...]:
@@ -306,14 +312,15 @@ def _run(exchange: str, params: ProtocolParams, rng: random.Random) -> ProtocolT
             blocks.append(mat_prod(kind, dim, [factor[x] for x in ex.layout]))
         return tuple(blocks)
 
-    if ex.secrets_first:
+    if ex.secrets_first or script is not None:  # a replay draws nothing
         own = [secrets(r) for r in replays]
-        sets = [publish(o, r) for o, r in zip(own, replays)]
+        specs = [plan(o, r) for o, r in zip(own, replays)]
+        sets = [publish(p, r) for p, r in zip(specs, replays)]
     else:
         own, sets = [], []
         for r in replays:
             own.append(secrets(r))
-            sets.append(publish(own[-1], r))
+            sets.append(publish(plan(own[-1], r), r))
     (ap, aq), (bp, bq) = own
     for i in range(n):
         where = "" if ex.single else f" block {i + 1}"

@@ -32,7 +32,7 @@ from .marginal import (
     verify_marginal,
 )
 from .matrix import Matrix
-from .protocols import _EXCHANGES, Message, ProtocolParams, ProtocolTranscript
+from .protocols import _EXCHANGES, MAX_TUPLES, Message, ProtocolParams, ProtocolTranscript
 from .semiring import (
     NEG_INF,
     POS_INF,
@@ -247,8 +247,9 @@ def _expect_type(obj, expected: str) -> None:
 
 # Most tuples an interval box may stand for.  The decoder expands every
 # member into the set, so it rejects a larger box before expanding it,
-# and the encoder writes such a set in delta form instead.  A few hundred
-# bytes of box could otherwise stand for billions of tuples.
+# and the encoder writes such a set raw.  A few hundred bytes of box could
+# otherwise stand for billions of tuples.  An empty delta diff is three
+# bytes but one more matrix, so a delta body holds at most MAX_TUPLES.
 MAX_BOX_TUPLES = 4096
 
 
@@ -292,13 +293,14 @@ def encode_marginal_set(s: MarginalSet, encoding: str = "raw") -> bytes:
     """Serialize with the requested encoding, falling back silently down the
     ladder interval, delta, raw: interval and delta need a non-empty set of
     single matrices, interval also an exact integer box of distinct matrices
-    (a set that repeats one falls back to delta); raw always applies."""
+    (a set that repeats one falls back to delta), delta at most MAX_TUPLES
+    tuples; raw always applies."""
     if encoding not in ("raw", "interval", "delta"):
         raise WireFormatError(f"unknown encoding {encoding!r}")
     used = encoding if s.word.arity == 1 and s.tuples else "raw"
     body = _box_form(s) if used == "interval" else None
     if body is None and used != "raw":
-        used, body = "delta", _delta_form(s)
+        used, body = ("delta", _delta_form(s)) if len(s) <= MAX_TUPLES else ("raw", None)
     if used == "raw":
         body = {"tuples": [[_rows_out(m) for m in t] for t in s.tuples]}
     return to_canonical_bytes(
@@ -345,11 +347,13 @@ def _marginal_set_payload(obj) -> MarginalSet:
             rows = tuple(tuple(combo[i * n + j] for j in range(n)) for i in range(n))
             tuples.append((Matrix(kind, rows),))
     elif encoding == "delta":
-        base = _rows_in(kind, obj.get("base"))
-        mats = [base]
         diffs = obj.get("diffs")
         if not _is_list_of_lists(diffs):
             raise WireFormatError("delta set needs a diffs array of arrays")
+        if len(diffs) >= MAX_TUPLES:
+            raise WireFormatError(f"delta set holds more than {MAX_TUPLES} tuples")
+        base = _rows_in(kind, obj.get("base"))
+        mats = [base]
         for changes in diffs:
             rows = [list(r) for r in mats[-1].rows]
             for change in changes:

@@ -258,6 +258,27 @@ class TestRunProtocol:
         record = json.loads(lines[0])
         assert record["reason"] == "bad-arguments" and record["detail"] == detail
 
+    @pytest.mark.parametrize(
+        "protocol,params,detail",
+        [
+            ("sidelnikov", "one-sided-3x3", "sidelnikov exchange publishes 0 set(s) per party, script gives 2"),
+            ("sidelnikov", "sandwich4x4", "sidelnikov exchange publishes 0 set(s) per party, script gives 1"),
+            ("one-sided", "sandwich4x4", "one-sided exchange publishes 2 set(s) per party, script gives 1"),
+            ("sandwich", "one-sided-3x3", "sandwich exchange publishes 1 set(s) per party, script gives 2"),
+            ("multiblock", "sandwich4x4", "multiblock exchange publishes 2 set(s) per party, script gives 1"),
+        ],
+    )
+    def test_script_replayed_under_another_exchange(self, run, tmp_path, protocol, params, detail):
+        out_file = tmp_path / "t.json"
+        code, out = run(
+            "run-protocol", protocol, "--params", f"builtin:{params}", "--out", str(out_file),
+        )
+        assert code == 2 and len(out.splitlines()) == 1
+        assert _last_record(out) == {
+            "code": 2, "detail": detail, "reason": "bad-arguments", "type": "error"
+        }
+        assert not out_file.exists()
+
     def test_unknown_builtin(self, run, tmp_path):
         code, out = run(
             "run-protocol", "sidelnikov", "--params", "builtin:nothing",

@@ -7,7 +7,9 @@ of the library imports the general difference-constraint solver,
 samplers in `marginal.py` reach the random generator only through one
 helper, and every int contract goes through one helper,
 `semiring.require_int`.  Only `selfcheck._agree` returns a failing row,
-and no sampler draw in `marginal.py` can return None.
+and no sampler draw in `marginal.py` can return None.  The package's
+`__init__.py` imports nothing, so each name has one import path, and
+`cli.py` builds `CliError` only for exit-1 records.
 """
 
 from __future__ import annotations
@@ -333,3 +335,71 @@ def test_every_sampler_draw_gives_a_tuple():
     source = (SRC / "tropmarg" / "marginal.py").read_text(encoding="utf-8")
     assert _functions(source, "draw"), "no draw found, so the check below would pass vacuously"
     assert none_draws(source) == []
+
+
+# One import path per name: the package's __init__ imports nothing, so a
+# name is reached only through the module that defines it, and `import
+# tropmarg` loads no submodule.
+def import_lines(source: str) -> list[int]:
+    """Line of each import statement in a module's source, nested ones too."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_the_import_line_check_finds_each_form():
+    source = (
+        '"""Doc."""\nfrom .matrix import mat_mul\nimport os\n'
+        "def f():\n    from . import wire\n"
+    )
+    assert import_lines(source) == [2, 3, 5]
+    assert import_lines('"""from .matrix import mat_mul"""\nimported = 1\n') == []
+
+
+def test_the_package_module_imports_nothing():
+    source = (SRC / "tropmarg" / "__init__.py").read_text(encoding="utf-8")
+    assert import_lines(source) == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, tropmarg; print(sorted(m for m in sys.modules if m.startswith('tropmarg.')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# One error path in the CLI: main maps ValueError and WireFormatError to the
+# exit-2 records, so cli.py builds CliError only for the exit-1 records that
+# no exception type gives (verification-failed under --word, keys-disagree).
+def cli_error_codes(source: str) -> list:
+    """The code of each CliError(...) call, first argument or code=: its
+    value when it is a constant, else the source text of the expression."""
+    return [
+        arg.value if isinstance(arg, ast.Constant) else ast.unparse(arg)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "CliError"
+        for arg in [*node.args[:1], *(k.value for k in node.keywords if k.arg == "code")]
+    ]
+
+
+def test_the_cli_error_check_finds_each_form():
+    source = (
+        "raise CliError(2, 'bad-arguments', 'x')\n"
+        "def f(code):\n    raise CliError(\n        1, 'keys-disagree', 'y'\n    )\n"
+        "e = CliError(code, 'r', 'z')\ng = CliError(reason='r', detail='d', code=2)\n"
+    )
+    assert sorted(cli_error_codes(source), key=str) == [1, 2, 2, "code"]
+    assert cli_error_codes("raise ValueError(2)\nclass CliError(Exception):\n    pass\n") == []
+
+
+def test_the_cli_builds_cli_error_only_for_exit_1():
+    source = (SRC / "tropmarg" / "cli.py").read_text(encoding="utf-8")
+    assert cli_error_codes(source) == [1, 1]

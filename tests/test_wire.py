@@ -26,7 +26,7 @@ from tropmarg.marginal import (
     sandwich_word,
 )
 from tropmarg.matrix import make_matrix
-from tropmarg.protocols import ProtocolParams, run_protocol_sandwich, run_sidelnikov
+from tropmarg.protocols import MAX_TUPLES, ProtocolParams, run_protocol_sandwich, run_sidelnikov
 from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind
 from tropmarg.wire import (
     MarginalVerificationError,
@@ -227,6 +227,35 @@ class TestMarginalSetCodec:
         data = encode_marginal_set(s, encoding="interval")
         assert from_canonical_bytes(data)["encoding"] == "delta"
         assert decode_marginal_set(data) == s
+
+    # A delta body holds at most MAX_TUPLES tuples: an empty diff is three
+    # bytes, but each costs a matrix and a word evaluation.
+    def _line_set(self, n):
+        """n single 2x2 matrices, (0, 0) from 0 to n - 1: a box of n points."""
+        zero = make_matrix(MIN, [[0, 0], [0, 0]])
+        mats = [make_matrix(MIN, [[x, 0], [0, 0]]) for x in range(n)]
+        return MarginalSet(additive_word(zero), tuple((m,) for m in mats))
+
+    def test_delta_body_above_the_cap_is_refused_before_any_matrix(self):
+        obj = from_canonical_bytes(encode_marginal_set(self._line_set(2), encoding="delta"))
+        obj["diffs"] = [[]] * (MAX_TUPLES - 1)
+        assert len(decode_marginal_set(to_canonical_bytes(obj))) == MAX_TUPLES
+        obj["diffs"].append([])
+        obj["base"] = "not rows"  # refused on the count, before the base is read
+        with pytest.raises(WireFormatError, match=f"more than {MAX_TUPLES} tuples"):
+            decode_marginal_set(to_canonical_bytes(obj))
+
+    def test_above_the_delta_cap_sets_go_raw_and_boxes_stay_interval(self):
+        box = self._line_set(300)
+        repeat = MarginalSet(box.word, box.tuples + box.tuples[:1])  # not a box
+        for s, encoding, used in (
+            (box, "interval", "interval"),
+            (box, "delta", "raw"),
+            (repeat, "interval", "raw"),
+        ):
+            data = encode_marginal_set(s, encoding=encoding)
+            assert from_canonical_bytes(data)["encoding"] == used
+            assert decode_marginal_set(data) == s
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
