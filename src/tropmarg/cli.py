@@ -358,12 +358,9 @@ def _cmd_attack(args) -> int:
         "expected": expected,
     }
     write_bytes(args.out, encode_report(report))
-    if not decomposed:
-        _error_record(1, "no-decomposition", f"report written to {args.out}")
-        return 1
     if not match:
-        _error_record(1, "attack-missed", f"report written to {args.out}")
-        return 1
+        reason = "attack-missed" if decomposed else "no-decomposition"
+        raise CliError(1, reason, f"report written to {args.out}")
     print(f"report written to {args.out}: key recovered, matches transcript")
     return 0
 

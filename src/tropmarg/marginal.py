@@ -536,10 +536,12 @@ class BoundTable:
 
     @functools.cached_property
     def zero_pairs(self) -> frozenset[tuple[int, ...]]:
-        """Diagonal index tuples (p₁..pₙ) whose bound is 0.  Every
-        all-diagonal bound is <= 0 and each scalar equation has a zero pair
-        attaining it, which is what makes the equality-pinned sampler always
-        feasible."""
+        """Diagonal index tuples (p₁..pₙ) whose bound is 0.  In min-plus
+        coordinates d_ij <= A₁[i][p₁] + A₂[p₁][p₂] + ... + Aₙ₊₁[pₙ][j], so
+        every all-diagonal bound is <= 0, and each d_ij is attained along some
+        p₁..pₙ, which is then a zero pair: px and py are never empty, and
+        diagonals pinned to values summing to 0 meet every all-diagonal
+        bound."""
         k, n = self.product.dim, self.n_slots
         return frozenset(
             p
@@ -556,12 +558,6 @@ class BoundTable:
     def py(self) -> frozenset[int]:
         """Projection of the zero pairs on the last slot."""
         return frozenset(p[-1] for p in self.zero_pairs)
-
-    @functools.cached_property
-    def partners(self) -> dict[int, list[int]]:
-        """For a two-slot table: each p of px, in increasing order, with the
-        r of its zero pairs (p, r)."""
-        return {p: [rr for pp, rr in self.zero_pairs if pp == p] for p in sorted(self.px)}
 
 
 def two_sided_residual(a: Matrix) -> BoundTable:
@@ -613,61 +609,42 @@ def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
 
 
 def _solve_pair(
-    table: BoundTable, r: list[list], s: list[list]
-) -> Optional[tuple[Matrix, Matrix, Matrix, Matrix]]:
-    """Canonical point (X, Y) of the two-slot system, with the products B⊗Y
-    and X⊗B⊗Y it formed on the way, or None when it is infeasible.
+    table: BoundTable, h, r: list[list], s: list[list]
+) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Canonical point (X, Y) of the pinned two-slot system, with the
+    products B⊗Y and X⊗B⊗Y it formed on the way.
 
     The system is x_pq + y_rs >= E[p][s] - B[q][r] for all p, q, r, s,
-    x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S; the tests build it
-    in full (_pair_system in tests/pair_reference.py) as the reference.
-    It is solved from the k×k factors E and B alone, to the point that
+    x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S, where R_pp = h on
+    px and S_rr = -h on py, as _sample_pairs draws them; the tests build it
+    in full (_pair_system in tests/pair_reference.py) as the reference.  It
+    is solved from the k×k factors E and B alone, to the point that
     solve_feasible_min returns for it: Y pointwise least, X least given Y.
 
-    In the solver's graph (z = -y) the only edges into a plain variable are
-    the zero pairs' z_rr -> x_pp, so every cycle lies on the origin and the
-    diagonal nodes x_pp (p in px) and z_rr (r in py):
-
-    - Bellman-Ford settles those diagonals.  One round reads each x_pp off
-      its partners' y_rr, then each y_rr off the x_pp.  A simple path meets
-      at most |px| of the x_pp, so a system still changing after |px| + 1
-      rounds has a negative cycle.
-    - An x_pp below its lower bound closes a negative cycle through the
-      origin.
-    - Every y_rs is then the largest of S_rs and E[p][s] - B[p][r] - x_pp
-      over p in px.
-    - Every other x_pq is the least value its lower bound and its rows
-      allow: the largest of R_pq and E[p][s] - (B⊗Y)[q][s] over s.
+    The pins settle the diagonals: x_pp = h on px and y_rr = -h on py, since
+    a zero pair (p, r) has x_pp >= h and y_rr >= -h summing to 0.  Every
+    y_rs is then the largest of S_rs and E[p][s] - B[p][r] - h over p in px,
+    and every other x_pq the least value its lower bound and its rows allow:
+    the largest of R_pq and E[p][s] - (B⊗Y)[q][s] over s.  Two facts of the
+    tables two_sided_residual and five_factor_residual build make that point
+    the solution (BoundTable.zero_pairs): (a) every all-diagonal bound
+    E[p][r] - B[p][r] is <= 0, so no y_rr on py rises above -h, and a table
+    that breaks it there fails the point check; (b) px is never empty, and
+    a table without a zero pair raises SelfCheckError.
     """
+    px = table.px
+    if not px:
+        raise SelfCheckError("bound table has no zero pair")
     e, b = table.outer.rows, table.chain[1].rows
-    partners = table.partners
-    px = list(partners)
-    y = {rr: s[rr][rr] for rr in table.py}
-    for _ in range(len(px) + 1):
-        x = {p: -max(y[rr] for rr in partners[p]) for p in px}
-        settled = {
-            rr: max(s[rr][rr], *(e[p][rr] - b[p][rr] - x[p] for p in px)) for rr in y
-        }
-        if settled == y:
-            break
-        y = settled
-    else:
-        return None
-    if any(x[p] < r[p][p] for p in px):
-        return None
     # Both matrices are formed row by row as max(map(sub, ...)) over
-    # columns, the shape of mat_mul's kernel: y_is = max(S_is, max over p
-    # in px of (E[p][s] - x_p) - B[p][i]), x_pq = max(R_pq, max over s of
-    # E[p][s] - (B⊗Y)[q][s]), x_pp = x_p on px.
-    if px:
-        e_cols = tuple(zip(*([v - x[p] for v in e[p]] for p in px)))
-        b_cols = zip(*(b[p] for p in px))
-        y_rows = [
-            [max(low, max(map(sub, e_col, b_col))) for low, e_col in zip(s_row, e_cols)]
-            for s_row, b_col in zip(s, b_cols)
-        ]
-    else:
-        y_rows = s
+    # columns, the shape of mat_mul's kernel.
+    e_cols = tuple(zip(*([v - h for v in e[p]] for p in px)))
+    b_cols = zip(*(b[p] for p in px))
+    y_rows = [
+        [max(low, max(map(sub, e_col, b_col))) for low, e_col in zip(s_row, e_cols)]
+        for s_row, b_col in zip(s, b_cols)
+    ]
+    # h is R_pp on px, which is not empty, so R's entries cover it
     exact = (
         table.outer.all_int
         and table.chain[1].all_int
@@ -680,7 +657,7 @@ def _solve_pair(
         for r_row, e_row in zip(r, e)
     ]
     for p in px:
-        x_rows[p][p] = x[p]
+        x_rows[p][p] = h
     xs = _exact_rows(x_rows, exact)
     xby = mat_mul(xs, by)
     _check_pair_point(table, r, s, xs, ys, xby)
@@ -718,14 +695,12 @@ def _sample_pairs(
 
     A pin value h and the free lower bounds are drawn from [l1, l2]; rows of
     the zero-pair projections get their diagonal bounds pinned to h and -h,
-    the zero pairs themselves become equalities, and _solve_pair produces
-    the canonical pair.  Every all-diagonal bound is <= 0
-    (BoundTable.zero_pairs), so the pinned system is always feasible and an
-    infeasible solve raises SelfCheckError.  Max-plus inputs run through the
-    min-plus reduction by negation, with l1..l2 read in the reduced
-    coordinates.  The word check reads the solve's products: X⊗(B⊗Y) for
-    the sandwich, (A⊗X)⊗(B⊗Y)⊗C for the five-factor word, not A⊗(X⊗B⊗Y)⊗C,
-    which would repeat the reduction that formed A⊗B⊗C.
+    and _solve_pair produces the canonical pair of that pinned system.
+    Max-plus inputs run through the min-plus reduction by negation, with
+    l1..l2 read in the reduced coordinates.  The word check reads the
+    solve's products: X⊗(B⊗Y) for the sandwich, (A⊗X)⊗(B⊗Y)⊗C for the
+    five-factor word, not A⊗(X⊗B⊗Y)⊗C, which would repeat the reduction
+    that formed A⊗B⊗C.
     """
     require_int("l1", l1)
     require_int("l2", l2, l1)
@@ -745,10 +720,7 @@ def _sample_pairs(
         for i, j in itertools.product(range(k), repeat=2):
             r[i][j] = h if i == j and i in px else next(free)
             s[i][j] = -h if i == j and i in py else next(free)
-        solved = _solve_pair(table, r, s)
-        if solved is None:
-            raise SelfCheckError("pinned pair system is infeasible")
-        xs, ys, by, xby = solved
+        xs, ys, by, xby = _solve_pair(table, h, r, s)
         value = xby if first is None else mat_mul(mat_mul(mat_mul(first, xs), by), last)
         if value != table.product:
             raise SelfCheckError("sampled pair changes the word's value")

@@ -302,9 +302,18 @@ def _run(exchange: str, params: ProtocolParams, rng: random.Random) -> ProtocolT
         ]
 
     def masked(ps, qs, their_sets, replay) -> tuple[Matrix, ...]:
-        masks = []
-        for j, s in enumerate(their_sets):
-            masks += s.tuples[rng.randrange(len(s)) if replay is None else replay[3][j]]
+        if replay is None:
+            picks = [rng.randrange(len(s)) for s in their_sets]
+        elif len(replay[3]) != len(their_sets):
+            raise ValueError(
+                f"script gives {len(replay[3])} choice(s) for {len(their_sets)} set(s)"
+            )
+        else:
+            picks = [
+                require_int("script choice", c, 0, len(s) - 1)
+                for c, s in zip(replay[3], their_sets)
+            ]
+        masks = [m for s, c in zip(their_sets, picks) for m in s.tuples[c]]
         masks = masks or [None] * (2 * n)
         blocks = []
         for p, w, q, c, d in zip(ps, params.publics, qs, masks[0::2], masks[1::2]):

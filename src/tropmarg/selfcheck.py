@@ -101,17 +101,17 @@ def _check_pair_constraints():
     return _agree("16 constraint lines reproduced", ("constraint lines", lines, fx.BIL_CONSTRAINTS))
 
 
-def _pair_row(table, r, s, expected):
-    """The pair solve of the recorded bounds R, S against the recorded pair."""
-    solved = _solve_pair(table, r.rows, s.rows)
-    return ("pair solve", solved and solved[:2], expected)
+def _pair_row(table, h, r, s, expected):
+    """The pair solve of the recorded bounds R, S, pinned at h on their
+    diagonals, against the recorded pair."""
+    return ("pair solve", _solve_pair(table, h, r.rows, s.rows)[:2], expected)
 
 
 def _check_pair_solution():
     a, x, y = fx.BIL_A, fx.BIL_X, fx.BIL_Y
     return _agree(
         "the pair solve gives the canonical pair; sandwich holds, one-sided does not",
-        _pair_row(two_sided_residual(a), fx.BIL_R, fx.BIL_S, (x, y)),
+        _pair_row(two_sided_residual(a), 3, fx.BIL_R, fx.BIL_S, (x, y)),
         ("X⊗A⊗Y = A", mat_prod(MIN, 2, [x, a, y]), a),
         ("X⊗A = A", mat_mul(x, a) == a, False),
         ("A⊗Y = A", mat_mul(a, y) == a, False),
@@ -135,7 +135,7 @@ def _check_five_factor_solution():
     x, y = fx.FF_X, fx.FF_Y
     return _agree(
         "the pair solve gives the canonical pair; only the full chain is preserved",
-        _pair_row(five_factor_residual(a, b, c), fx.FF_R, fx.FF_S, (x, y)),
+        _pair_row(five_factor_residual(a, b, c), -10, fx.FF_R, fx.FF_S, (x, y)),
         ("A⊗X⊗B⊗Y⊗C = A⊗B⊗C", mat_prod(MIN, 3, [a, x, b, y, c]), d),
         ("A⊗X = A", mat_mul(a, x) == a, False),
         ("X⊗B = B", mat_mul(x, b) == b, False),

@@ -1,8 +1,10 @@
 """The two-slot system written out in full, as the reference for the pair
 solve: `_pair_system` builds the k⁴-row `ConstraintSystem` that
-`marginal._solve_pair` solves from the k×k factors alone, and
+`marginal._solve_pair` solves from the k×k factors and the pin alone, and
 `_assignment_to_pair` reads `solve_feasible_min`'s assignment back as the
-pair (X, Y).  A support module for the oracle tests; it holds no tests.
+pair (X, Y).  The pins are lower bounds here: R_pp = h on px and
+S_rr = -h on py, which the zero-pair equalities then make exact.  A support
+module for the oracle tests; it holds no tests.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ def _pair_system(
 ) -> ConstraintSystem:
     """The two-slot system as an explicit ConstraintSystem: the full
     inequality grid x_pq + y_rs >= bound(p, q, r, s) = E[p][s] - B[q][r], the
-    zero pairs as diagonal equalities, and the drawn lower bounds.  The
-    sampler solves it without building it (marginal._solve_pair);
-    solve_feasible_min on this form is the reference for the worked
-    instances and the tests."""
+    zero pairs as diagonal equalities, and the drawn lower bounds, pinned
+    as the sampler pins them.  The sampler solves it without building it
+    (marginal._solve_pair); solve_feasible_min on this form is the
+    reference for the worked instances and the tests."""
     k = table.product.dim
     e, b = table.outer.rows, table.chain[1].rows
     x = [[VarId("x", i, j) for j in range(k)] for i in range(k)]

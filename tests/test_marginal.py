@@ -29,11 +29,13 @@ from tropmarg.fixtures import (
     RES_XSTAR,
 )
 from tropmarg.marginal import (
+    BoundTable,
     Box,
     Circle,
     Const,
     MarginalSet,
     WordTemplate,
+    _solve_pair,
     additive_word,
     chain_word,
     cover_check,
@@ -459,9 +461,8 @@ def test_pair_draw_forms_each_product_once(monkeypatch, products, shape, per_dra
     solve = marginal._solve_pair
 
     def counted_solve(*args):
-        out = solve(*args)
-        solved[0] += out is not None
-        return out
+        solved[0] += 1
+        return solve(*args)
 
     monkeypatch.setattr(marginal, "_solve_pair", counted_solve)
     rng = random.Random(11)
@@ -486,10 +487,7 @@ def test_pair_word_check_reads_the_pair(monkeypatch, shape, kind):
     solve = marginal._solve_pair
 
     def shifted(*args):
-        out = solve(*args)
-        if out is None:
-            return None
-        xs, ys, by, _ = out
+        xs, ys, by, _ = solve(*args)
         xs = scalar_mul(1, xs)
         return xs, ys, by, mat_mul(xs, by)
 
@@ -503,12 +501,27 @@ def test_pair_word_check_reads_the_pair(monkeypatch, shape, kind):
             sample_five_factor_marginal(a, b, c, 2, -8, 8, rng)
 
 
-def test_an_infeasible_pair_solve_is_a_self_check_failure(monkeypatch):
-    import tropmarg.marginal as marginal
-
-    monkeypatch.setattr(marginal, "_solve_pair", lambda table, r, s: None)
-    with pytest.raises(SelfCheckError, match="pinned pair system is infeasible"):
-        sample_sandwich_marginal(BIL_A, 2, -5, 5, random.Random(0))
+@pytest.mark.parametrize(
+    "e,match",
+    [
+        # E[1][0] > B[1][0]: an all-diagonal bound above 0 lifts y_00 above
+        # -h, so the zero pair (0, 0) no longer sums to 0
+        ([[0, 0, 0], [1, 0, 0], [0, 0, 0]], "invalid point"),
+        # every all-diagonal bound below 0: no zero pair
+        ([[-1, -1, -1], [-1, -1, -1], [-1, -1, -1]], "no zero pair"),
+    ],
+    ids=["diagonal-bound-above-0", "no-zero-pair"],
+)
+def test_a_table_breaking_a_chain_fact_is_a_self_check_failure(e, match):
+    # the pair solve rests on two facts of the tables residual builds;
+    # a free table that breaks one is refused, not solved
+    e, b = make_matrix(MIN, e), make_matrix(MIN, [[0] * 3] * 3)
+    table = BoundTable(e, e, (None, b, None))
+    h = 2
+    r = [[h if i == j and i in table.px else -5 for j in range(3)] for i in range(3)]
+    s = [[-h if i == j and i in table.py else -5 for j in range(3)] for i in range(3)]
+    with pytest.raises(SelfCheckError, match=match):
+        _solve_pair(table, h, r, s)
 
 
 @pytest.mark.parametrize("name", _SAMPLER_NAMES)

@@ -8,8 +8,7 @@ through `marginal._randbelow` and solve on the product kernel's shape, so
 they must return the same pairs (compared by `repr`, which tells 3 from
 Fraction(3, 1)) and leave the generator in the same state.  Cases run over
 both semirings, the sandwich and five-factor words, k = 1-6, int and
-`Fraction`-valued Jones constants, and l1 == l2.  Free tables with no zero
-pairs (empty px, where Y is S) compare the solves directly.
+`Fraction`-valued Jones constants, and l1 == l2.
 
 This module is in `FACT_CHECKED`, so the facts of every matrix the solve
 builds without the walk are checked against a fresh one.
@@ -34,7 +33,6 @@ from tropmarg.marginal import (
     WordTemplate,
     _crossing,
     _sample_set,
-    _solve_pair,
     five_factor_residual,
     five_factor_word,
     sample_five_factor_marginal,
@@ -212,35 +210,3 @@ def sampler_cases(draw):
 @given(sampler_cases())
 def test_hypothesis_samplers_match_the_reference(case):
     assert_same_draws(*case)
-
-
-# Free tables: E and B with no diagonal pair (p, r) where E[p][r] == B[p][r],
-# so no zero pairs, px is empty and Y is S.
-
-
-def free_table(k, rng: random.Random, fractions: bool) -> BoundTable:
-    def value():
-        if fractions:
-            return Fraction(rng.randint(-30, 30), rng.randint(1, 3))
-        return rng.randint(-20, 20)
-
-    steps = [-3, -1, 1, 2] + [Fraction(1, 2)] * fractions
-    e = [[value() for _ in range(k)] for _ in range(k)]
-    b = [[v + rng.choice(steps) for v in row] for row in e]
-    e, b = make_matrix(MIN, e), make_matrix(MIN, b)
-    table = BoundTable(e, e, (None, b, None))
-    assert table.zero_pairs == frozenset() and table.partners == {}
-    return table
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("fractions", [False, True])
-def test_solve_without_zero_pairs_matches_the_reference(k, fractions):
-    rng = random.Random(f"pair-sampler-free/{k}/{fractions}")
-    for _ in range(6):
-        table = free_table(k, rng, fractions)
-        r = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(k)]
-        s = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(k)]
-        got, want = _solve_pair(table, r, s), ref_solve_pair(table, r, s)
-        assert repr(got) == repr(want)
-        assert got[1] == make_matrix(MIN, s)

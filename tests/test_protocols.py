@@ -280,6 +280,23 @@ class TestScriptChecks:
             _RUNNERS[protocol](params, random.Random(0))
         assert str(exc.value) == "script block count does not match params"
 
+    @pytest.mark.parametrize(
+        "choices,error,message",
+        [
+            ((), ValueError, r"script gives 0 choice\(s\) for 2 set\(s\)"),
+            ((0, 1, 2), ValueError, r"script gives 3 choice\(s\) for 2 set\(s\)"),
+            ((0, 99), ValueError, "script choice must be <= 2"),
+            ((-1, -1), ValueError, "script choice must be >= 0"),
+            ((True, 1), TypeError, "script choice must be an int, not bool"),
+        ],
+        ids=["too-few", "too-many", "past-the-end", "negative", "bool"],
+    )
+    def test_bad_script_choices_are_refused(self, choices, error, message):
+        params = fx.builtin_params("one-sided-3x3")
+        params = replace(params, script=replace(params.script, alice_choices=choices))
+        with pytest.raises(error, match=message):
+            run_protocol_one_sided(params, random.Random(0))
+
 
 class TestFiniteMemberSampling:
     def test_finite_member_found(self):

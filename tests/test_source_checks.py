@@ -9,7 +9,8 @@ helper, and every int contract goes through one helper,
 `semiring.require_int`.  Only `selfcheck._agree` returns a failing row,
 and no sampler draw in `marginal.py` can return None.  The package's
 `__init__.py` imports nothing, so each name has one import path, and
-`cli.py` builds `CliError` only for exit-1 records.
+`cli.py` builds `CliError` only for exit-1 records, which only its `main`
+writes.
 """
 
 from __future__ import annotations
@@ -376,7 +377,8 @@ def test_importing_the_package_loads_no_submodule():
 
 # One error path in the CLI: main maps ValueError and WireFormatError to the
 # exit-2 records, so cli.py builds CliError only for the exit-1 records that
-# no exception type gives (verification-failed under --word, keys-disagree).
+# no exception type gives (verification-failed under --word, keys-disagree,
+# no-decomposition and attack-missed), and only main writes a record.
 def cli_error_codes(source: str) -> list:
     """The code of each CliError(...) call, first argument or code=: its
     value when it is a constant, else the source text of the expression."""
@@ -402,4 +404,33 @@ def test_the_cli_error_check_finds_each_form():
 
 def test_the_cli_builds_cli_error_only_for_exit_1():
     source = (SRC / "tropmarg" / "cli.py").read_text(encoding="utf-8")
-    assert cli_error_codes(source) == [1, 1]
+    assert cli_error_codes(source) == [1, 1, 1]
+
+
+def error_record_callers(source: str) -> list:
+    """For each call of _error_record, the name of the top-level function or
+    class that holds it (None at module level)."""
+    return [
+        getattr(node, "name", None)
+        for node in ast.parse(source).body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "_error_record"
+    ]
+
+
+def test_the_error_record_check_finds_each_caller():
+    source = (
+        "def main():\n    _error_record(2, 'a', 'b')\n"
+        "def g():\n    if x:\n        return _error_record(1, 'c', 'd')\n"
+        "_error_record(3, 'e', 'f')\n"
+        "def _error_record(code, reason, detail):\n    pass\n"
+    )
+    assert error_record_callers(source) == ["main", "g", None]
+
+
+def test_only_main_writes_error_records():
+    source = (SRC / "tropmarg" / "cli.py").read_text(encoding="utf-8")
+    callers = error_record_callers(source)
+    assert callers and set(callers) == {"main"}

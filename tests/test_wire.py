@@ -19,6 +19,7 @@ from tropmarg.families import (
 )
 from tropmarg.marginal import (
     MarginalSet,
+    WordTemplate,
     additive_word,
     make_marginal_set,
     right_word,
@@ -244,6 +245,32 @@ class TestMarginalSetCodec:
         obj["base"] = "not rows"  # refused on the count, before the base is read
         with pytest.raises(WireFormatError, match=f"more than {MAX_TUPLES} tuples"):
             decode_marginal_set(to_canonical_bytes(obj))
+
+    def test_a_delta_body_verifies_each_distinct_tuple_once(self, monkeypatch):
+        # 255 empty diffs repeat the base: one word evaluation, not 256
+        zero = make_matrix(MIN, [[0] * 8] * 8)
+        s = MarginalSet(additive_word(zero), ((zero,),))
+        obj = from_canonical_bytes(encode_marginal_set(s, encoding="delta"))
+        obj["diffs"] = [[]] * (MAX_TUPLES - 1)
+        calls = []
+        evaluate = WordTemplate.evaluate
+
+        def counted(self, values):
+            calls.append(values)
+            return evaluate(self, values)
+
+        monkeypatch.setattr(WordTemplate, "evaluate", counted)
+        assert len(decode_marginal_set(to_canonical_bytes(obj))) == MAX_TUPLES
+        assert len(calls) == 1
+
+    def test_a_delta_body_names_every_failing_repeat(self):
+        # tuples: good, bad, the same bad, good, the bad again
+        obj = from_canonical_bytes(encode_marginal_set(self._line_set(1), encoding="delta"))
+        bad, good = [[[1, 1], scalar_to_token(-1)]], [[[1, 1], scalar_to_token(0)]]
+        obj["diffs"] = [bad, [], good, bad]
+        with pytest.raises(MarginalVerificationError) as exc:
+            decode_marginal_set(to_canonical_bytes(obj))
+        assert exc.value.indices == (1, 2, 4)
 
     def test_above_the_delta_cap_sets_go_raw_and_boxes_stay_interval(self):
         box = self._line_set(300)
