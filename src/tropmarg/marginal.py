@@ -11,10 +11,13 @@ need: A⊗□, □⊗A, □⊗A⊗□, A⊗□⊗B⊗□⊗C, longer chains, and
 deterministic given their random generator and verify every tuple before
 returning it.
 
-All of the residuation, cover, box and sampling work runs over min-plus;
-max-plus inputs cross into it through `dual` at one boundary (_crossing).
-One residuation kernel (_outer) serves every word shape, and the pair and
-chain words share one bound table (BoundTable) of k×k factors.
+All of the residuation, cover, box and sampling work runs over min-plus
+ints, reached at one boundary (_into_min_plus): max-plus through `dual`,
+Fractions by scaling with their common denominator d.  Draws keep their
+unscaled spans and are multiplied by d after they are drawn, so the random
+stream does not depend on d.  One residuation kernel (_outer) serves every
+word shape, and the pair and chain words share one bound table
+(BoundTable) of k×k factors.
 """
 
 from __future__ import annotations
@@ -23,17 +26,17 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import floor, lcm
+from math import lcm
 from operator import add, ge, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .matrix import (
     Matrix,
     _built,
+    _check_fits,
     _scaled,
     _unscaled,
     dual,
-    make_matrix,
     mat_add,
     mat_mul,
     mat_prod,
@@ -45,12 +48,11 @@ from .semiring import (
     SelfCheckError,
     SemiringKind,
     as_scalar,
+    is_finite,
     require_int,
     s_lt,
     s_max,
-    s_mul,
     s_neg,
-    s_sub,
 )
 
 RETRY_BUDGET = 64
@@ -251,20 +253,40 @@ def make_marginal_set(word: WordTemplate, tuples: Iterable) -> MarginalSet:
 
 
 # --------------------------------------------------------------------------
-# The dual boundary
+# The boundary: max-plus and Fractions in, min-plus ints out
 
 
-def _crossing(kind: SemiringKind):
-    """Maps that carry matrices and caps into min-plus coordinates.
+def _into_min_plus(mats: Sequence[Matrix], cap=None) -> tuple[int, list, Callable]:
+    """(d, lowered, back): the matrices (then the cap, if given) in min-plus
+    int coordinates, and the map that carries a min-plus int result back.
 
-    Every residuation, cover-check, box-draw and sampler routine below works
-    over min-plus only.  A max-plus input crosses here, as its dual and with
-    its caps negated; both maps are their own inverses, so the same maps
-    carry the results back.  Min-plus inputs cross unchanged.
+    Max-plus crosses as its dual, with the cap negated.  d is the lcm of the
+    matrices' den (and of a finite cap's denominator), and every finite
+    entry and the cap are multiplied by d, which every routine below
+    commutes with (positive homogeneity).  Fraction(n, 1) entries come out
+    as ints; +inf and an infinite cap stay.  back divides by d, then flips a
+    max-plus result back.
     """
-    if kind is SemiringKind.MIN_PLUS:
-        return (lambda x: x), (lambda x: x)
-    return dual, s_neg
+    flip = mats[0].kind is SemiringKind.MAX_PLUS
+    caps = [] if cap is None else [s_neg(as_scalar(cap)) if flip else as_scalar(cap)]
+    d = lcm(*(m.den for m in mats), *(c.denominator for c in caps if is_finite(c)))
+
+    def lower(m: Matrix) -> Matrix:
+        if flip:
+            m = dual(m)
+        if m.all_int and d == 1:
+            return m
+        return _built(m.kind, _scaled(m.rows, d, POS_INF), m.has_inf, not m.has_inf)
+
+    def back(m: Matrix) -> Matrix:
+        if d > 1:
+            rows = [[v if v is POS_INF else _unscaled(v, d) for v in row] for row in m.rows]
+            m = Matrix(m.kind, tuple(map(tuple, rows)))
+        return dual(m) if flip else m
+
+    lowered = [lower(m) for m in mats]
+    lowered += [c if not is_finite(c) else int(c * d) for c in caps]
+    return d, lowered, back
 
 
 def _randbelow(rng: random.Random, spans: Iterable[int]) -> list[int]:
@@ -285,15 +307,15 @@ def _randbelow(rng: random.Random, spans: Iterable[int]) -> list[int]:
     return out
 
 
-def _sample_set(word: WordTemplate, n: int, draw, flip, fixed: bool = False) -> MarginalSet:
-    """Up to n distinct min-plus tuples from draw(), carried back to the
-    word's semiring by flip; the set is built and verified once: each draw
-    raises SelfCheckError unless its tuple keeps the word's value in min-plus
-    coordinates, and flip is exact, so that is the word check.  The pair,
-    chain and additive draws check the word's value itself (from the
-    products the solve formed, or one ⊕); a one-sided draw checks that it
-    lies above X* with x*'s zero diagonal, which with the sampler's one
-    product m⊗X* = m proves the value (_sample_one_sided).
+def _sample_set(word: WordTemplate, n: int, draw, back, fixed: bool = False) -> MarginalSet:
+    """Up to n distinct min-plus int tuples from draw(), carried back to the
+    word's semiring and units by back; the set is built and verified once:
+    each draw raises SelfCheckError unless its tuple keeps the word's value
+    in min-plus int coordinates, and back is exact, so that is the word
+    check.  The pair, chain and additive draws check the word's value itself
+    (from the products the solve formed, or one ⊕); a one-sided draw checks
+    that it lies above X* with x*'s zero diagonal, which with the sampler's
+    one product m⊗X* = m proves the value (_sample_one_sided).
 
     Every draw gives a tuple, so the set is never empty; RETRY_BUDGET bounds
     duplicates only: when a new tuple's attempts run out, the box is too
@@ -312,7 +334,7 @@ def _sample_set(word: WordTemplate, n: int, draw, flip, fixed: bool = False) -> 
                 break
         else:
             break
-    return _verified_set(word, tuple(tuple(flip(x) for x in t) for t in tuples))
+    return _verified_set(word, tuple(tuple(back(x) for x in t) for t in tuples))
 
 
 def _transpose(a: Matrix) -> Matrix:
@@ -330,27 +352,17 @@ def _require_finite(a: Matrix, op: str) -> None:
 
 def _outer(first: Optional[Matrix], d: Matrix, last: Optional[Matrix]) -> Matrix:
     """E[p][s] = max over i, j of (d_ij - first[i][p] - last[s][j]) over
-    finite min-plus matrices, in two passes: T[i][s] = max_j(d_ij -
+    finite min-plus int matrices, in two passes: T[i][s] = max_j(d_ij -
     last[s][j]), then E[p][s] = max_i(T[i][s] - first[i][p]).  None stands
-    for an identity end and drops its pass.  Entries that are not all
-    builtin ints are scaled by their common denominator, so every
-    difference is an int one, and mapped back; an operand passed twice (a
-    one-sided word's matrix is both d and an end) is scaled once."""
-    given = {id(m): m for m in (first, d, last) if m is not None}
-    den = lcm(*(m.den for m in given.values()))
-    exact = all(m.all_int for m in given.values())
-    rows = {key: m.rows if exact else _scaled(m.rows, den, None) for key, m in given.items()}
-    first, t, last = (m if m is None else rows[id(m)] for m in (first, d, last))
+    for an identity end and drops its pass.  Every difference is an int
+    one, so E is built without the walk."""
+    t = d.rows
     if last is not None:
-        t = [[max(map(sub, row, c)) for c in last] for row in t]
+        t = [[max(map(sub, row, c)) for c in last.rows] for row in t]
     if first is not None:
         t_cols = list(zip(*t))
-        t = [[max(map(sub, t_col, a_col)) for t_col in t_cols] for a_col in zip(*first)]
-    if den == 1:
-        return _built(SemiringKind.MIN_PLUS, tuple(map(tuple, t)))
-    return Matrix(
-        SemiringKind.MIN_PLUS, tuple(tuple(_unscaled(v, den) for v in row) for row in t)
-    )
+        t = [[max(map(sub, t_col, a_col)) for t_col in t_cols] for a_col in zip(*first.rows)]
+    return _built(SemiringKind.MIN_PLUS, tuple(map(tuple, t)))
 
 
 # --------------------------------------------------------------------------
@@ -365,18 +377,16 @@ def residual_right(a: Matrix) -> Matrix:
     diagonal of X* is zero, and pinning it keeps any X in the box a solution.
     """
     _require_finite(a, "residuation")
-    flip, _ = _crossing(a.kind)
-    m = flip(a)
-    return flip(_outer(m, m, None))
+    _, (m,), back = _into_min_plus([a])
+    return back(_outer(m, m, None))
 
 
 def residual_left(a: Matrix) -> Matrix:
     """Principal solution X* of X⊗A = A, the one-slot chain I⊗X⊗A:
     x*_ij = extreme over l of (a_il - a_jl); mirror of residual_right."""
     _require_finite(a, "residuation")
-    flip, _ = _crossing(a.kind)
-    m = flip(a)
-    return flip(_outer(None, m, m))
+    _, (m,), back = _into_min_plus([a])
+    return back(_outer(None, m, m))
 
 
 def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
@@ -385,14 +395,15 @@ def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
     side is "right" (A⊗X = A) or "left" (X⊗A = A).  Requires X inside the
     principal box (X >= X* over min-plus, X <= X* over max-plus); positions
     where x equals x* contribute their attainment sets, and the check passes
-    iff those sets jointly cover every scalar equation of the system.
+    iff those sets jointly cover every scalar equation of the system.  X
+    must share A's semiring (TypeError) and dimension (ValueError).
     """
+    _check_fits(a.kind, a.dim, x)
     if side == "left":
         a, x = _transpose(a), _transpose(x)
     elif side != "right":
         raise ValueError("side must be 'right' or 'left'")
-    flip, _ = _crossing(a.kind)
-    a, x = flip(a), flip(x)
+    _, (a, x), _ = _into_min_plus([a, x])
     star = residual_right(a)
     n = a.dim
     if any(s_lt(x.rows[i][j], star.rows[i][j]) for i in range(n) for j in range(n)):
@@ -403,7 +414,7 @@ def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
         for j in range(n)
         if x.rows[i][j] == star.rows[i][j]
         for l in range(n)
-        if s_sub(a.rows[l][j], a.rows[l][i]) == star.rows[i][j]
+        if a.rows[l][j] - a.rows[l][i] == star.rows[i][j]
     }
     return len(covered) == n * n
 
@@ -411,13 +422,12 @@ def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
 def max_possible_matrix(x_star: Matrix, l) -> Matrix:
     """Outer corner of the sampling box: x* on the pinned diagonal, the cap
     l pushed against x* elsewhere (max over min-plus, min over max-plus)."""
-    flip, flip_cap = _crossing(x_star.kind)
-    l = flip_cap(as_scalar(l))
+    _, (m, cap), back = _into_min_plus([x_star], l)
     rows = tuple(
-        tuple(x if i == j else s_max(l, x) for j, x in enumerate(row))
-        for i, row in enumerate(flip(x_star).rows)
+        tuple(x if i == j else s_max(cap, x) for j, x in enumerate(row))
+        for i, row in enumerate(m.rows)
     )
-    return flip(Matrix(SemiringKind.MIN_PLUS, rows))
+    return back(Matrix(SemiringKind.MIN_PLUS, rows))
 
 
 def _sample_one_sided(
@@ -437,10 +447,8 @@ def _sample_one_sided(
     O(k²).  The left side is the mirror, (X⊗m)_ij <= x_ii + m_ij.  The cap
     X̂ bounds what is drawn, not what is correct.  Either check failing
     raises SelfCheckError."""
-    flip, flip_cap = _crossing(a.kind)
-    m = flip(a)
+    d, (m, cap), back = _into_min_plus([a], l)
     star = residual_right(m) if side == "right" else residual_left(m)
-    cap = flip_cap(as_scalar(l))
     if cap is POS_INF:
         raise ValueError("the cap leaves the one-sided box unbounded")
     k = a.dim
@@ -450,12 +458,11 @@ def _sample_one_sided(
     # Each entry steps uniformly from x* toward the outer corner x̂
     # (inclusive), read off x* and the cap as max_possible_matrix would
     # build it: one choice on the pinned diagonal and where the cap does not
-    # lie beyond x*, floor(cap - x*) + 1 otherwise, so tightness at x* stays
-    # reachable for rational bounds.  An int step keeps each entry's reduced
-    # denominator (p/q + k = (p + kq)/q), so every draw holds x*'s facts:
-    # finite, the same all_int and den, and needs no walk.
+    # lie beyond x*, floor(cap - x*) + 1 in unscaled units otherwise, so
+    # tightness at x* stays reachable for rational bounds.  A step of v
+    # unscaled units adds v * d.
     choices = [
-        1 if i % (k + 1) == 0 or not s_lt(x, cap) else floor(cap - x) + 1
+        1 if i % (k + 1) == 0 or not s_lt(x, cap) else (cap - x) // d + 1
         for i, x in enumerate(flat)
     ]
     positions = [i for i, c in enumerate(choices) if c > 1]
@@ -464,14 +471,14 @@ def _sample_one_sided(
     def draw():
         vals = flat[:]
         for i, v in zip(positions, _randbelow(rng, spans)):
-            vals[i] += v
+            vals[i] += v * d
         if any(vals[:: k + 1]) or not all(map(ge, vals, flat)):
             raise SelfCheckError(f"{side} sample leaves the box above X*")
         rows = tuple(tuple(vals[i : i + k]) for i in range(0, k * k, k))
-        return (_built(SemiringKind.MIN_PLUS, rows, False, star.all_int, star.den),)
+        return (_built(SemiringKind.MIN_PLUS, rows),)
 
     word = right_word(a) if side == "right" else left_word(a)
-    return _sample_set(word, n, draw, flip, not positions)
+    return _sample_set(word, n, draw, back, not positions)
 
 
 def sample_right_marginal(a: Matrix, n: int, l, rng: random.Random) -> MarginalSet:
@@ -593,10 +600,9 @@ def n_factor_residual(chain: Sequence[Matrix]) -> BoundTable:
         if m.kind is not first.kind or m.dim != first.dim:
             raise ValueError("chain matrices must share kind and dimension")
         _require_finite(m, "residuation")
-    flip, _ = _crossing(first.kind)
-    lowered = [flip(m) for m in chain]
-    d = functools.reduce(mat_mul, lowered)
-    return BoundTable(flip(d), flip(_outer(lowered[0], d, lowered[-1])), chain)
+    _, lowered, back = _into_min_plus(chain)
+    product = functools.reduce(mat_mul, lowered)
+    return BoundTable(back(product), back(_outer(lowered[0], product, lowered[-1])), chain)
 
 
 def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
@@ -611,8 +617,8 @@ def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
 def _solve_pair(
     table: BoundTable, h, r: list[list], s: list[list]
 ) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Canonical point (X, Y) of the pinned two-slot system, with the
-    products B⊗Y and X⊗B⊗Y it formed on the way.
+    """Canonical point (X, Y) of the pinned two-slot system over min-plus
+    ints, with the products B⊗Y and X⊗B⊗Y it formed on the way.
 
     The system is x_pq + y_rs >= E[p][s] - B[q][r] for all p, q, r, s,
     x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S, where R_pp = h on
@@ -644,13 +650,7 @@ def _solve_pair(
         [max(low, max(map(sub, e_col, b_col))) for low, e_col in zip(s_row, e_cols)]
         for s_row, b_col in zip(s, b_cols)
     ]
-    # h is R_pp on px, which is not empty, so R's entries cover it
-    exact = (
-        table.outer.all_int
-        and table.chain[1].all_int
-        and all(type(v) is int for v in itertools.chain(*r, *s))
-    )
-    ys = _exact_rows(y_rows, exact)
+    ys = _built(SemiringKind.MIN_PLUS, tuple(map(tuple, y_rows)))
     by = mat_mul(table.chain[1], ys)
     x_rows = [
         [max(low, max(map(sub, e_row, by_row))) for low, by_row in zip(r_row, by.rows)]
@@ -658,18 +658,10 @@ def _solve_pair(
     ]
     for p in px:
         x_rows[p][p] = h
-    xs = _exact_rows(x_rows, exact)
+    xs = _built(SemiringKind.MIN_PLUS, tuple(map(tuple, x_rows)))
     xby = mat_mul(xs, by)
     _check_pair_point(table, r, s, xs, ys, xby)
     return xs, ys, by, xby
-
-
-def _exact_rows(rows, all_int: bool) -> Matrix:
-    """Min-plus matrix of finite rows: built as they are when all_int says
-    every entry is an int, canonicalized and walked otherwise."""
-    if all_int:
-        return _built(SemiringKind.MIN_PLUS, tuple(map(tuple, rows)))
-    return make_matrix(SemiringKind.MIN_PLUS, rows)
 
 
 def _check_pair_point(table: BoundTable, r, s, xs: Matrix, ys: Matrix, xby: Matrix) -> None:
@@ -691,21 +683,21 @@ def _sample_pairs(
     word: WordTemplate, residual, n: int, l1: int, l2: int, rng: random.Random
 ) -> MarginalSet:
     """n pairs from the bound table residual(*constants) of the word's
-    constants in min-plus coordinates.
+    constants in min-plus int coordinates.
 
-    A pin value h and the free lower bounds are drawn from [l1, l2]; rows of
-    the zero-pair projections get their diagonal bounds pinned to h and -h,
-    and _solve_pair produces the canonical pair of that pinned system.
-    Max-plus inputs run through the min-plus reduction by negation, with
-    l1..l2 read in the reduced coordinates.  The word check reads the
-    solve's products: X⊗(B⊗Y) for the sandwich, (A⊗X)⊗(B⊗Y)⊗C for the
-    five-factor word, not A⊗(X⊗B⊗Y)⊗C, which would repeat the reduction
-    that formed A⊗B⊗C.
+    A pin value h and the free lower bounds are drawn from [l1, l2] and
+    multiplied by d; rows of the zero-pair projections get their diagonal
+    bounds pinned to h and -h, and _solve_pair produces the canonical pair
+    of that pinned system.  Max-plus inputs run through the min-plus
+    reduction by negation, with l1..l2 read in the reduced coordinates.
+    The word check reads the solve's products: X⊗(B⊗Y) for the sandwich,
+    (A⊗X)⊗(B⊗Y)⊗C for the five-factor word, not A⊗(X⊗B⊗Y)⊗C, which would
+    repeat the reduction that formed A⊗B⊗C.
     """
     require_int("l1", l1)
     require_int("l2", l2, l1)
-    flip, _ = _crossing(word.kind)
-    table = residual(*(flip(m) for m in word.constants))
+    d, constants, back = _into_min_plus(word.constants)
+    table = residual(*constants)
     k = table.product.dim
     px, py = table.px, table.py
     first, _, last = table.chain
@@ -713,7 +705,7 @@ def _sample_pairs(
     spans = [l2 - l1 + 1] * (1 + 2 * k * k - len(px) - len(py))
 
     def draw():
-        h, *free = (l1 + v for v in _randbelow(rng, spans))
+        h, *free = ((l1 + v) * d for v in _randbelow(rng, spans))
         free = iter(free)
         r = [[0] * k for _ in range(k)]
         s = [[0] * k for _ in range(k)]
@@ -726,7 +718,7 @@ def _sample_pairs(
             raise SelfCheckError("sampled pair changes the word's value")
         return xs, ys
 
-    return _sample_set(word, n, draw, flip)
+    return _sample_set(word, n, draw, back)
 
 
 def sample_sandwich_marginal(
@@ -752,7 +744,7 @@ def sample_five_factor_marginal(
 
 
 def _min_plus(a, b) -> list:
-    """Min-plus product of two finite square matrices given as row lists."""
+    """Min-plus product of two finite int square matrices given as row lists."""
     cols = tuple(zip(*b))
     return [[min(map(add, row, col)) for col in cols] for row in a]
 
@@ -819,14 +811,14 @@ def sample_n_factor_marginal(
     require_int("l1", l1)
     require_int("l2", l2, l1)
     chain = list(chain)
-    flip, _ = _crossing(chain[0].kind)
-    table = n_factor_residual([flip(m) for m in chain])
+    d, lowered, back = _into_min_plus(chain)
+    table = n_factor_residual(lowered)
     n, k = table.n_slots, table.product.dim
     # h₁..hₙ₋₁, then each slot's off-diagonal entries row by row
     spans = [l2 - l1 + 1] * (n - 1 + n * k * (k - 1))
 
     def draw():
-        vals = [l1 + v for v in _randbelow(rng, spans)]
+        vals = [(l1 + v) * d for v in _randbelow(rng, spans)]
         hs = vals[: n - 1]
         hs.append(-sum(hs))
         free = iter(vals[n - 1 :])
@@ -835,15 +827,13 @@ def sample_n_factor_marginal(
             for t in range(n)
         ]
         _repair_chain(table, mats)
-        # make_matrix keeps the entries canonical: the repair pass can leave
-        # Fraction(k, 1) behind on a chain with Fraction entries.
-        xs = tuple(make_matrix(SemiringKind.MIN_PLUS, m) for m in mats)
+        xs = tuple(_built(SemiringKind.MIN_PLUS, tuple(map(tuple, m))) for m in mats)
         slots = itertools.chain.from_iterable(zip(xs, table.chain[1:]))
         if functools.reduce(mat_mul, [table.chain[0], *slots]) != table.product:
             raise SelfCheckError("sampled tuple changes the chain product")
         return xs
 
-    return _sample_set(chain_word(chain), n_tuples, draw, flip)
+    return _sample_set(chain_word(chain), n_tuples, draw, back)
 
 
 # --------------------------------------------------------------------------
@@ -855,16 +845,17 @@ def sample_additive_marginal(a: Matrix, n: int, l: int, rng: random.Random) -> M
     in the direction the semiring order allows.  X is (A ⊕ ◯)-marginal iff
     X >= A over min-plus (iff X <= A over max-plus)."""
     require_int("l", l, 0)
-    flip, _ = _crossing(a.kind)
-    m = flip(a)
+    d, (m,), back = _into_min_plus([a])
     spans = [l + 1] * (a.dim * a.dim)
 
     def draw():
-        offsets = iter(_randbelow(rng, spans))
-        rows = tuple(tuple(map(s_mul, row, offsets)) for row in m.rows)
-        x = Matrix(SemiringKind.MIN_PLUS, rows)
+        offsets = iter([v * d for v in _randbelow(rng, spans)])
+        rows = tuple(
+            tuple(x if x is POS_INF else x + v for x, v in zip(row, offsets)) for row in m.rows
+        )
+        x = _built(SemiringKind.MIN_PLUS, rows, m.has_inf, not m.has_inf)
         if mat_add(m, x) != m:
             raise SelfCheckError("additive sample changes A ⊕ X")
         return (x,)
 
-    return _sample_set(additive_word(a), n, draw, flip)
+    return _sample_set(additive_word(a), n, draw, back)

@@ -3,8 +3,10 @@ solve: `_pair_system` builds the k⁴-row `ConstraintSystem` that
 `marginal._solve_pair` solves from the k×k factors and the pin alone, and
 `_assignment_to_pair` reads `solve_feasible_min`'s assignment back as the
 pair (X, Y).  The pins are lower bounds here: R_pp = h on px and
-S_rr = -h on py, which the zero-pair equalities then make exact.  A support
-module for the oracle tests; it holds no tests.
+S_rr = -h on py, which the zero-pair equalities then make exact.
+`min_plus_maps` is the oracles' own way into min-plus coordinates, so that
+they do not reuse the library boundary they check.  A support module for
+the oracle tests; it holds no tests.
 """
 
 from __future__ import annotations
@@ -13,10 +15,19 @@ import itertools
 
 from tropmarg.constraints import ConstraintSystem, VarId
 from tropmarg.marginal import BoundTable
-from tropmarg.matrix import Matrix
-from tropmarg.semiring import SemiringKind
+from tropmarg.matrix import Matrix, dual
+from tropmarg.semiring import SemiringKind, s_neg
 
 MIN = SemiringKind.MIN_PLUS
+
+
+def min_plus_maps(kind: SemiringKind):
+    """(flip, flip_cap): a max-plus matrix crosses into min-plus as its dual
+    and a cap is negated; both maps are their own inverses.  Min-plus
+    crosses unchanged."""
+    if kind is MIN:
+        return (lambda x: x), (lambda x: x)
+    return dual, s_neg
 
 
 def _pair_system(

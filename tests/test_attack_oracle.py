@@ -33,7 +33,7 @@ from tropmarg.families import (
     sample_family_member,
     sample_jones,
 )
-from tropmarg.marginal import _crossing
+from pair_reference import min_plus_maps
 from tropmarg.matrix import Matrix, dual, identity, make_matrix, mat_add, mat_mul, scalar_mul
 from tropmarg.protocols import (
     NoDecomposition,
@@ -69,7 +69,7 @@ def ref_attack_decomposition(w, u, v, left_basis, right_basis):
     for m in (w, u, v):
         if not m.is_finite():
             raise ValueError("attack requires finite public values")
-    _, flip = _crossing(kind)
+    _, flip = min_plus_maps(kind)
     e = identity(kind, dim)
 
     def times(x: Matrix, y: Matrix) -> Matrix:

@@ -201,6 +201,29 @@ class TestCoverCheck:
         with pytest.raises(ValueError):
             cover_check(BIL_A, BIL_A, "middle")
 
+    @pytest.mark.parametrize(
+        "shape,side,error,match",
+        [
+            ("max-plus", "right", TypeError, "semiring mismatch"),
+            ("dim-4", "right", ValueError, "dimension mismatch"),
+            ("dim-4", "left", ValueError, "dimension mismatch"),
+            ("dim-2", "right", ValueError, "dimension mismatch"),
+            ("dim-2", "left", ValueError, "dimension mismatch"),
+        ],
+    )
+    def test_an_x_that_does_not_fit_a_raises(self, shape, side, error, match):
+        # Each X once passed the check or failed on an index: X* of the
+        # min-plus A read over max-plus gave True, X* padded to dim 4 gave
+        # True on both sides, and a dim-2 X raised IndexError.
+        star = (residual_right if side == "right" else residual_left)(RES_A)
+        x = {
+            "max-plus": lambda: make_matrix(MAX, star.rows),
+            "dim-4": lambda: make_matrix(MIN, [[*row, 9] for row in star.rows] + [[9, 9, 9, 0]]),
+            "dim-2": lambda: make_matrix(MIN, [[9, 9], [9, 9]]),
+        }[shape]()
+        with pytest.raises(error, match=match):
+            cover_check(RES_A, x, side)
+
     def test_agrees_with_product_equality_inside_box(self):
         rng = random.Random(99)
         for _ in range(200):

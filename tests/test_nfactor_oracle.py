@@ -22,13 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropmarg.marginal import (
-    _crossing,
     _repair_chain,
     _sample_set,
     chain_word,
     n_factor_residual,
     sample_n_factor_marginal,
 )
+from pair_reference import min_plus_maps
 from tropmarg.matrix import make_matrix, mat_mul
 from tropmarg.semiring import SelfCheckError, SemiringKind
 from tropmarg.wire import encode_marginal_set
@@ -59,7 +59,7 @@ def ref_sample_n_factor_marginal(chain, n_tuples, l1, l2, rng):
     if l1 > l2:
         raise ValueError("empty bound range")
     chain = list(chain)
-    flip, _ = _crossing(chain[0].kind)
+    flip, _ = min_plus_maps(chain[0].kind)
     table = n_factor_residual([flip(m) for m in chain])
     n, k = table.n_slots, table.product.dim
 
@@ -107,7 +107,7 @@ def chains(draw):
 
 
 def _table(chain):
-    flip, _ = _crossing(chain[0].kind)
+    flip, _ = min_plus_maps(chain[0].kind)
     return n_factor_residual([flip(m) for m in chain])
 
 

@@ -38,7 +38,6 @@ from tropmarg.marginal import (
     MarginalTuple,
     SamplerExhausted,
     WordTemplate,
-    _crossing,
     _verified_set,
     left_word,
     max_possible_matrix,
@@ -49,6 +48,7 @@ from tropmarg.marginal import (
     sample_right_marginal,
     verify_marginal,
 )
+from pair_reference import min_plus_maps
 from tropmarg.matrix import Matrix, dual, make_matrix, mat_mul
 from tropmarg.semiring import SelfCheckError, SemiringKind, as_scalar
 
@@ -79,7 +79,7 @@ def ref_sample_set(word: WordTemplate, n: int, draw, flip) -> MarginalSet:
 def ref_sample_one_sided(
     a: Matrix, n: int, l, rng: random.Random, side: str
 ) -> MarginalSet:
-    flip, flip_cap = _crossing(a.kind)
+    flip, flip_cap = min_plus_maps(a.kind)
     m = flip(a)
     star = residual_right(m) if side == "right" else residual_left(m)
     outer = max_possible_matrix(star, flip_cap(as_scalar(l)))
@@ -129,7 +129,7 @@ def anchors(draw, kind, n):
 def box_edge(a: Matrix, side: str):
     """The least off-diagonal entry of x* in min-plus coordinates (0 at
     dim 1): a min-plus cap at or below it pins the whole box."""
-    flip, _ = _crossing(a.kind)
+    flip, _ = min_plus_maps(a.kind)
     m = flip(a)
     star = residual_right(m) if side == "right" else residual_left(m)
     off = [x for i, row in enumerate(star.rows) for j, x in enumerate(row) if i != j]
@@ -153,7 +153,7 @@ def cases(draw):
             "few": st.sampled_from([1, 2, Fraction(3, 2), Fraction(5, 2)]),
             "wide": st.integers(3, 30),
         }[shape]
-        _, flip_cap = _crossing(kind)
+        _, flip_cap = min_plus_maps(kind)
         cap = flip_cap(as_scalar(edge + draw(offset)))
     return a, draw(st.integers(1, 6)), cap, draw(st.integers(0, 2**32)), side
 
@@ -224,7 +224,7 @@ def boxes(draw):
     offset = draw(st.one_of(
         st.integers(-5, 0), st.sampled_from([1, Fraction(3, 2)]), st.integers(3, 30)
     ))
-    _, flip_cap = _crossing(kind)
+    _, flip_cap = min_plus_maps(kind)
     cap = flip_cap(as_scalar(box_edge(a, side) + offset))
     return a, draw(st.integers(1, 10)), cap, draw(st.integers(0, 2**32)), side
 
@@ -252,7 +252,7 @@ def test_each_one_sided_set_costs_one_product(case):
 @given(boxes())
 def test_every_published_tuple_lies_in_the_box(case):
     a, n, cap, seed, side = case
-    flip, flip_cap = _crossing(a.kind)
+    flip, flip_cap = min_plus_maps(a.kind)
     m = flip(a)
     star = residual_right(m) if side == "right" else residual_left(m)
     outer = max_possible_matrix(star, flip_cap(cap))

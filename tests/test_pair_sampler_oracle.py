@@ -31,7 +31,6 @@ from tropmarg.marginal import (
     BoundTable,
     MarginalSet,
     WordTemplate,
-    _crossing,
     _sample_set,
     five_factor_residual,
     five_factor_word,
@@ -40,6 +39,7 @@ from tropmarg.marginal import (
     sandwich_word,
     two_sided_residual,
 )
+from pair_reference import min_plus_maps
 from tropmarg.matrix import Matrix, dual, make_matrix, mat_mul
 from tropmarg.semiring import SelfCheckError, SemiringKind, as_scalar, require_int
 
@@ -115,7 +115,7 @@ def ref_sample_pairs(
     require_int("l2", l2)
     if l1 > l2:
         raise ValueError("empty bound range")
-    flip, _ = _crossing(word.kind)
+    flip, _ = min_plus_maps(word.kind)
     table = residual(*(flip(m) for m in word.constants))
     k = table.product.dim
     px, py = table.px, table.py

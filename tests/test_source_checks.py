@@ -10,7 +10,9 @@ helper, and every int contract goes through one helper,
 and no sampler draw in `marginal.py` can return None.  The package's
 `__init__.py` imports nothing, so each name has one import path, and
 `cli.py` builds `CliError` only for exit-1 records, which only its `main`
-writes.
+writes.  In `marginal.py` only the boundary function reads `dual`,
+`_scaled` or `_unscaled`, and nothing names `make_matrix`, `floor` or
+`Fraction`.
 """
 
 from __future__ import annotations
@@ -105,6 +107,69 @@ def test_the_package_cli_and_self_check_never_load_the_solver():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# Fractions and max-plus reach marginal.py at one boundary, _into_min_plus:
+# only it reads dual, _scaled or _unscaled, and the module names neither
+# make_matrix, floor nor Fraction, since every matrix inside holds ints.
+BOUNDARY = "_into_min_plus"
+CROSSING = {"dual", "_scaled", "_unscaled"}
+PER_SITE = {"make_matrix", "floor", "Fraction"}
+
+
+def name_uses(source: str, names: set[str]) -> list[tuple[str, str]]:
+    """(where, name) for each import of, read of or attribute called one of
+    `names`: where is "import" for an import, else the enclosing top-level
+    function or class, or "<module>"."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.alias):
+                where, name = "import", node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Name):
+                where, name = scope, node.id
+            elif isinstance(node, ast.Attribute):
+                where, name = scope, node.attr
+            else:
+                continue
+            if name in names:
+                found.append((where, name))
+    return found
+
+
+def test_the_boundary_check_finds_each_form():
+    source = (
+        "from .matrix import dual, make_matrix as mm\n"
+        "import fractions, math.floor\n"
+        "flip = dual\n"
+        "def _into_min_plus(m):\n    return dual(m)\n"
+        "def f(m):\n    return fractions.Fraction(1, 2), _scaled(m, 2, None)\n"
+        "class C:\n    def g(self):\n        from math import floor\n        return floor(self.x)\n"
+    )
+    assert sorted(name_uses(source, CROSSING | PER_SITE)) == [
+        ("<module>", "dual"),
+        ("C", "floor"),
+        ("_into_min_plus", "dual"),
+        ("f", "Fraction"),
+        ("f", "_scaled"),
+        ("import", "dual"),
+        ("import", "floor"),
+        ("import", "floor"),
+        ("import", "make_matrix"),
+    ]
+    assert name_uses(
+        'dual_rows = 1\ndef f(m):\n    """a Fraction"""\n    return m.dual_kind, "floor"\n',
+        CROSSING | PER_SITE,
+    ) == []
+
+
+def test_only_the_boundary_crosses_into_min_plus_ints():
+    source = (SRC / "tropmarg" / "marginal.py").read_text(encoding="utf-8")
+    assert set(name_uses(source, CROSSING)) == {
+        (where, name) for where in ("import", BOUNDARY) for name in CROSSING
+    }
+    assert name_uses(source, PER_SITE) == []
 
 
 # The samplers reach the random generator only through marginal._randbelow,
