@@ -263,9 +263,9 @@ def _into_min_plus(mats: Sequence[Matrix], cap=None) -> tuple[int, list, Callabl
     Max-plus crosses as its dual, with the cap negated.  d is the lcm of the
     matrices' den (and of a finite cap's denominator), and every finite
     entry and the cap are multiplied by d, which every routine below
-    commutes with (positive homogeneity).  Fraction(n, 1) entries come out
-    as ints; +inf and an infinite cap stay.  back divides by d, then flips a
-    max-plus result back.
+    commutes with (positive homogeneity); at d == 1 the entries are ints
+    already.  +inf and an infinite cap stay.  back divides by d, then flips
+    a max-plus result back.
     """
     flip = mats[0].kind is SemiringKind.MAX_PLUS
     caps = [] if cap is None else [s_neg(as_scalar(cap)) if flip else as_scalar(cap)]
@@ -274,9 +274,9 @@ def _into_min_plus(mats: Sequence[Matrix], cap=None) -> tuple[int, list, Callabl
     def lower(m: Matrix) -> Matrix:
         if flip:
             m = dual(m)
-        if m.all_int and d == 1:
+        if d == 1:
             return m
-        return _built(m.kind, _scaled(m.rows, d, POS_INF), m.has_inf, not m.has_inf)
+        return _built(m.kind, _scaled(m.rows, d, POS_INF), m.has_inf)
 
     def back(m: Matrix) -> Matrix:
         if d > 1:
@@ -307,7 +307,7 @@ def _randbelow(rng: random.Random, spans: Iterable[int]) -> list[int]:
     return out
 
 
-def _sample_set(word: WordTemplate, n: int, draw, back, fixed: bool = False) -> MarginalSet:
+def _sample_set(word: WordTemplate, n: int, draw, back) -> MarginalSet:
     """Up to n distinct min-plus int tuples from draw(), carried back to the
     word's semiring and units by back; the set is built and verified once:
     each draw raises SelfCheckError unless its tuple keeps the word's value
@@ -319,14 +319,11 @@ def _sample_set(word: WordTemplate, n: int, draw, back, fixed: bool = False) -> 
 
     Every draw gives a tuple, so the set is never empty; RETRY_BUDGET bounds
     duplicates only: when a new tuple's attempts run out, the box is too
-    small for n distinct tuples and what exists is returned.  fixed says
-    that draw() returns one tuple every time without touching the random
-    stream (a one-point box): it is drawn once, since more draws would only
-    repeat it, and the set and the stream come out as after the full loop.
+    small for n distinct tuples and what exists is returned.
     """
     require_int("tuple count", n, 1)
     tuples: dict[MarginalTuple, None] = {}
-    for _ in range(1 if fixed else n):
+    for _ in range(n):
         for _attempt in range(RETRY_BUDGET):
             t = draw()
             if t not in tuples:
@@ -338,7 +335,7 @@ def _sample_set(word: WordTemplate, n: int, draw, back, fixed: bool = False) -> 
 
 
 def _transpose(a: Matrix) -> Matrix:
-    return _built(a.kind, tuple(zip(*a.rows)), a.has_inf, a.all_int, a.den)
+    return _built(a.kind, tuple(zip(*a.rows)), a.has_inf, a.den)
 
 
 def _require_finite(a: Matrix, op: str) -> None:
@@ -478,7 +475,10 @@ def _sample_one_sided(
         return (_built(SemiringKind.MIN_PLUS, rows),)
 
     word = right_word(a) if side == "right" else left_word(a)
-    return _sample_set(word, n, draw, back, not positions)
+    if not positions:
+        require_int("tuple count", n, 1)
+        n = 1
+    return _sample_set(word, n, draw, back)
 
 
 def sample_right_marginal(a: Matrix, n: int, l, rng: random.Random) -> MarginalSet:
@@ -811,6 +811,8 @@ def sample_n_factor_marginal(
     require_int("l1", l1)
     require_int("l2", l2, l1)
     chain = list(chain)
+    if len(chain) < 2:
+        raise ValueError("chain needs at least two matrices")
     d, lowered, back = _into_min_plus(chain)
     table = n_factor_residual(lowered)
     n, k = table.n_slots, table.product.dim
@@ -853,7 +855,7 @@ def sample_additive_marginal(a: Matrix, n: int, l: int, rng: random.Random) -> M
         rows = tuple(
             tuple(x if x is POS_INF else x + v for x, v in zip(row, offsets)) for row in m.rows
         )
-        x = _built(SemiringKind.MIN_PLUS, rows, m.has_inf, not m.has_inf)
+        x = _built(SemiringKind.MIN_PLUS, rows, m.has_inf)
         if mat_add(m, x) != m:
             raise SelfCheckError("additive sample changes A ⊕ X")
         return (x,)

@@ -21,7 +21,6 @@ from .semiring import (
     MUL_NEUTRAL,
     Scalar,
     SemiringKind,
-    _norm,
     add_neutral,
     as_scalar,
     require_int,
@@ -30,12 +29,15 @@ from .semiring import (
 
 @dataclass(frozen=True)
 class Matrix:
+    """Square rows of canonical entries: builtin ints, Fractions with
+    denominator > 1 and the semiring's infinity.  The one walk, in
+    __post_init__, turns Fraction(n, 1) and int subclasses into plain ints
+    and sets the fields outside ==, hash and repr once: has_inf (the
+    infinity occurs), den (the lcm of the Fraction denominators, 1 if
+    none) and all_int, which is not has_inf and den == 1."""
+
     kind: SemiringKind
     rows: tuple[tuple[Scalar, ...], ...]
-    # What the one walk over the entries finds, set once; not part of ==,
-    # hash or repr.  has_inf: the semiring's infinity occurs.  all_int: every
-    # entry is a builtin int (Fraction(n, 1) is not).  den: the lcm of the
-    # Fraction denominators (1 if there are none).
     has_inf: bool = field(init=False, repr=False, compare=False)
     all_int: bool = field(init=False, repr=False, compare=False)
     den: int = field(init=False, repr=False, compare=False)
@@ -48,26 +50,32 @@ class Matrix:
             o, bad_inf = POS_INF, NEG_INF
         else:
             o, bad_inf = NEG_INF, POS_INF
-        has_inf, all_int, d = False, True, 1
+        has_inf, d, canonical = False, 1, True
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for x in row:
                 if type(x) is int:
                     continue
-                all_int = False
                 if x is o:
                     has_inf = True
                 elif isinstance(x, Fraction):
                     den = x.denominator
-                    if d % den:
+                    if den == 1:
+                        canonical = False
+                    elif d % den:
                         d = lcm(d, den)
+                elif isinstance(x, int) and not isinstance(x, bool):
+                    canonical = False
                 elif x is bad_inf:
                     raise ValueError(f"{bad_inf!r} entry not allowed over {self.kind}")
                 else:
                     raise TypeError(f"not an exact scalar: {x!r}")
         facts = self.__dict__
-        facts["has_inf"], facts["all_int"], facts["den"] = has_inf, all_int, d
+        if not canonical:
+            facts["rows"] = tuple(tuple(map(as_scalar, row)) for row in self.rows)
+        facts["has_inf"], facts["den"] = has_inf, d
+        facts["all_int"] = not has_inf and d == 1
 
     @property
     def dim(self) -> int:
@@ -84,34 +92,35 @@ class Matrix:
         return f"Matrix({self.kind}, [{body}])"
 
 
-def _built(kind: SemiringKind, rows, has_inf=False, all_int=True, den=1) -> Matrix:
-    """Matrix of square rows whose facts the caller knows exactly, built
-    without the walk: an all-int finite product, a dual, a transpose."""
+def _built(kind: SemiringKind, rows, has_inf=False, den=1) -> Matrix:
+    """Matrix of square rows of canonical entries whose facts the caller
+    knows exactly, built without the walk: an all-int finite product, a
+    dual, a transpose."""
     m = Matrix.__new__(Matrix)
+    all_int = not has_inf and den == 1
     vars(m).update(kind=kind, rows=rows, has_inf=has_inf, all_int=all_int, den=den)
     return m
 
 
 def make_matrix(kind: SemiringKind, rows: Iterable[Iterable]) -> Matrix:
-    """Build a Matrix from nested iterables, normalizing every entry."""
-    return Matrix(kind, tuple(tuple(as_scalar(x) for x in row) for row in rows))
+    """Build a Matrix from nested iterables; the constructor normalizes."""
+    return Matrix(kind, tuple(map(tuple, rows)))
 
 
 def identity(kind: SemiringKind, n: int) -> Matrix:
     """Multiplicative identity: 0 on the diagonal, additive neutral elsewhere.
-    Built without the walk: it holds the infinity, and so is not all-int,
-    exactly when n > 1."""
+    Built without the walk: it holds the infinity exactly when n > 1."""
     require_int("matrix dim", n, 1)
     o = add_neutral(kind)
     rows = tuple(tuple(MUL_NEUTRAL if i == j else o for j in range(n)) for i in range(n))
-    return _built(kind, rows, n > 1, n == 1)
+    return _built(kind, rows, n > 1)
 
 
 def neutral_matrix(kind: SemiringKind, n: int) -> Matrix:
     """Additive neutral: every entry is the semiring's infinity."""
     require_int("matrix dim", n, 1)
     o = add_neutral(kind)
-    return _built(kind, ((o,) * n,) * n, True, False)
+    return _built(kind, ((o,) * n,) * n, True)
 
 
 def _check_fits(kind: SemiringKind, n: int, b: Matrix) -> None:
@@ -125,19 +134,14 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise semiring sum (min or max).
 
     Finite pairs go to the builtin min or max; an entry equal to the
-    semiring's infinity yields the other entry.  On a tie min keeps a's
-    entry and max keeps b's, as s_add does, so b's rows come first over
-    max-plus."""
+    semiring's infinity yields the other entry."""
     _check_fits(a.kind, a.dim, b)
     k = a.kind
     o = add_neutral(k)
-    if k is SemiringKind.MIN_PLUS:
-        pick, first, second = min, a.rows, b.rows
-    else:
-        pick, first, second = max, b.rows, a.rows
+    pick = min if k is SemiringKind.MIN_PLUS else max
     rows = tuple(
         tuple(y if x is o else x if y is o else pick(x, y) for x, y in zip(r, s))
-        for r, s in zip(first, second)
+        for r, s in zip(a.rows, b.rows)
     )
     return _built(k, rows) if a.all_int and b.all_int else Matrix(k, rows)
 
@@ -224,10 +228,9 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
 def scalar_mul(c, a: Matrix) -> Matrix:
     """Scale every entry by the scalar c (tropically: add c).
 
-    A finite c is added to every finite entry directly; the sum is
-    normalized only when the entry is not an int, since c is canonical and
-    c + int keeps c's denominator.  An infinite c absorbs every entry, and
-    meeting the opposite infinity raises, as s_mul does."""
+    A finite c is added to every finite entry directly; the constructor's
+    walk collapses a sum that reaches denominator 1.  An infinite c absorbs
+    every entry, and meeting the opposite infinity raises, as s_mul does."""
     c = as_scalar(c)
     k = a.kind
     o = add_neutral(k)
@@ -235,10 +238,7 @@ def scalar_mul(c, a: Matrix) -> Matrix:
         if c is not o and not a.is_finite():
             raise ArithmeticError("+inf and -inf cannot be combined")
         return Matrix(k, tuple((c,) * a.dim for _ in a.rows))
-    rows = tuple(
-        tuple(x if x is o else c + x if type(x) is int else _norm(c + x) for x in row)
-        for row in a.rows
-    )
+    rows = tuple(tuple(x if x is o else c + x for x in row) for row in a.rows)
     return _built(k, rows) if a.all_int and type(c) is int else Matrix(k, rows)
 
 
@@ -260,16 +260,11 @@ def dual(a: Matrix) -> Matrix:
     Satisfies dual(a ⊗ b) = dual(a) ⊗ dual(b) and swaps min-plus with
     max-plus; the marginal machinery uses it to run max-plus inputs through
     the min-plus code path.  Negation maps a's infinity to the dual's and
-    keeps every denominator, and a Fraction(n, 1) entry comes out as an int,
-    so the facts follow from a's without a walk.
+    keeps every entry canonical and every denominator, so a's facts hold
+    for the dual without a walk.
     """
-    if a.all_int:
-        rows = tuple(tuple(map(neg, row)) for row in a.rows)
-    else:
-        rows = tuple(
-            tuple(-x if type(x) is int else _norm(-x) for x in row) for row in a.rows
-        )
-    return _built(a.kind.dual, rows, a.has_inf, a.den == 1 and not a.has_inf, a.den)
+    rows = tuple(tuple(map(neg, row)) for row in a.rows)
+    return _built(a.kind.dual, rows, a.has_inf, a.den)
 
 
 @dataclass(frozen=True)

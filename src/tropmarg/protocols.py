@@ -472,7 +472,7 @@ def attack_decomposition(
     for a, z_row in zip(left_basis, z_table):
         weight = tuple(
             tuple(
-                _norm(pick([z + y for z, y in zip(z_row, entries) if y is not o], default=o))
+                pick([z + y for z, y in zip(z_row, entries) if y is not o], default=o)
                 for entries in zip(*b_rows)
             )
             for b_rows in zip(*(b.rows for b in right_basis))

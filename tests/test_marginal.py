@@ -349,8 +349,11 @@ class TestNFactor:
             assert verify_marginal(w, t)
 
     def test_short_chain_rejected(self):
-        with pytest.raises(ValueError):
-            n_factor_residual([FF_A])
+        for chain in ([], [FF_A]):
+            with pytest.raises(ValueError, match="chain needs at least two matrices"):
+                n_factor_residual(chain)
+            with pytest.raises(ValueError, match="chain needs at least two matrices"):
+                sample_n_factor_marginal(chain, 3, -2, 2, random.Random(3))
 
 
 class TestAdditive:

@@ -107,3 +107,15 @@ def test_one_sided_infinite_caps(sampler, residual, a, unbounded, pinned):
         sampler(a, 3, unbounded, rng)
     assert rng.getstate() == before
     assert sampler(a, 3, pinned, rng).tuples == ((residual(a),),)
+
+
+@pytest.mark.parametrize("count, error", [(0, ValueError), (True, TypeError), (2.0, TypeError)])
+@pytest.mark.parametrize("sampler", [sample_right_marginal, sample_left_marginal])
+@pytest.mark.parametrize("a, pinned", [(A, NEG_INF), (dual(A), POS_INF)], ids=["min-plus", "max-plus"])
+def test_a_pinned_box_still_checks_the_count(sampler, a, pinned, count, error):
+    # a one-point box is drawn once, whatever the count asked for
+    rng = random.Random(3)
+    before = rng.getstate()
+    with pytest.raises(error, match="tuple count must be"):
+        sampler(a, count, pinned, rng)
+    assert rng.getstate() == before

@@ -26,7 +26,7 @@ from tropmarg.marginal import (
     sample_n_factor_marginal,
     sandwich_word,
 )
-from tropmarg.matrix import make_matrix
+from tropmarg.matrix import Matrix, make_matrix, scalar_mul
 from tropmarg.protocols import MAX_TUPLES, ProtocolParams, run_protocol_sandwich, run_sidelnikov
 from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind
 from tropmarg.wire import (
@@ -465,3 +465,34 @@ def test_fraction_chain_sets_round_trip_byte_equal(kind, slots):
             isinstance(x, Fraction) and x.denominator == 1
             for t in s.tuples for m in t for row in m.rows for x in row
         )
+
+
+def _with_whole_fractions(m):
+    """m (all-int) rebuilt directly, every entry given as Fraction(n, 1)."""
+    return Matrix(m.kind, tuple(tuple(map(Fraction, row)) for row in m.rows))
+
+
+@pytest.mark.parametrize(
+    "encode, decode, value",
+    [
+        (encode_matrix, decode_matrix, _with_whole_fractions(fx.OS_A)),
+        (
+            encode_params,
+            decode_params,
+            _params_with(PolyFamily(_with_whole_fractions(fx.OS_A), 3, -20, 20)),
+        ),
+        (
+            encode_marginal_set,
+            decode_marginal_set,
+            make_marginal_set(
+                additive_word(_with_whole_fractions(fx.OS_A)),
+                [_with_whole_fractions(scalar_mul(5, fx.OS_A))],
+            ),
+        ),
+    ],
+    ids=["matrix", "params", "marginal-set"],
+)
+def test_directly_built_matrices_encode_canonically(encode, decode, value):
+    data = encode(value)
+    assert b'/1"' not in data
+    assert encode(decode(data)) == data
