@@ -35,8 +35,6 @@ from .semiring import (
     as_scalar,
     is_finite,
     require_int,
-    s_le,
-    s_mul,
 )
 
 
@@ -67,9 +65,9 @@ def _circulant(kind: SemiringKind, values, above, below) -> Matrix:
     for i in range(n):
         row = vals[n - i:] + vals[:n - i]
         if above is not None:
-            row[i + 1:] = [s_mul(above, v) for v in row[i + 1:]]
+            row[i + 1:] = [above + v for v in row[i + 1:]]
         if below is not None:
-            row[:i] = [s_mul(below, v) for v in row[:i]]
+            row[:i] = [below + v for v in row[:i]]
         rows.append(tuple(row))
     return Matrix(kind, tuple(rows))
 
@@ -89,7 +87,7 @@ def is_jones(a: Matrix) -> bool:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if not s_le(s_mul(r[i][j], r[j][k]), s_mul(r[i][k], r[j][j])):
+                if r[i][j] + r[j][k] > r[i][k] + r[j][j]:
                     return False
     return True
 
@@ -131,7 +129,7 @@ def _deform(a: Matrix, alpha: Fraction) -> Matrix:
         a.kind,
         tuple(
             tuple(
-                s_mul(x, shift[j] if diag[i] <= diag[j] else shift[i])
+                x + (shift[j] if diag[i] <= diag[j] else shift[i])
                 for j, x in enumerate(row)
             )
             for i, row in enumerate(a.rows)
@@ -139,22 +137,17 @@ def _deform(a: Matrix, alpha: Fraction) -> Matrix:
     )
 
 
-def is_ldp(a: Matrix, r, k) -> bool:
-    """Constant diagonal k <= 0, off-diagonal entries within [r, 2r], r >= 0."""
-    r = as_scalar(r)
-    k = as_scalar(k)
-    _check_ldp_params(a.kind, r, k)
-    hi = r + r  # plain doubling: the interval bound is numeric, not r "+" 2
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            x = a.rows[i][j]
-            if i == j:
-                if x != k:
-                    return False
-            elif not (s_le(r, x) and s_le(x, hi)):
-                return False
-    return True
+def is_ldp(a: Matrix, r: int, k: int) -> bool:
+    """Constant diagonal k <= 0, off-diagonal entries within [r, 2r], r >= 0,
+    over min-plus; r and k are checked as LdpFamily checks them."""
+    if a.kind is not SemiringKind.MIN_PLUS:
+        raise TypeError("this family's commutation contract holds over min-plus only")
+    LdpFamily(a.dim, r, k)
+    return all(
+        x == k if i == j else r <= x <= 2 * r
+        for i, row in enumerate(a.rows)
+        for j, x in enumerate(row)
+    )
 
 
 def sample_ldp(r: int, k: int, dim: int, rng: random.Random) -> Matrix:
@@ -165,19 +158,6 @@ def sample_ldp(r: int, k: int, dim: int, rng: random.Random) -> Matrix:
         for i in range(dim)
     )
     return make_matrix(SemiringKind.MIN_PLUS, rows)
-
-
-def _check_ldp_params(kind: SemiringKind, r: Scalar, k: Scalar) -> None:
-    if kind is not SemiringKind.MIN_PLUS:
-        raise TypeError(
-            "this family's commutation contract holds over min-plus only"
-        )
-    if not (is_finite(r) and is_finite(k)):
-        raise ValueError("parameters must be finite")
-    if not s_le(0, r):
-        raise ValueError("r must be >= 0")
-    if not s_le(k, 0):
-        raise ValueError("k must be <= 0")
 
 
 def commute_check(a: Matrix, b: Matrix) -> bool:

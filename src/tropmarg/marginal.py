@@ -50,9 +50,6 @@ from .semiring import (
     as_scalar,
     is_finite,
     require_int,
-    s_lt,
-    s_max,
-    s_neg,
 )
 
 RETRY_BUDGET = 64
@@ -268,7 +265,7 @@ def _into_min_plus(mats: Sequence[Matrix], cap=None) -> tuple[int, list, Callabl
     a max-plus result back.
     """
     flip = mats[0].kind is SemiringKind.MAX_PLUS
-    caps = [] if cap is None else [s_neg(as_scalar(cap)) if flip else as_scalar(cap)]
+    caps = [] if cap is None else [-as_scalar(cap) if flip else as_scalar(cap)]
     d = lcm(*(m.den for m in mats), *(c.denominator for c in caps if is_finite(c)))
 
     def lower(m: Matrix) -> Matrix:
@@ -403,7 +400,7 @@ def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
     _, (a, x), _ = _into_min_plus([a, x])
     star = residual_right(a)
     n = a.dim
-    if any(s_lt(x.rows[i][j], star.rows[i][j]) for i in range(n) for j in range(n)):
+    if any(x.rows[i][j] < star.rows[i][j] for i in range(n) for j in range(n)):
         raise ValueError("X escapes the principal solution's bound")
     covered = {
         (l, j)
@@ -421,7 +418,7 @@ def max_possible_matrix(x_star: Matrix, l) -> Matrix:
     l pushed against x* elsewhere (max over min-plus, min over max-plus)."""
     _, (m, cap), back = _into_min_plus([x_star], l)
     rows = tuple(
-        tuple(x if i == j else s_max(cap, x) for j, x in enumerate(row))
+        tuple(x if i == j else max(cap, x) for j, x in enumerate(row))
         for i, row in enumerate(m.rows)
     )
     return back(Matrix(SemiringKind.MIN_PLUS, rows))
@@ -459,7 +456,7 @@ def _sample_one_sided(
     # tightness at x* stays reachable for rational bounds.  A step of v
     # unscaled units adds v * d.
     choices = [
-        1 if i % (k + 1) == 0 or not s_lt(x, cap) else (cap - x) // d + 1
+        1 if i % (k + 1) == 0 or x >= cap else (cap - x) // d + 1
         for i, x in enumerate(flat)
     ]
     positions = [i for i, c in enumerate(choices) if c > 1]

@@ -230,7 +230,7 @@ def scalar_mul(c, a: Matrix) -> Matrix:
 
     A finite c is added to every finite entry directly; the constructor's
     walk collapses a sum that reaches denominator 1.  An infinite c absorbs
-    every entry, and meeting the opposite infinity raises, as s_mul does."""
+    every entry, and meeting the opposite infinity raises, as their sum does."""
     c = as_scalar(c)
     k = a.kind
     o = add_neutral(k)

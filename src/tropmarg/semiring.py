@@ -5,11 +5,19 @@ Addition of the semiring is min or max, multiplication is ordinary +, and the
 additive neutral is the appropriate infinity.  All arithmetic is exact: values
 are Python ints where possible, fractions.Fraction otherwise, plus two
 infinity singletons.  Floats are rejected everywhere.
+
+The infinities order and add like numbers, so scalars need no helpers:
+comparisons, min and max follow NEG_INF < every finite value < POS_INF, and
++ (the semiring product) absorbs into an infinity from either side.
+POS_INF + NEG_INF and a binary - with an infinity raise ArithmeticError; a
+float or a bool against an infinity raises TypeError.  Equality stays by
+identity.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -53,6 +61,19 @@ class SemiringKind(enum.Enum):
         return SemiringKind.MIN_PLUS
 
 
+def _exact(x) -> bool:
+    """An operand of the infinities: a builtin int, a Fraction or an infinity."""
+    return type(x) is int or isinstance(x, (Fraction, _Infinity))
+
+
+def _order(op):
+    def compare(self, other):
+        # a finite value sits between the two signs
+        return op(self.sign, getattr(other, "sign", 0)) if _exact(other) else NotImplemented
+
+    return compare
+
+
 class _Infinity:
     """Signed infinity singleton; only two instances ever exist."""
 
@@ -66,6 +87,27 @@ class _Infinity:
 
     def __neg__(self) -> "_Infinity":
         return NEG_INF if self.sign > 0 else POS_INF
+
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
+
+    def __add__(self, other):
+        if not _exact(other):
+            return NotImplemented
+        if other is -self:
+            raise ArithmeticError("+inf and -inf cannot be combined")
+        return self
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not _exact(other):
+            return NotImplemented
+        raise ArithmeticError("difference of non-finite scalars")
+
+    __rsub__ = __sub__
 
     def __reduce__(self) -> str:
         # pickle and copy hand back the module's singleton, not a new object
@@ -109,68 +151,6 @@ def add_neutral(kind: SemiringKind) -> Scalar:
 
 
 MUL_NEUTRAL: Scalar = 0
-
-
-def s_lt(a: Scalar, b: Scalar) -> bool:
-    """Total order with NEG_INF < finite < POS_INF."""
-    if a is b:
-        return False
-    if a is NEG_INF or b is POS_INF:
-        return True
-    if a is POS_INF or b is NEG_INF:
-        return False
-    return a < b
-
-
-def s_le(a: Scalar, b: Scalar) -> bool:
-    return not s_lt(b, a)
-
-
-def s_min(a: Scalar, b: Scalar) -> Scalar:
-    return a if s_le(a, b) else b
-
-
-def s_max(a: Scalar, b: Scalar) -> Scalar:
-    return b if s_le(a, b) else a
-
-
-def s_add(kind: SemiringKind, a: Scalar, b: Scalar) -> Scalar:
-    """Semiring sum: min for min-plus, max for max-plus."""
-    return s_min(a, b) if kind is SemiringKind.MIN_PLUS else s_max(a, b)
-
-
-def s_mul(a: Scalar, b: Scalar) -> Scalar:
-    """Semiring product: ordinary addition with absorbing infinities.
-
-    Within one semiring only one infinity sign can occur, so the undefined
-    combination +inf + -inf signals a bug and raises.
-    """
-    if type(a) is int and type(b) is int:
-        return a + b
-    a_inf = isinstance(a, _Infinity)
-    b_inf = isinstance(b, _Infinity)
-    if a_inf or b_inf:
-        if a_inf and b_inf and a is not b:
-            raise ArithmeticError("+inf and -inf cannot be combined")
-        return a if a_inf else b
-    return _norm(a + b)
-
-
-def s_neg(a: Scalar) -> Scalar:
-    if type(a) is int:
-        return -a
-    if isinstance(a, _Infinity):
-        return -a
-    return _norm(-a)
-
-
-def s_sub(a: Scalar, b: Scalar) -> Scalar:
-    """a - b for finite scalars; residuation never subtracts infinities here."""
-    if type(a) is int and type(b) is int:
-        return a - b
-    if isinstance(a, _Infinity) or isinstance(b, _Infinity):
-        raise ArithmeticError("difference of non-finite scalars")
-    return _norm(a - b)
 
 
 def _norm(x) -> Scalar:

@@ -84,17 +84,17 @@ def token_to_scalar(tok) -> Scalar:
             return POS_INF
         if tok == "-inf":
             return NEG_INF
-        num, sep, den = tok.partition("/")
+        num, _, den = tok.partition("/")
         try:
-            if sep:
-                return as_scalar(Fraction(int(num), int(den)))
-            return int(num)
+            f = Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError) as e:
             raise WireFormatError(f"bad scalar token {tok!r}") from e
+        if tok == f"{f.numerator}/{f.denominator}":  # as scalar_to_token writes f
+            return as_scalar(f)
     raise WireFormatError(f"bad scalar token {tok!r}")
 
 
-def _reject_float(s: str):
+def _reject_float(s: str):  # also NaN, Infinity and -Infinity
     raise WireFormatError(f"float literal {s!r} on the wire")
 
 
@@ -107,10 +107,11 @@ def to_canonical_bytes(obj) -> bytes:
 
 def from_canonical_bytes(data: bytes):
     try:
-        return json.loads(data.decode("utf-8"), parse_float=_reject_float)
+        text = data.decode("utf-8")
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except WireFormatError:
         raise
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # also an int over the digit limit
         raise WireFormatError(f"not canonical JSON: {e}") from e
 
 

@@ -12,11 +12,12 @@ the oracle tests; it holds no tests.
 from __future__ import annotations
 
 import itertools
+from operator import neg
 
 from tropmarg.constraints import ConstraintSystem, VarId
 from tropmarg.marginal import BoundTable
 from tropmarg.matrix import Matrix, dual
-from tropmarg.semiring import SemiringKind, s_neg
+from tropmarg.semiring import SemiringKind
 
 MIN = SemiringKind.MIN_PLUS
 
@@ -27,7 +28,7 @@ def min_plus_maps(kind: SemiringKind):
     crosses unchanged."""
     if kind is MIN:
         return (lambda x: x), (lambda x: x)
-    return dual, s_neg
+    return dual, neg
 
 
 def _pair_system(

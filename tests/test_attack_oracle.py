@@ -42,15 +42,7 @@ from tropmarg.protocols import (
     power_basis,
     run_sidelnikov,
 )
-from tropmarg.semiring import (
-    SemiringKind,
-    add_neutral,
-    as_scalar,
-    is_finite,
-    s_max,
-    s_mul,
-    s_sub,
-)
+from tropmarg.semiring import SemiringKind, _norm, add_neutral, as_scalar, is_finite
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -84,7 +76,7 @@ def ref_attack_decomposition(w, u, v, left_basis, right_basis):
                 raise ValueError("a basis conjugate has infinite entries")
 
     def extreme(t: Matrix):
-        diffs = (s_sub(x, y) for ur, tr in zip(u.rows, t.rows) for x, y in zip(ur, tr))
+        diffs = (_norm(x - y) for ur, tr in zip(u.rows, t.rows) for x, y in zip(ur, tr))
         return flip(max(map(flip, diffs)))
 
     z_table = tuple(tuple(extreme(t) for t in row) for row in conjugates)
@@ -121,8 +113,8 @@ def ref_deform(a: Matrix, alpha) -> Matrix:
     for i in range(n):
         row = []
         for j in range(n):
-            m = s_max(diag[i], diag[j])
-            row.append(s_mul(a.rows[i][j], as_scalar((alpha - 1) * m)))
+            m = max(diag[i], diag[j])
+            row.append(a.rows[i][j] + as_scalar((alpha - 1) * m))
         out.append(tuple(row))
     return Matrix(a.kind, tuple(out))
 

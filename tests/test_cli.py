@@ -369,6 +369,12 @@ _MALFORMED_SETS = {
     "delta-position-not-an-int": _set("delta", base=_ID, diffs=[[[["a", 1], 0]]]),
     "delta-pair-word": _set("delta", word=_PAIR_WORD, base=_ID, diffs=[]),
     "json-nested-100000-deep": "[" * 100_000 + "]" * 100_000,
+    # json.dumps cannot write an int past the digit limit, so splice it in
+    "raw-entry-5000-digits": _set("raw", tuples=[[[["big", 1], [1, 0]]]]).replace(
+        '"big"', "9" * 5000
+    ),
+    "raw-entry-nan": _set("raw", tuples=[[[[float("nan"), 1], [1, 0]]]]),
+    "raw-entry-unreduced-fraction": _set("raw", tuples=[[[["2/4", 1], [1, 0]]]]),
 }
 
 

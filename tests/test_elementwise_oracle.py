@@ -1,15 +1,16 @@
-"""The int-first scalar helpers and elementwise matrix ops against the loops
-they replaced.
+"""The scalar operators and elementwise matrix ops against the loops they
+replaced.
 
 The references below are the earlier `as_scalar`, `s_mul`, `s_sub`, `s_neg`
-and `_norm` of `tropmarg.semiring`, and the earlier `mat_add`,
-`scalar_mul`, `dual`, `Matrix.is_finite`, `residual_right` and
-`residual_left`, kept verbatim: one `s_*` call per entry, each result
-normalized.  The code under test must give the same outcome: an equal
-value of the same type with the same `repr` in every entry, or the same
-exception with the same message.  Matrices are built both through
-`make_matrix` and directly with `Matrix(...)`, whose walk must normalize
-every entry as the earlier `make_matrix` did with `as_scalar`.
+and `_norm` of `tropmarg.semiring` (whose product, difference and negation
+are now the infinities' own `+`, `-` and unary `-`, normalized by `_norm`),
+and the earlier `mat_add`, `scalar_mul`, `dual`, `Matrix.is_finite`,
+`residual_right` and `residual_left`, kept verbatim: one scalar call per
+entry, each result normalized.  The code under test must give the same
+outcome: an equal value of the same type with the same `repr` in every
+entry, or the same exception with the same message.  Matrices are built
+both through `make_matrix` and directly with `Matrix(...)`, whose walk must
+normalize every entry as the earlier `make_matrix` did with `as_scalar`.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from tropmarg.semiring import (
     add_neutral,
     as_scalar,
     is_finite,
-    s_add,
-    s_mul,
-    s_neg,
-    s_sub,
 )
 
 MIN = SemiringKind.MIN_PLUS
@@ -102,10 +99,11 @@ def ref_mat_add(a: Matrix, b: Matrix) -> Matrix:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     k = a.kind
+    pick = min if k is MIN else max
     return Matrix(
         k,
         tuple(
-            tuple(s_add(k, x, y) for x, y in zip(ra, rb))
+            tuple(pick(x, y) for x, y in zip(ra, rb))
             for ra, rb in zip(a.rows, b.rows)
         ),
     )
@@ -201,29 +199,49 @@ def operands(draw, count, finite=False):
 # Scalar layer
 
 
+def is_exact(x) -> bool:
+    return isinstance(x, _Infinity) or type(x) in (int, Fraction)
+
+
+def neg(a):
+    return _norm(-a)
+
+
+def add(a, b):
+    return _norm(a + b)
+
+
+def sub(a, b):
+    return _norm(a - b)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(SCALARS, JUNK), st.one_of(SCALARS, JUNK))
 def test_scalar_helpers_match_reference(a, b):
     assert_same_outcome(as_scalar, ref_as_scalar, a)
     assert_same_outcome(_norm, ref_norm, a)
-    assert_same_outcome(s_neg, ref_s_neg, a)
-    assert_same_outcome(s_mul, ref_s_mul, a, b)
-    assert_same_outcome(s_sub, ref_s_sub, a, b)
+    # exact operands only: the references absorbed a float or a bool into an
+    # infinity, where the operators raise TypeError (tests/test_semiring.py)
+    if is_exact(a):
+        assert_same_outcome(neg, ref_s_neg, a)
+        if is_exact(b):
+            assert_same_outcome(add, ref_s_mul, a, b)
+            assert_same_outcome(sub, ref_s_sub, a, b)
 
 
 def test_scalar_sums_reaching_denominator_one_are_ints():
     h = Fraction(1, 2)
-    for got in (s_mul(h, h), s_sub(h, -h), s_neg(Fraction(4, 2)), _norm(Fraction(3, 1))):
+    for got in (add(h, h), sub(h, -h), neg(Fraction(4, 2)), _norm(Fraction(3, 1))):
         assert type(got) is int
     assert type(as_scalar(Fraction(6, 3))) is int
 
 
 def test_scalar_errors():
     with pytest.raises(ArithmeticError, match="cannot be combined"):
-        s_mul(POS_INF, NEG_INF)
+        POS_INF + NEG_INF
     for a, b in [(POS_INF, 1), (1, NEG_INF), (NEG_INF, NEG_INF)]:
         with pytest.raises(ArithmeticError, match="non-finite"):
-            s_sub(a, b)
+            a - b
     for junk in (True, 1.5, "3", None):
         with pytest.raises(TypeError):
             as_scalar(junk)

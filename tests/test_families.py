@@ -114,6 +114,14 @@ def test_ldp_parameter_contract():
     m = make_matrix(MAX, [[0, 1], [1, 0]])
     with pytest.raises(TypeError):
         is_ldp(m, 1, 0)
+    # is_ldp takes the family's own int parameters, with its messages
+    m = make_matrix(MIN, [[0, 1], [1, 0]])
+    with pytest.raises(TypeError, match="LdpFamily.r must be an int"):
+        is_ldp(m, Fraction(1, 2), 0)
+    with pytest.raises(ValueError, match="LdpFamily.r must be >= 0"):
+        is_ldp(m, -1, 0)
+    with pytest.raises(ValueError, match="LdpFamily.k must be <= 0"):
+        is_ldp(m, 1, 1)
     with pytest.raises(ValueError):
         LdpFamily(dim=3, r=-1, k=0)
     with pytest.raises(ValueError):

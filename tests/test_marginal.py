@@ -69,7 +69,7 @@ from tropmarg.matrix import (
     neutral_matrix,
     scalar_mul,
 )
-from tropmarg.semiring import NEG_INF, POS_INF, SelfCheckError, SemiringKind, s_le
+from tropmarg.semiring import NEG_INF, POS_INF, SelfCheckError, SemiringKind
 from tropmarg.wire import (
     MarginalVerificationError,
     decode_marginal_set,
@@ -169,8 +169,8 @@ class TestOneSidedResiduation:
             assert mat_mul(RES_A, x) == RES_A
             for i in range(3):
                 for j in range(3):
-                    assert s_le(RES_XSTAR[i][j], x[i][j])
-                    assert s_le(x[i][j], RES_XHAT[i][j])
+                    assert RES_XSTAR[i][j] <= x[i][j]
+                    assert x[i][j] <= RES_XHAT[i][j]
 
     def test_max_plus_mirror(self):
         a = dual(RES_A)
@@ -363,7 +363,7 @@ class TestAdditive:
         for (x,) in s.tuples:
             assert mat_add(DEF3_A, x) == DEF3_A
             assert all(
-                s_le(DEF3_A[i][j], x[i][j]) for i in range(3) for j in range(3)
+                DEF3_A[i][j] <= x[i][j] for i in range(3) for j in range(3)
             )
 
     def test_max_plus_samples_sit_below(self):

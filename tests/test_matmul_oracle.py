@@ -1,7 +1,7 @@
 """The common-denominator `mat_mul` kernel against the scalar loop it replaced.
 
 The reference below is the earlier `mat_mul` of `tropmarg.matrix`, kept
-verbatim: one `s_mul` and one `s_add` per term.  The kernel under test must
+verbatim: one `+` and one `min` or `max` per term.  The kernel under test must
 return an equal matrix whose entries are canonical: an `int` wherever the
 value's denominator is 1, a `Fraction` otherwise, and the semiring's
 infinity as the singleton itself.  `mat_prod`, `mat_pow` and `poly_eval`,
@@ -30,7 +30,7 @@ from tropmarg.matrix import (
     poly_eval,
     scalar_mul,
 )
-from tropmarg.semiring import SemiringKind, add_neutral, s_add, s_mul
+from tropmarg.semiring import SemiringKind, add_neutral
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -50,6 +50,7 @@ def ref_mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Tropical product: (a ⊗ b)_ij = sum-reduce over l of a_il + b_lj."""
     _check_same(a, b)
     k = a.kind
+    pick = min if k is MIN else max
     n = a.dim
     cols = tuple(zip(*b.rows))
     out = []
@@ -58,9 +59,9 @@ def ref_mat_mul(a: Matrix, b: Matrix) -> Matrix:
         out_row = []
         for j in range(n):
             cb = cols[j]
-            acc = s_mul(ra[0], cb[0])
+            acc = ra[0] + cb[0]
             for l in range(1, n):
-                acc = s_add(k, acc, s_mul(ra[l], cb[l]))
+                acc = pick(acc, ra[l] + cb[l])
             out_row.append(acc)
         out.append(tuple(out_row))
     return Matrix(k, tuple(out))

@@ -60,6 +60,9 @@ class TestScalarTokens:
     def test_round_trips(self):
         for x in (0, -17, Fraction(3, 4), Fraction(-5, 2), POS_INF, NEG_INF):
             assert token_to_scalar(scalar_to_token(x)) == x
+        # what scalar_to_token writes for Fraction(0) and Fraction(1)
+        assert token_to_scalar(scalar_to_token(Fraction(0))) == 0
+        assert type(token_to_scalar("1/1")) is int
 
     def test_infinities_are_strings(self):
         assert scalar_to_token(POS_INF) == "inf"
@@ -78,7 +81,12 @@ class TestScalarTokens:
             scalar_to_token(junk)
 
     def test_bad_tokens_rejected(self):
-        for tok in ("", "one", "1.5", "1/0", None, [1]):
+        # only the tokens scalar_to_token writes decode: no "p/q" that is not
+        # the Fraction's own numerator/denominator in ASCII, no int string
+        for tok in (
+            "", "one", "1.5", "1/0", None, [1],
+            "5", " 5", "5_0", "+5", "\uff11\uff12", "1/-2", "2/4", "4/2", "0/5",
+        ):
             with pytest.raises(WireFormatError):
                 token_to_scalar(tok)
 
@@ -91,6 +99,17 @@ class TestCanonicalJson:
     def test_floats_rejected_on_read(self):
         with pytest.raises(WireFormatError):
             from_canonical_bytes(b'{"x":1.5}\n')
+
+    @pytest.mark.parametrize(
+        "literal",
+        [b"NaN", b"Infinity", b"-Infinity", b"9" * 5000],
+        ids=["NaN", "Infinity", "-Infinity", "int-of-5000-digits"],
+    )
+    def test_non_finite_and_over_long_numbers_rejected_on_read(self, literal):
+        # NaN and the infinities would parse to floats, and an int past
+        # Python's digit limit raises a bare ValueError inside json.loads
+        with pytest.raises(WireFormatError):
+            from_canonical_bytes(b'{"x":' + literal + b"}\n")
 
     def test_garbage_rejected(self):
         with pytest.raises(WireFormatError):
@@ -390,7 +409,7 @@ class TestTranscriptCodec:
         t = run_protocol_sandwich(params, random.Random(params.seed))
         obj = from_canonical_bytes(encode_transcript(t))
         sets = [m for m in obj["messages"] if m["payload"]["kind"] == "marginal-set"]
-        sets[0]["payload"]["tuples"][1][0][0][0] = "-500"
+        sets[0]["payload"]["tuples"][1][0][0][0] = -500
         with pytest.raises(MarginalVerificationError) as exc:
             decode_transcript(to_canonical_bytes(obj))
         assert exc.value.indices == (1,)

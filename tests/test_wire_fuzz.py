@@ -160,13 +160,26 @@ VALID = _valid_files()
 # ---------------------------------------------------------------------------
 # Mutations
 
+# An int literal of 5,000 digits, past Python's int-string limit: json.dumps
+# cannot write such an int, so a leaf holds this marker and _dumps writes
+# the digits in its place.
+_BIG_INT = "<5000 digits>"
+
+
+def _dumps(obj) -> bytes:
+    return json.dumps(obj).replace(json.dumps(_BIG_INT), "9" * 5000).encode()
+
+
+# Numeric edges: the big int, and NaN and Infinity, which json.dumps writes
+# for these floats.  Token edges: scalar strings scalar_to_token never writes.
 _leaves = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 12),
-    st.sampled_from([2**40, -(2**40), 10**30]),
+    st.sampled_from([2**40, -(2**40), 10**30, _BIG_INT, float("nan"), float("inf")]),
     st.sampled_from(["inf", "-inf", "1/2", "3/0", "x", "", "min-plus", "max-plus",
                      "raw", "interval", "delta", "poly", "matrix"]),
+    st.sampled_from(["5", " 5", "5_0", "+5", "\uff11\uff12", "1/-2", "2/4", "4/2", "0/5"]),
 )
 json_values = st.recursive(
     _leaves,
@@ -206,7 +219,7 @@ def json_mutants(draw, name):
             del parent[key]
         else:
             parent.pop(key)
-    return json.dumps(obj).encode()
+    return _dumps(obj)
 
 
 @st.composite
@@ -219,7 +232,7 @@ def field_edits(draw, name):
         del obj[key]
     else:
         obj[key] = draw(_leaves)
-    return json.dumps(obj).encode()
+    return _dumps(obj)
 
 
 @st.composite
@@ -258,7 +271,7 @@ def test_valid_files_decode():
 def _edit(name, change):
     obj = json.loads(VALID[name])
     change(obj)
-    return json.dumps(obj).encode()
+    return _dumps(obj)
 
 
 def _set_atom(obj):
@@ -273,8 +286,9 @@ def _set_family(side, **fields):
 
 
 # Inputs the fuzzing found escaping as TypeError or ValueError, from a
-# decoder or from the CLI run on what it decoded, and a report without each
-# of its matrix fields; each is rejected when it is decoded.
+# decoder or from the CLI run on what it decoded, a report without each of
+# its matrix fields, and numbers the parser alone refuses (an int over the
+# digit limit, NaN); each is rejected when it is decoded.
 REGRESSIONS = {
     "word-atom-tag-a-list": ("set-raw", _set_atom),
     "report-z-row-an-int": ("report", lambda obj: obj["z"].__setitem__(1, 9)),
@@ -290,6 +304,9 @@ REGRESSIONS = {
     "jones-max-denominator-0": ("params-1", _set_family("right", max_denominator=0)),
     "max-plus-upper-t-scale-inf": ("params-0", _set_family("right", t="inf")),
     "max-plus-lower-s-scale-inf": ("params-1", _set_family("left", s="inf")),
+    "matrix-entry-5000-digits": ("matrix", lambda obj: obj["rows"][0].__setitem__(0, _BIG_INT)),
+    "matrix-entry-nan": ("matrix", lambda obj: obj["rows"][0].__setitem__(0, float("nan"))),
+    "params-seed-nan": ("params", lambda obj: obj.update(seed=float("nan"))),
 }
 
 
