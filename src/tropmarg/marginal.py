@@ -309,10 +309,10 @@ def _sample_set(word: WordTemplate, n: int, draw, back) -> MarginalSet:
     word's semiring and units by back; the set is built and verified once:
     each draw raises SelfCheckError unless its tuple keeps the word's value
     in min-plus int coordinates, and back is exact, so that is the word
-    check.  The pair, chain and additive draws check the word's value itself
-    (from the products the solve formed, or one ⊕); a one-sided draw checks
-    that it lies above X* with x*'s zero diagonal, which with the sampler's
-    one product m⊗X* = m proves the value (_sample_one_sided).
+    check.  The chain and additive draws check the word's value itself (by
+    the chain product, or one ⊕); a one-sided draw or a pair checks only its
+    point, which with a fact of the table checked once per set proves the
+    value (_sample_one_sided, _sample_pairs).
 
     Every draw gives a tuple, so the set is never empty; RETRY_BUDGET bounds
     duplicates only: when a new tuple's attempts run out, the box is too
@@ -545,13 +545,26 @@ class BoundTable:
         every all-diagonal bound is <= 0, and each d_ij is attained along some
         p₁..pₙ, which is then a zero pair: px and py are never empty, and
         diagonals pinned to values summing to 0 meet every all-diagonal
-        bound."""
+        bound.  attains_product checks the attainment for two slots."""
         k, n = self.product.dim, self.n_slots
         return frozenset(
             p
             for p in itertools.product(range(k), repeat=n)
             if self.bound(*(i for i in p for _ in range(2))) == 0
         )
+
+    def attains_product(self) -> bool:
+        """Whether each d_ij of a two-slot min-plus table is a_ip + e_pq + c_qj
+        at some zero pair (p, q), A and C the chain's ends; with identity ends
+        (X⊗A⊗Y), whether (i, j) is a zero pair with e_ij = d_ij."""
+        first, _, last = self.chain
+        d, e, zero = self.product.rows, self.outer.rows, self.zero_pairs
+        cells = list(itertools.product(range(len(d)), repeat=2))
+        if first is None:
+            return all((i, j) in zero and e[i][j] == d[i][j] for i, j in cells)
+        a, c = first.rows, last.rows
+        return all(any(a[i][p] + e[p][q] + c[q][j] == d[i][j] for p, q in zero)
+                   for i, j in cells)
 
     @functools.cached_property
     def px(self) -> frozenset[int]:
@@ -632,8 +645,8 @@ def _solve_pair(
     tables two_sided_residual and five_factor_residual build make that point
     the solution (BoundTable.zero_pairs): (a) every all-diagonal bound
     E[p][r] - B[p][r] is <= 0, so no y_rr on py rises above -h, and a table
-    that breaks it there fails the point check; (b) px is never empty, and
-    a table without a zero pair raises SelfCheckError.
+    that breaks it there fails the draw's point check; (b) px is never
+    empty, and a table without a zero pair raises SelfCheckError.
     """
     px = table.px
     if not px:
@@ -656,13 +669,11 @@ def _solve_pair(
     for p in px:
         x_rows[p][p] = h
     xs = _built(SemiringKind.MIN_PLUS, tuple(map(tuple, x_rows)))
-    xby = mat_mul(xs, by)
-    _check_pair_point(table, r, s, xs, ys, xby)
-    return xs, ys, by, xby
+    return xs, ys, by, mat_mul(xs, by)
 
 
 def _check_pair_point(table: BoundTable, r, s, xs: Matrix, ys: Matrix, xby: Matrix) -> None:
-    """The solver's point check on a pair, given xby = X⊗(B⊗Y): X⊗B⊗Y >= E
+    """The draw's point check on a pair, given xby = X⊗(B⊗Y): X⊗B⊗Y >= E
     entrywise (which is the whole grid x_pq + y_rs >= E[p][s] - B[q][r]),
     the zero-pair equalities and both lower bounds."""
     flat = itertools.chain.from_iterable
@@ -687,17 +698,19 @@ def _sample_pairs(
     bounds pinned to h and -h, and _solve_pair produces the canonical pair
     of that pinned system.  Max-plus inputs run through the min-plus
     reduction by negation, with l1..l2 read in the reduced coordinates.
-    The word check reads the solve's products: X⊗(B⊗Y) for the sandwich,
-    (A⊗X)⊗(B⊗Y)⊗C for the five-factor word, not A⊗(X⊗B⊗Y)⊗C, which would
-    repeat the reduction that formed A⊗B⊗C.
+    The value is proved once per set (README, "How pair sets are checked"):
+    a pair passing _check_pair_point has Z = X⊗B⊗Y >= E and z_pq = e_pq on
+    the zero pairs, so A⊗Z⊗C = D once BoundTable.attains_product holds,
+    which is checked before any draw.
     """
     require_int("l1", l1)
     require_int("l2", l2, l1)
     d, constants, back = _into_min_plus(word.constants)
     table = residual(*constants)
+    if not table.attains_product():
+        raise SelfCheckError("a product entry is attained at no zero pair")
     k = table.product.dim
     px, py = table.px, table.py
-    first, _, last = table.chain
     # h, then every r[i][j] and s[i][j] but the pinned diagonals
     spans = [l2 - l1 + 1] * (1 + 2 * k * k - len(px) - len(py))
 
@@ -709,10 +722,8 @@ def _sample_pairs(
         for i, j in itertools.product(range(k), repeat=2):
             r[i][j] = h if i == j and i in px else next(free)
             s[i][j] = -h if i == j and i in py else next(free)
-        xs, ys, by, xby = _solve_pair(table, h, r, s)
-        value = xby if first is None else mat_mul(mat_mul(mat_mul(first, xs), by), last)
-        if value != table.product:
-            raise SelfCheckError("sampled pair changes the word's value")
+        xs, ys, _, xby = _solve_pair(table, h, r, s)
+        _check_pair_point(table, r, s, xs, ys, xby)
         return xs, ys
 
     return _sample_set(word, n, draw, back)

@@ -70,7 +70,10 @@ def scalar_to_token(x: Scalar):
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        try:
+            return f"{x.numerator}/{x.denominator}"
+        except ValueError as e:  # a part past the int digit limit
+            raise WireFormatError(f"scalar too long for the wire: {e}") from e
     raise WireFormatError(f"not a serializable scalar: {x!r}")
 
 
@@ -99,10 +102,11 @@ def _reject_float(s: str):  # also NaN, Infinity and -Infinity
 
 
 def to_canonical_bytes(obj) -> bytes:
-    return (
-        json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-        + "\n"
-    ).encode("utf-8")
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    except ValueError as e:  # also an int past the digit limit
+        raise WireFormatError(f"not representable as canonical JSON: {e}") from e
+    return (text + "\n").encode("utf-8")
 
 
 def from_canonical_bytes(data: bytes):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_pair_sampler_oracle import anchor
 
 from tropmarg.fixtures import (
     BIL_A,
@@ -35,6 +36,9 @@ from tropmarg.marginal import (
     Const,
     MarginalSet,
     WordTemplate,
+    _check_pair_point,
+    _into_min_plus,
+    _sample_pairs,
     _solve_pair,
     additive_word,
     chain_word,
@@ -478,7 +482,7 @@ def evaluations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape,per_draw", [("sandwich", 2), ("five_factor", 5)])
+@pytest.mark.parametrize("shape,per_draw", [("sandwich", 2), ("five_factor", 2)])
 @pytest.mark.parametrize("kind", [MIN, MAX])
 def test_pair_draw_forms_each_product_once(monkeypatch, products, shape, per_draw, kind):
     import tropmarg.marginal as marginal
@@ -547,7 +551,54 @@ def test_a_table_breaking_a_chain_fact_is_a_self_check_failure(e, match):
     r = [[h if i == j and i in table.px else -5 for j in range(3)] for i in range(3)]
     s = [[-h if i == j and i in table.py else -5 for j in range(3)] for i in range(3)]
     with pytest.raises(SelfCheckError, match=match):
-        _solve_pair(table, h, r, s)
+        xs, ys, _, xby = _solve_pair(table, h, r, s)
+        _check_pair_point(table, r, s, xs, ys, xby)
+
+
+@pytest.mark.parametrize("shape", ["sandwich", "five_factor"])
+def test_a_product_entry_no_zero_pair_attains_fails_before_any_draw(monkeypatch, shape):
+    # the pair value is proved once per set: a table whose product has an
+    # entry that no zero pair attains passes every point check, so the
+    # sampler must refuse it before it draws or solves anything
+    import tropmarg.marginal as marginal
+
+    def solve(*args):
+        raise RuntimeError("solved a pair of a refused table")
+
+    monkeypatch.setattr(marginal, "_solve_pair", solve)
+    rng = random.Random(9)
+    a, b, c = (_rand_square(MIN, rng) for _ in range(3))
+    if shape == "sandwich":  # identity ends: E = D, every diagonal pair a zero pair
+        word, table = sandwich_word(a), two_sided_residual(a)
+    else:
+        word, table = five_factor_word(a, b, c), five_factor_residual(a, b, c)
+    # every a_0p + e_pq + c_q1 is at least d_01, so one below is attained nowhere
+    rows = [list(row) for row in table.product.rows]
+    rows[0][1] -= 1
+    broken = BoundTable(make_matrix(MIN, rows), table.outer, table.chain)
+    state = rng.getstate()
+    with pytest.raises(SelfCheckError, match="attained at no zero pair"):
+        _sample_pairs(word, lambda *constants: broken, 3, -8, 8, rng)
+    if rng.getstate() != state:
+        pytest.fail("the refused table advanced the generator")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["sandwich", "five_factor"]),
+    st.sampled_from([MIN, MAX]),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_pair_tables_attain_their_product_at_zero_pairs(shape, kind, k, jones, seed):
+    # the fact the pair samplers check once per set holds on every table
+    # they build, in the min-plus int coordinates they build it in
+    rng = random.Random(seed)
+    constants = [anchor(kind, k, rng, jones) for _ in range(1 if shape == "sandwich" else 3)]
+    _, lowered, _ = _into_min_plus(constants)
+    residual = two_sided_residual if shape == "sandwich" else five_factor_residual
+    assert residual(*lowered).attains_product()
 
 
 @pytest.mark.parametrize("name", _SAMPLER_NAMES)
@@ -757,6 +808,7 @@ def test_self_check_tests_pass_under_python_dash_o():
             "test_marginal_set_verifies_at_construction",
             "test_wrong_product_raises_self_check_error",
             "test_pair_word_check_reads_the_pair",
+            "test_a_product_entry_no_zero_pair_attains_fails_before_any_draw",
         )
     ]
     proc = subprocess.run(

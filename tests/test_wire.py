@@ -143,6 +143,27 @@ class TestMatrixCodec:
         with pytest.raises(WireFormatError):
             decode_matrix(payload)
 
+    @pytest.mark.parametrize(
+        "value,written",
+        [
+            (10**5000, "1" + "0" * 5000),
+            (-(10**5000), "-1" + "0" * 5000),
+            (Fraction(1, 10**5000), '"1/1' + "0" * 5000 + '"'),
+            (Fraction(10**5000 + 1, 2), '"1' + "0" * 4999 + '1/2"'),
+        ],
+        ids=["int", "negative-int", "fraction-denominator", "fraction-numerator"],
+    )
+    def test_over_long_scalars_refused_on_write_as_on_read(self, value, written):
+        # a part past Python's int-string digit limit cannot be written;
+        # the encoder says so as the decoder does, not with a bare ValueError
+        m = make_matrix(MIN, [[value]])
+        with pytest.raises(WireFormatError):
+            encode_matrix(m)
+        with pytest.raises(WireFormatError):
+            decode_matrix(
+                b'{"kind":"min-plus","rows":[[' + written.encode() + b']],"type":"matrix"}\n'
+            )
+
 
 class TestWordCodec:
     @pytest.mark.parametrize(
