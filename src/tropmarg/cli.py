@@ -29,13 +29,14 @@ from .families import (
     sample_jones,
 )
 from .marginal import (
+    MarginalSet,
+    MarginalVerificationError,
     SamplerExhausted,
     sample_additive_marginal,
     sample_five_factor_marginal,
     sample_left_marginal,
     sample_right_marginal,
     sample_sandwich_marginal,
-    verify_marginal,
 )
 from .matrix import Matrix, make_matrix, mat_mul
 from .protocols import (
@@ -52,7 +53,6 @@ from .protocols import (
 )
 from .semiring import SelfCheckError, SemiringKind, require_int
 from .wire import (
-    MarginalVerificationError,
     WireFormatError,
     decode_marginal_set,
     decode_params,
@@ -275,13 +275,12 @@ def _cmd_verify_marginal(args) -> int:
     if args.word_file is not None:
         word = decode_word(read_bytes(args.word_file))
         try:
-            bad = [k for k, t in enumerate(s.tuples) if not verify_marginal(word, t)]
+            MarginalSet(word, s.tuples)
+        except MarginalVerificationError as e:
+            detail = f"tuples at indices {list(e.indices)} fail under the given word"
+            raise CliError(1, "verification-failed", detail)
         except (TypeError, ValueError) as e:
             raise WireFormatError(f"word does not fit the set: {e}")
-        if bad:
-            raise CliError(
-                1, "verification-failed", f"tuples at indices {bad} fail under the given word"
-            )
     print(f"all {len(s)} tuple(s) verify")
     return 0
 

@@ -81,6 +81,11 @@ class Circle:
 Atom = Union[Const, Box, Circle]
 
 
+# Most atoms in a word's summands: verifying a tuple costs one product per
+# atom.  The library's own words hold 2n+1 atoms for a chain of n slots.
+MAX_WORD_ATOMS = 64
+
+
 @dataclass(frozen=True)
 class WordTemplate:
     kind: SemiringKind
@@ -101,6 +106,8 @@ class WordTemplate:
                 raise ValueError("constant matrix does not fit the template")
         if not self.summands:
             raise ValueError("template needs at least one summand")
+        if sum(map(len, self.summands)) > MAX_WORD_ATOMS:
+            raise ValueError(f"word holds more than {MAX_WORD_ATOMS} atoms")
         for summand in self.summands:
             if not summand:
                 raise ValueError("empty summand")
@@ -184,11 +191,6 @@ def sandwich_word(a: Matrix) -> WordTemplate:
     return WordTemplate(a.kind, a.dim, (a,), ((Box(0), Const(0), Box(1)),))
 
 
-def five_factor_word(a: Matrix, b: Matrix, c: Matrix) -> WordTemplate:
-    """A ⊗ □ ⊗ B ⊗ □ ⊗ C: the chain word of three constants."""
-    return chain_word((a, b, c))
-
-
 def chain_word(constants: Sequence[Matrix]) -> WordTemplate:
     """A₁ ⊗ □ ⊗ A₂ ⊗ □ ⊗ ... ⊗ □ ⊗ A_{n+1} (n slots between n+1 constants)."""
     if len(constants) < 2:
@@ -218,18 +220,30 @@ def verify_marginal(word: WordTemplate, value) -> bool:
     return word.evaluate(list(_as_tuple(value))) == word.neutral_value()
 
 
+class MarginalVerificationError(ValueError):
+    """A set holds tuples that fail verification; indices names each one."""
+
+    def __init__(self, indices: Sequence[int]):
+        super().__init__(f"tuples at indices {list(indices)} do not verify")
+        self.indices = tuple(indices)
+
+
 @dataclass(frozen=True)
 class MarginalSet:
     """Tuples each marginal for the word, each checked exactly once: by this
-    constructor (ValueError), or by a sampler or the wire decoder, which
-    check their own tuples and build through _verified_set."""
+    constructor, once per distinct tuple (MarginalVerificationError), or by
+    a sampler or the wire decoder's interval-corner test, which check their
+    own tuples and build through _verified_set."""
 
     word: WordTemplate
     tuples: tuple[MarginalTuple, ...]
 
     def __post_init__(self):
-        if not all(verify_marginal(self.word, t) for t in self.tuples):
-            raise ValueError("non-marginal tuple in marginal set")
+        # equal tuples verify alike: a delta body of empty diffs costs one
+        verdict = {t: verify_marginal(self.word, t) for t in dict.fromkeys(self.tuples)}
+        bad = [k for k, t in enumerate(self.tuples) if not verdict[t]]
+        if bad:
+            raise MarginalVerificationError(bad)
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -744,7 +758,7 @@ def sample_five_factor_marginal(
     a: Matrix, b: Matrix, c: Matrix, n: int, l1: int, l2: int, rng: random.Random
 ) -> MarginalSet:
     """n pairs (X, Y) with A⊗X⊗B⊗Y⊗C = A⊗B⊗C; every draw is feasible."""
-    return _sample_pairs(five_factor_word(a, b, c), five_factor_residual, n, l1, l2, rng)
+    return _sample_pairs(chain_word((a, b, c)), five_factor_residual, n, l1, l2, rng)
 
 
 # --------------------------------------------------------------------------
@@ -803,6 +817,10 @@ def _repair_chain(table: BoundTable, mats: list) -> None:
     walk(0, None, 0, 0)
 
 
+# Most diagonal prefixes, k^(n-1) for n slots at dim k, one chain draw walks.
+MAX_CHAIN_PREFIXES = 256
+
+
 def sample_n_factor_marginal(
     chain: Sequence[Matrix], n_tuples: int, l1: int, l2: int, rng: random.Random
 ) -> MarginalSet:
@@ -815,15 +833,19 @@ def sample_n_factor_marginal(
     All-diagonal index tuples sum to zero, which meets their bounds (those
     are never positive) and realizes the tightness cover through the
     product's argmin chains, so the repaired tuple always verifies.
+    Above MAX_CHAIN_PREFIXES, a chain is refused before any draw.
     """
     require_int("l1", l1)
     require_int("l2", l2, l1)
     chain = list(chain)
     if len(chain) < 2:
         raise ValueError("chain needs at least two matrices")
+    n, k = len(chain) - 1, chain[0].dim
+    if k ** (n - 1) > MAX_CHAIN_PREFIXES:
+        raise ValueError(f"chain walks {k}^{n - 1} prefixes, more than {MAX_CHAIN_PREFIXES}")
     d, lowered, back = _into_min_plus(chain)
     table = n_factor_residual(lowered)
-    n, k = table.n_slots, table.product.dim
+    word = chain_word(chain)
     # h₁..hₙ₋₁, then each slot's off-diagonal entries row by row
     spans = [l2 - l1 + 1] * (n - 1 + n * k * (k - 1))
 
@@ -843,7 +865,7 @@ def sample_n_factor_marginal(
             raise SelfCheckError("sampled tuple changes the chain product")
         return xs
 
-    return _sample_set(chain_word(chain), n_tuples, draw, back)
+    return _sample_set(word, n_tuples, draw, back)
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .marginal import (
     RETRY_BUDGET,
     MarginalSet,
     SamplerExhausted,
-    five_factor_word,
+    chain_word,
     left_word,
     make_marginal_set,
     right_word,
@@ -58,10 +58,6 @@ class ProtocolScript:
     bob_sets: tuple
     alice_choices: tuple
     bob_choices: tuple
-
-    @property
-    def blocks(self) -> int:
-        return len(self.alice_p)
 
 
 # Largest n_tuples of a ProtocolParams: a few bytes of a params file can name
@@ -221,7 +217,8 @@ def _chain_sets(params: ProtocolParams, ps: Sequence[Matrix], qs: Sequence[Matri
 def _five_factor_sets(params: ProtocolParams, ps: Sequence[Matrix], qs: Sequence[Matrix]):
     """One set of pairs (c, d) marginal for p⊗□⊗W⊗□⊗q."""
     anchors = (ps[0], params.publics[0], qs[0])
-    return [(sample_five_factor_marginal, five_factor_word, anchors, (params.l1, params.l2))]
+    word = lambda *cs: chain_word(cs)
+    return [(sample_five_factor_marginal, word, anchors, (params.l1, params.l2))]
 
 
 @dataclass(frozen=True)
@@ -260,84 +257,78 @@ _EXCHANGES = {
 
 
 def _run(exchange: str, params: ProtocolParams, rng: random.Random) -> ProtocolTranscript:
-    """Draw or replay secrets, publish sets, pick masks from the other
-    party's sets, form u and v, derive and compare the keys."""
+    """Take both parties' secrets, sets and picks from the draw or from the
+    script, then run once: commuting checks, u and v, keys, transcript."""
     ex = _EXCHANGES[exchange]
-    n, kind, dim, script = params.blocks, params.kind, params.dim, params.script
+    n, kind, dim = params.blocks, params.kind, params.dim
     if ex.single and n != 1:
         raise ValueError(f"{ex.single} exchange uses a single public matrix")
-    if script is not None and script.blocks != n:
-        raise ValueError("script block count does not match params")
-    # per party: (ps, qs, set bodies, choices) to replay, or None to draw
-    replays = (None, None) if script is None else (
-        (script.alice_p, script.alice_q, script.alice_sets, script.alice_choices),
-        (script.bob_p, script.bob_q, script.bob_sets, script.bob_choices),
-    )
-    member = sample_finite_member if ex.sets else sample_family_member
 
-    def secrets(replay):
-        if replay is not None:
-            return replay[0], replay[1]
-        drawn = [
-            (member(left, rng), member(right, rng))
-            for left, right in zip(params.left_families, params.right_families)
-        ]
-        return [p for p, _ in drawn], [q for _, q in drawn]
+    def plan(own) -> list:
+        return ex.sets(params, *own) if ex.sets else []
 
-    def plan(own, replay) -> list:
-        specs = ex.sets(params, *own) if ex.sets else []
-        if replay is not None and len(replay[2]) != len(specs):
-            raise ValueError(
-                f"{exchange} exchange publishes {len(specs)} set(s) per party, "
-                f"script gives {len(replay[2])}"
-            )
-        return specs
+    # The source: (ps, qs) and published sets for Alice, then Bob, and
+    # pick(party, theirs), called only after the commuting checks.
+    if params.script is None:
+        member = sample_finite_member if ex.sets else sample_family_member
 
-    def publish(specs, replay) -> list[MarginalSet]:
-        if replay is None:
-            return [f(*anchors, params.n_tuples, *caps, rng) for f, _, anchors, caps in specs]
-        return [
-            make_marginal_set(word(*anchors), body)
-            for (_, word, anchors, _), body in zip(specs, replay[2])
-        ]
+        def secrets():
+            pairs = zip(params.left_families, params.right_families)
+            return tuple(zip(*[(member(left, rng), member(right, rng)) for left, right in pairs]))
 
-    def masked(ps, qs, their_sets, replay) -> tuple[Matrix, ...]:
-        if replay is None:
-            picks = [rng.randrange(len(s)) for s in their_sets]
-        elif len(replay[3]) != len(their_sets):
-            raise ValueError(
-                f"script gives {len(replay[3])} choice(s) for {len(their_sets)} set(s)"
-            )
-        else:
-            picks = [
-                require_int("script choice", c, 0, len(s) - 1)
-                for c, s in zip(replay[3], their_sets)
-            ]
-        masks = [m for s, c in zip(their_sets, picks) for m in s.tuples[c]]
-        masks = masks or [None] * (2 * n)
-        blocks = []
-        for p, w, q, c, d in zip(ps, params.publics, qs, masks[0::2], masks[1::2]):
-            factor = {"c": c, "p": p, "W": w, "q": q, "d": d}
-            blocks.append(mat_prod(kind, dim, [factor[x] for x in ex.layout]))
-        return tuple(blocks)
+        def publish(own) -> list[MarginalSet]:
+            return [f(*anchors, params.n_tuples, *caps, rng) for f, _, anchors, caps in plan(own)]
 
-    if ex.secrets_first or script is not None:  # a replay draws nothing
-        own = [secrets(r) for r in replays]
-        specs = [plan(o, r) for o, r in zip(own, replays)]
-        sets = [publish(p, r) for p, r in zip(specs, replays)]
+        own = [secrets(), secrets()] if ex.secrets_first else []  # both parties' secrets first
+        sets = [publish(o) for o in own]
+        for _ in range(len(own), 2):
+            own.append(secrets())
+            sets.append(publish(own[-1]))
+
+        def pick(party: int, theirs) -> list[int]:
+            return [rng.randrange(len(s)) for s in theirs]
     else:
-        own, sets = [], []
-        for r in replays:
-            own.append(secrets(r))
-            sets.append(publish(plan(own[-1], r), r))
+        script = params.script
+        if len(script.alice_p) != n:
+            raise ValueError("script block count does not match params")
+        own = [(script.alice_p, script.alice_q), (script.bob_p, script.bob_q)]
+        bodies = (script.alice_sets, script.bob_sets)
+        plans = []
+        for o, b in zip(own, bodies):
+            plans.append(plan(o))
+            if len(b) != len(plans[-1]):
+                raise ValueError(
+                    f"{exchange} exchange publishes {len(plans[-1])} set(s) per party, "
+                    f"script gives {len(b)}"
+                )
+        sets = [
+            [make_marginal_set(word(*anchors), body) for (_, word, anchors, _), body in zip(p, b)]
+            for p, b in zip(plans, bodies)
+        ]
+        choices = (script.alice_choices, script.bob_choices)
+
+        def pick(party: int, theirs) -> list[int]:
+            given = choices[party]
+            if len(given) != len(theirs):
+                raise ValueError(f"script gives {len(given)} choice(s) for {len(theirs)} set(s)")
+            return [require_int("script choice", c, 0, len(s) - 1) for c, s in zip(given, theirs)]
+
     (ap, aq), (bp, bq) = own
     for i in range(n):
         where = "" if ex.single else f" block {i + 1}"
         _require_commuting(f"left{where}", ap[i], bp[i])
         _require_commuting(f"right{where}", aq[i], bq[i])
 
-    u = masked(ap, aq, sets[1], replays[0])
-    v = masked(bp, bq, sets[0], replays[1])
+    def masked(ps, qs, theirs, picks) -> tuple[Matrix, ...]:
+        masks = [m for s, c in zip(theirs, picks) for m in s.tuples[c]] or [None] * (2 * n)
+        blocks = []
+        for p, w, q, c, d in zip(ps, params.publics, qs, masks[0::2], masks[1::2]):
+            factor = {"c": c, "p": p, "W": w, "q": q, "d": d}
+            blocks.append(mat_prod(kind, dim, [factor[x] for x in ex.layout]))
+        return tuple(blocks)
+
+    u = masked(ap, aq, sets[1], pick(0, sets[1]))
+    v = masked(bp, bq, sets[0], pick(1, sets[0]))
     key_a = mat_prod(kind, dim, [x for i in range(n) for x in (ap[i], v[i], aq[i])])
     key_b = mat_prod(kind, dim, [x for i in range(n) for x in (bp[i], u[i], bq[i])])
     if key_a != key_b:

@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 from fractions import Fraction
-from typing import Sequence, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 from .families import MAX_POLY_DEGREE, FamilySpec
 from .marginal import (
@@ -44,14 +44,6 @@ from .semiring import (
 
 class WireFormatError(ValueError):
     """Malformed bytes or an object that cannot be represented."""
-
-
-class MarginalVerificationError(ValueError):
-    """Decoded set contains tuples that fail verification."""
-
-    def __init__(self, indices: Sequence[int]):
-        super().__init__(f"tuples at indices {list(indices)} do not verify")
-        self.indices = tuple(indices)
 
 
 # --------------------------------------------------------------------------
@@ -380,13 +372,9 @@ def _marginal_set_payload(obj) -> MarginalSet:
     # infinite constants included, so when a box's lo and hi corners (its
     # first and last members) give the neutral value, every member does.
     corners = (tuples[0], tuples[-1]) if encoding == "interval" and tuples else ()
-    if not (corners and all(verify_marginal(word, t) for t in corners)):
-        # equal tuples verify alike: a delta body of empty diffs costs one
-        verdict = {t: verify_marginal(word, t) for t in dict.fromkeys(tuples)}
-        bad = [k for k, t in enumerate(tuples) if not verdict[t]]
-        if bad:
-            raise MarginalVerificationError(bad)
-    return _verified_set(word, tuple(tuples))
+    if corners and all(verify_marginal(word, t) for t in corners):
+        return _verified_set(word, tuple(tuples))
+    return MarginalSet(word, tuple(tuples))
 
 
 def decode_marginal_set(data: bytes) -> MarginalSet:

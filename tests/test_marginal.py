@@ -30,11 +30,13 @@ from tropmarg.fixtures import (
     RES_XSTAR,
 )
 from tropmarg.marginal import (
+    MAX_WORD_ATOMS,
     BoundTable,
     Box,
     Circle,
     Const,
     MarginalSet,
+    MarginalVerificationError,
     WordTemplate,
     _check_pair_point,
     _into_min_plus,
@@ -44,7 +46,6 @@ from tropmarg.marginal import (
     chain_word,
     cover_check,
     five_factor_residual,
-    five_factor_word,
     left_word,
     make_marginal_set,
     max_possible_matrix,
@@ -75,7 +76,6 @@ from tropmarg.matrix import (
 )
 from tropmarg.semiring import NEG_INF, POS_INF, SelfCheckError, SemiringKind
 from tropmarg.wire import (
-    MarginalVerificationError,
     decode_marginal_set,
     decode_word,
     encode_marginal_set,
@@ -110,6 +110,12 @@ class TestWordTemplates:
         with pytest.raises(ValueError):
             WordTemplate(MIN, 3, (BIL_A,), ((Const(0), Box(0)),))
 
+    def test_atom_cap(self):
+        atoms = (Box(0),) + (Const(0),) * (MAX_WORD_ATOMS - 2)
+        assert WordTemplate(MIN, 2, (BIL_A,), (atoms, (Circle(0),))).arity == 2
+        with pytest.raises(ValueError, match=f"more than {MAX_WORD_ATOMS} atoms"):
+            WordTemplate(MIN, 2, (BIL_A,), (atoms + (Const(0),), (Circle(0),)))
+
     def test_arity_enforced_at_evaluation(self):
         w = sandwich_word(BIL_A)
         with pytest.raises(ValueError):
@@ -124,7 +130,7 @@ class TestWordTemplates:
         assert right_word(DEF3_A).neutral_value() == DEF3_A
         assert left_word(DEF3_A).neutral_value() == DEF3_A
         assert sandwich_word(DEF3_A).neutral_value() == DEF3_A
-        assert five_factor_word(FF_A, FF_B, FF_C).neutral_value() == mat_prod(
+        assert chain_word((FF_A, FF_B, FF_C)).neutral_value() == mat_prod(
             MIN, 3, [FF_A, FF_B, FF_C]
         )
         assert additive_word(DEF3_A).neutral_value() == DEF3_A
@@ -152,6 +158,23 @@ def test_marginal_set_verifies_at_construction():
         MarginalSet(w, ((scalar_mul(1, DEF3_C1),),))
     s = make_marginal_set(w, [DEF3_C1, DEF3_C2, DEF3_C1])
     assert s.tuples == ((DEF3_C1,), (DEF3_C2,))  # deduplicated, order kept
+
+
+def test_marginal_set_names_every_failing_index_and_verifies_each_tuple_once(monkeypatch):
+    w, bad = right_word(DEF3_A), (scalar_mul(1, DEF3_C1),)
+    calls = []
+    evaluate = WordTemplate.evaluate
+
+    def counted(self, values):
+        calls.append(values)
+        return evaluate(self, values)
+
+    monkeypatch.setattr(WordTemplate, "evaluate", counted)
+    with pytest.raises(MarginalVerificationError) as caught:
+        MarginalSet(w, (bad, (DEF3_C1,), bad, (DEF3_C2,), (DEF3_C1,)))
+    assert caught.value.indices == (0, 2)
+    assert isinstance(caught.value, ValueError)
+    assert len(calls) == 3
 
 
 class TestOneSidedResiduation:
@@ -571,7 +594,7 @@ def test_a_product_entry_no_zero_pair_attains_fails_before_any_draw(monkeypatch,
     if shape == "sandwich":  # identity ends: E = D, every diagonal pair a zero pair
         word, table = sandwich_word(a), two_sided_residual(a)
     else:
-        word, table = five_factor_word(a, b, c), five_factor_residual(a, b, c)
+        word, table = chain_word((a, b, c)), five_factor_residual(a, b, c)
     # every a_0p + e_pq + c_q1 is at least d_01, so one below is attained nowhere
     rows = [list(row) for row in table.product.rows]
     rows[0][1] -= 1
@@ -634,7 +657,7 @@ _WORD_SHAPES = {
     "right": (1, lambda cs: right_word(cs[0])),
     "left": (1, lambda cs: left_word(cs[0])),
     "sandwich": (1, lambda cs: sandwich_word(cs[0])),
-    "five-factor": (3, lambda cs: five_factor_word(*cs)),
+    "five-factor": (3, chain_word),
     "chain-2": (2, chain_word),
     "chain-4": (4, chain_word),
     "additive": (1, lambda cs: additive_word(cs[0])),
@@ -748,7 +771,7 @@ _SHAPE_WORDS = {
     "right": lambda: right_word(DEF3_A),
     "left": lambda: left_word(DEF3_A),
     "sandwich": lambda: sandwich_word(BIL_A),
-    "five-factor": lambda: five_factor_word(FF_A, FF_B, FF_C),
+    "five-factor": lambda: chain_word((FF_A, FF_B, FF_C)),
     "chain-2": lambda: chain_word([FF_A, FF_B]),
     "chain-4": lambda: chain_word([FF_A, FF_B, FF_C, FF_A]),
     "additive": lambda: additive_word(DEF3_A),

@@ -32,8 +32,8 @@ from tropmarg.marginal import (
     MarginalSet,
     WordTemplate,
     _sample_set,
+    chain_word,
     five_factor_residual,
-    five_factor_word,
     sample_five_factor_marginal,
     sample_sandwich_marginal,
     sandwich_word,
@@ -145,7 +145,7 @@ def ref_sandwich(a, n, l1, l2, rng):
 
 
 def ref_five_factor(a, b, c, n, l1, l2, rng):
-    return ref_sample_pairs(five_factor_word(a, b, c), five_factor_residual, n, l1, l2, rng)
+    return ref_sample_pairs(chain_word((a, b, c)), five_factor_residual, n, l1, l2, rng)
 
 
 SAMPLERS = {

@@ -11,7 +11,13 @@ from tropmarg.families import (
     PolyFamily,
     commute_check,
 )
-from tropmarg.marginal import SamplerExhausted, verify_marginal
+from tropmarg import protocols
+from tropmarg.marginal import (
+    MarginalSet,
+    MarginalVerificationError,
+    SamplerExhausted,
+    verify_marginal,
+)
 from tropmarg.matrix import identity, make_matrix, mat_pow, mat_prod
 from tropmarg.protocols import (
     NoDecomposition,
@@ -26,6 +32,7 @@ from tropmarg.protocols import (
     sample_finite_member,
 )
 from tropmarg.semiring import SemiringKind
+from tropmarg.wire import encode_transcript
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -296,6 +303,93 @@ class TestScriptChecks:
         params = replace(params, script=replace(params.script, alice_choices=choices))
         with pytest.raises(error, match=message):
             run_protocol_one_sided(params, random.Random(0))
+
+
+class _RecordingRandom(random.Random):
+    """A generator that keeps every randrange result, a run's picks last."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.ranges = []
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.ranges.append(value)
+        return value
+
+
+def _drawn_params(protocol, kind):
+    blocks = _SHAPES[protocol][0]
+    if kind is MIN:
+        families = (PolyFamily(fx.OS_A, 3, -20, 20), PolyFamily(fx.OS_B, 3, -20, 20))
+        w = fx.OS_W
+    else:
+        families = (CirculantFamily(MAX, 3, -9, 9),) * 2
+        w = make_matrix(MAX, [[3, -4, 0], [7, 1, -2], [-5, 6, 2]])
+    return ProtocolParams(
+        kind=kind, dim=3, publics=(w,) * blocks, left_families=(families[0],) * blocks,
+        right_families=(families[1],) * blocks, n_tuples=2, l=40 if kind is MIN else -40,
+        l1=-8, l2=8, seed=5,
+    )
+
+
+class TestReplayOfADrawnRun:
+    """Any drawn run, recorded as a script (its secrets, its set bodies and
+    its picks), replays to the same bytes: the two sources feed one path."""
+
+    @pytest.mark.parametrize("kind", [MIN, MAX], ids=["min-plus", "max-plus"])
+    @pytest.mark.parametrize("protocol", sorted(_RUNNERS))
+    def test_a_recorded_draw_replays_byte_for_byte(self, protocol, kind, monkeypatch):
+        params = _drawn_params(protocol, kind)
+        # the baseline's secrets are any family member, the others' finite ones
+        name = "sample_family_member" if protocol == "sidelnikov" else "sample_finite_member"
+        member, secrets = getattr(protocols, name), []
+
+        def recorded(spec, rng):
+            secrets.append(member(spec, rng))
+            return secrets[-1]
+
+        monkeypatch.setattr(protocols, name, recorded)
+        rng = _RecordingRandom(params.seed)
+        drawn = _RUNNERS[protocol](params, rng)
+        monkeypatch.undo()
+        n = params.blocks
+        assert len(secrets) == 4 * n
+        sets = [
+            tuple(
+                m.payload.tuples
+                for m in drawn.messages
+                if m.sender == party and isinstance(m.payload, MarginalSet)
+            )
+            for party in ("alice", "bob")
+        ]
+        picks = rng.ranges[len(rng.ranges) - len(sets[0]) - len(sets[1]):]
+        script = ProtocolScript(
+            alice_p=tuple(secrets[0:2 * n:2]), alice_q=tuple(secrets[1:2 * n:2]),
+            bob_p=tuple(secrets[2 * n::2]), bob_q=tuple(secrets[2 * n + 1::2]),
+            alice_sets=sets[0], bob_sets=sets[1],
+            alice_choices=tuple(picks[:len(sets[1])]), bob_choices=tuple(picks[len(sets[1]):]),
+        )
+        replayed = _RUNNERS[protocol](replace(params, script=script), random.Random(0))
+        assert encode_transcript(replayed) == encode_transcript(drawn)
+
+
+class TestRefusalOrder:
+    @pytest.mark.parametrize("protocol", sorted(_RUNNERS))
+    def test_the_commuting_check_comes_before_the_choice_checks(self, protocol):
+        script = _identity_script(protocol, _SHAPES[protocol][0], ("left", 0))
+        script = replace(script, alice_choices=(99,) * (len(script.bob_sets) + 1))
+        with pytest.raises(ValueError, match="left( block 1)? secrets do not commute"):
+            _RUNNERS[protocol](_script_params(protocol, script), random.Random(0))
+
+    def test_a_set_count_mismatch_comes_before_a_bad_body(self):
+        script = _identity_script("one-sided", 1)
+        bad = replace(script, alice_sets=(((_ODD,),), script.alice_sets[1]))
+        with pytest.raises(MarginalVerificationError):
+            run_protocol_one_sided(_script_params("one-sided", bad), random.Random(0))
+        both = replace(bad, bob_sets=script.bob_sets[:1])
+        with pytest.raises(ValueError, match="publishes 2 set\\(s\\) per party, script gives 1"):
+            run_protocol_one_sided(_script_params("one-sided", both), random.Random(0))
 
 
 class TestFiniteMemberSampling:

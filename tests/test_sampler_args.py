@@ -4,7 +4,9 @@ A float, a bool or a `Fraction` in a tuple count or an integer cap is
 refused with TypeError before the first draw, so the generator's state is
 left as it was.  The one-sided caps stay any exact scalar; an infinite
 cap beyond x* leaves the box unbounded and is refused with ValueError,
-while the other infinity pins the box at x*.
+while the other infinity pins the box at x*.  A chain whose draw would
+walk more than `MAX_CHAIN_PREFIXES` diagonal prefixes is refused with
+ValueError before the first draw too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from tropmarg.marginal import (
+    MAX_CHAIN_PREFIXES,
     residual_left,
     residual_right,
     sample_additive_marginal,
@@ -119,3 +122,27 @@ def test_a_pinned_box_still_checks_the_count(sampler, a, pinned, count, error):
     with pytest.raises(error, match="tuple count must be"):
         sampler(a, count, pinned, rng)
     assert rng.getstate() == before
+
+
+def _square(k: int, seed: int):
+    rng = random.Random(seed)
+    return make_matrix(
+        SemiringKind.MIN_PLUS, [[rng.randint(-20, 20) for _ in range(k)] for _ in range(k)]
+    )
+
+
+@pytest.mark.parametrize("k, slots", [(2, 10), (4, 6), (6, 5), (16, 4)])
+def test_a_chain_over_the_prefix_budget_is_refused_before_any_draw(k, slots):
+    assert k ** (slots - 1) > MAX_CHAIN_PREFIXES
+    chain = [_square(k, i) for i in range(slots + 1)]
+    rng = random.Random(3)
+    before = rng.getstate()
+    with pytest.raises(ValueError, match=f"more than {MAX_CHAIN_PREFIXES}"):
+        sample_n_factor_marginal(chain, 4, -20, 20, rng)
+    assert rng.getstate() == before
+
+
+def test_a_chain_at_the_prefix_budget_draws():
+    chain = [_square(2, i) for i in range(10)]  # 9 slots: 2^8 prefixes
+    assert 2 ** 8 == MAX_CHAIN_PREFIXES
+    assert len(sample_n_factor_marginal(chain, 2, -20, 20, random.Random(3))) == 2

@@ -12,7 +12,8 @@ and no sampler draw in `marginal.py` can return None.  The package's
 `cli.py` builds `CliError` only for exit-1 records, which only its `main`
 writes.  In `marginal.py` only the boundary function reads `dual`,
 `_scaled` or `_unscaled`, and nothing names `make_matrix`, `floor` or
-`Fraction`.
+`Fraction`.  `protocols._run` reads its params' script in one `if`, and
+no function in `protocols.py` takes a `replay` argument.
 """
 
 from __future__ import annotations
@@ -499,3 +500,72 @@ def test_only_main_writes_error_records():
     source = (SRC / "tropmarg" / "cli.py").read_text(encoding="utf-8")
     callers = error_record_callers(source)
     assert callers and set(callers) == {"main"}
+
+
+# One run path: protocols._run reads params.script in one statement, the
+# `if` that takes the inputs from the draw or from the script, and no
+# function takes a `replay` argument, so nothing after that `if` can branch
+# on whether the run is scripted.
+def script_statements(source: str, name: str = "_run") -> list[str]:
+    """For each statement of the body of function `name` that reads a name
+    or attribute called script, nested defs included: "if <test>" for an
+    `if`, else "<statement type> at line <n>"."""
+    found = []
+    for func in _functions(source, name):
+        for stmt in func.body:
+            if any(
+                (isinstance(node, ast.Name) and node.id == "script")
+                or (isinstance(node, ast.Attribute) and node.attr == "script")
+                for node in ast.walk(stmt)
+            ):
+                found.append(
+                    f"if {ast.unparse(stmt.test)}"
+                    if isinstance(stmt, ast.If)
+                    else f"{type(stmt).__name__} at line {stmt.lineno}"
+                )
+    return found
+
+
+def replay_arguments(source: str) -> list[str]:
+    """The name of each function ("<lambda>" for a lambda) that takes an
+    argument named replay."""
+    return [
+        getattr(node, "name", "<lambda>")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and any(
+            a.arg == "replay"
+            for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        )
+    ]
+
+
+def test_the_script_check_finds_each_form():
+    source = (
+        "def _run(params):\n"
+        "    n, script = 1, params.script\n"
+        "    if params.script is None:\n        x = 1\n"
+        "    def f():\n        return script\n"
+        "    return [s for s in params.script.bodies]\n"
+        "def g(params):\n    return params.script\n"
+    )
+    assert script_statements(source) == [
+        "Assign at line 2",
+        "if params.script is None",
+        "FunctionDef at line 5",
+        "Return at line 7",
+    ]
+    assert script_statements("def _run(params):\n    return params.scripted\n") == []
+    source = (
+        "def f(own, replay):\n    pass\n"
+        "def g(a, *, replay=None):\n    pass\n"
+        "h = lambda replay: 1\n"
+        "def k(replays, own):\n    replay = own\n"
+    )
+    assert replay_arguments(source) == ["f", "g", "<lambda>"]
+
+
+def test_a_run_reads_its_script_in_one_branch():
+    source = (SRC / "tropmarg" / "protocols.py").read_text(encoding="utf-8")
+    assert script_statements(source) == ["if params.script is None"]
+    assert replay_arguments(source) == []

@@ -19,6 +19,7 @@ from tropmarg.families import (
 )
 from tropmarg.marginal import (
     MarginalSet,
+    MarginalVerificationError,
     WordTemplate,
     additive_word,
     make_marginal_set,
@@ -30,7 +31,6 @@ from tropmarg.matrix import Matrix, make_matrix, scalar_mul
 from tropmarg.protocols import MAX_TUPLES, ProtocolParams, run_protocol_sandwich, run_sidelnikov
 from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind
 from tropmarg.wire import (
-    MarginalVerificationError,
     WireFormatError,
     decode_marginal_set,
     decode_matrix,

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tropmarg.fixtures as fx
+from tropmarg import marginal, matrix
 from tropmarg.cli import main
 from tropmarg.families import (
     CirculantFamily,
@@ -33,8 +34,13 @@ from tropmarg.families import (
     UpperTCirculantFamily,
     sample_jones,
 )
-from tropmarg.marginal import make_marginal_set, right_word
-from tropmarg.matrix import dual, make_matrix
+from tropmarg.marginal import (
+    MAX_WORD_ATOMS,
+    MarginalVerificationError,
+    make_marginal_set,
+    right_word,
+)
+from tropmarg.matrix import dual, identity, make_matrix, mat_mul
 from tropmarg.protocols import (
     Message,
     NoDecomposition,
@@ -46,7 +52,6 @@ from tropmarg.protocols import (
 )
 from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind
 from tropmarg.wire import (
-    MarginalVerificationError,
     WireFormatError,
     decode_marginal_set,
     decode_matrix,
@@ -278,6 +283,10 @@ def _set_atom(obj):
     obj["word"]["summands"][0][0] = [["box"], 0]
 
 
+def _pad_word(obj):
+    obj["word"]["summands"][0] += [["const", 0]] * MAX_WORD_ATOMS
+
+
 def _set_family(side, **fields):
     def change(obj):
         obj[side][0].update(fields)
@@ -291,6 +300,7 @@ def _set_family(side, **fields):
 # digit limit, NaN); each is rejected when it is decoded.
 REGRESSIONS = {
     "word-atom-tag-a-list": ("set-raw", _set_atom),
+    "word-over-the-atom-cap": ("set-raw", _pad_word),
     "report-z-row-an-int": ("report", lambda obj: obj["z"].__setitem__(1, 9)),
     "report-without-protocol": ("report", lambda obj: obj.pop("protocol")),
     "report-decomposed-an-int": ("report", lambda obj: obj.update(decomposed=5)),
@@ -315,6 +325,27 @@ def test_found_escapes_are_format_errors(case):
     name, change = REGRESSIONS[case]
     with pytest.raises(WireFormatError):
         _decoder(name)(_edit(name, change))
+
+
+def test_an_over_long_word_is_refused_before_any_product(monkeypatch):
+    # a dim-16 one-tuple right-word set whose word gains 1,000 A factors
+    # still verifies (A⊗X = A), at one product per atom
+    a = make_matrix(MIN, [[(i * 7 + j * 3) % 11 for j in range(16)] for i in range(16)])
+    obj = json.loads(encode_marginal_set(make_marginal_set(right_word(a), [identity(MIN, 16)])))
+    obj["word"]["summands"][0] += [["const", 0]] * 1000
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(matrix, "mat_mul", counted)
+    monkeypatch.setattr(marginal, "mat_mul", counted)
+    word = {"type": "word", **obj["word"]}
+    for decode, data in ((decode_marginal_set, obj), (decode_word, word)):
+        with pytest.raises(WireFormatError, match=f"more than {MAX_WORD_ATOMS} atoms"):
+            decode(_dumps(data))
+    assert calls == []
 
 
 @settings(FUZZ, max_examples=600)
