@@ -54,6 +54,8 @@ from .semiring import (
 
 RETRY_BUDGET = 64
 
+_flat = itertools.chain.from_iterable
+
 
 class SamplerExhausted(RuntimeError):
     """Raised when a sampler's retry budget runs out."""
@@ -323,10 +325,10 @@ def _sample_set(word: WordTemplate, n: int, draw, back) -> MarginalSet:
     word's semiring and units by back; the set is built and verified once:
     each draw raises SelfCheckError unless its tuple keeps the word's value
     in min-plus int coordinates, and back is exact, so that is the word
-    check.  The chain and additive draws check the word's value itself (by
-    the chain product, or one ⊕); a one-sided draw or a pair checks only its
-    point, which with a fact of the table checked once per set proves the
-    value (_sample_one_sided, _sample_pairs).
+    check.  The additive draw checks the word's value itself (one ⊕); a
+    one-sided draw, a pair or a chain checks only its point, which with a
+    fact of the table checked once per set proves the value
+    (_sample_one_sided, _sample_pairs, sample_n_factor_marginal).
 
     Every draw gives a tuple, so the set is never empty; RETRY_BUDGET bounds
     duplicates only: when a new tuple's attempts run out, the box is too
@@ -343,10 +345,6 @@ def _sample_set(word: WordTemplate, n: int, draw, back) -> MarginalSet:
         else:
             break
     return _verified_set(word, tuple(tuple(back(x) for x in t) for t in tuples))
-
-
-def _transpose(a: Matrix) -> Matrix:
-    return _built(a.kind, tuple(zip(*a.rows)), a.has_inf, a.den)
 
 
 def _require_finite(a: Matrix, op: str) -> None:
@@ -403,28 +401,19 @@ def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
     side is "right" (A⊗X = A) or "left" (X⊗A = A).  Requires X inside the
     principal box (X >= X* over min-plus, X <= X* over max-plus); positions
     where x equals x* contribute their attainment sets, and the check passes
-    iff those sets jointly cover every scalar equation of the system.  X
-    must share A's semiring (TypeError) and dimension (ValueError).
+    iff those sets jointly cover every scalar equation of the system: the
+    one-slot table's BoundTable.covers at the tight positions.  X must share
+    A's semiring (TypeError) and dimension (ValueError).
     """
     _check_fits(a.kind, a.dim, x)
-    if side == "left":
-        a, x = _transpose(a), _transpose(x)
-    elif side != "right":
+    if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     _, (a, x), _ = _into_min_plus([a, x])
-    star = residual_right(a)
-    n = a.dim
-    if any(x.rows[i][j] < star.rows[i][j] for i in range(n) for j in range(n)):
+    star = residual_right(a) if side == "right" else residual_left(a)
+    if not all(map(ge, _flat(x.rows), _flat(star.rows))):
         raise ValueError("X escapes the principal solution's bound")
-    covered = {
-        (l, j)
-        for i in range(n)
-        for j in range(n)
-        if x.rows[i][j] == star.rows[i][j]
-        for l in range(n)
-        if a.rows[l][j] - a.rows[l][i] == star.rows[i][j]
-    }
-    return len(covered) == n * n
+    tight = [(i, j) for i, j in itertools.product(range(a.dim), repeat=2) if x[i][j] == star[i][j]]
+    return BoundTable(a, star, (a, None) if side == "right" else (None, a)).covers(tight)
 
 
 def max_possible_matrix(x_star: Matrix, l) -> Matrix:
@@ -559,7 +548,7 @@ class BoundTable:
         every all-diagonal bound is <= 0, and each d_ij is attained along some
         p₁..pₙ, which is then a zero pair: px and py are never empty, and
         diagonals pinned to values summing to 0 meet every all-diagonal
-        bound.  attains_product checks the attainment for two slots."""
+        bound.  covers(zero_pairs) checks the attainment."""
         k, n = self.product.dim, self.n_slots
         return frozenset(
             p
@@ -567,18 +556,25 @@ class BoundTable:
             if self.bound(*(i for i in p for _ in range(2))) == 0
         )
 
-    def attains_product(self) -> bool:
-        """Whether each d_ij of a two-slot min-plus table is a_ip + e_pq + c_qj
-        at some zero pair (p, q), A and C the chain's ends; with identity ends
-        (X⊗A⊗Y), whether (i, j) is a zero pair with e_ij = d_ij."""
-        first, _, last = self.chain
-        d, e, zero = self.product.rows, self.outer.rows, self.zero_pairs
-        cells = list(itertools.product(range(len(d)), repeat=2))
-        if first is None:
-            return all((i, j) in zero and e[i][j] == d[i][j] for i, j in cells)
-        a, c = first.rows, last.rows
-        return all(any(a[i][p] + e[p][q] + c[q][j] == d[i][j] for p, q in zero)
-                   for i, j in cells)
+    def covers(self, indices: Iterable[tuple[int, ...]]) -> bool:
+        """Whether every d_ij of a min-plus int table's product is
+        first[i][p] + e_pq + last[q][j] at the ends (p, q) = (index[0],
+        index[-1]) of some given index, first and last the chain's ends; a
+        None end is the identity and pins p = i or q = j: the set-covering
+        criterion (Butkovič, Max-linear Systems, ch. 3).  Given Z >= E and
+        z_pq = e_pq at the given ends, it proves A₁⊗Z⊗Aₙ₊₁ = D; at all of Z's
+        tight positions it decides it (README, "How chain sets are checked")."""
+        first, last = self.chain[0], self.chain[-1]
+        d, e, k = self.product.rows, self.outer.rows, self.product.dim
+        # a[p] holds the finite (i, first[i][p]), c[q] the finite (j, last[q][j])
+        ident = [[(p, 0)] for p in range(k)]
+        a = ident if first is None else [[*enumerate(col)] for col in zip(*first.rows)]
+        c = ident if last is None else [[*enumerate(row)] for row in last.rows]
+        ends = {(t[0], t[-1]) for t in indices}
+        covered = {
+            (i, j) for p, q in ends for i, x in a[p] for j, y in c[q] if x + e[p][q] + y == d[i][j]
+        }
+        return len(covered) == k * k
 
     @functools.cached_property
     def px(self) -> frozenset[int]:
@@ -690,13 +686,12 @@ def _check_pair_point(table: BoundTable, r, s, xs: Matrix, ys: Matrix, xby: Matr
     """The draw's point check on a pair, given xby = X⊗(B⊗Y): X⊗B⊗Y >= E
     entrywise (which is the whole grid x_pq + y_rs >= E[p][s] - B[q][r]),
     the zero-pair equalities and both lower bounds."""
-    flat = itertools.chain.from_iterable
     x, y = xs.rows, ys.rows
     if not (
-        all(map(ge, flat(xby.rows), flat(table.outer.rows)))
+        all(map(ge, _flat(xby.rows), _flat(table.outer.rows)))
         and all(x[p][p] + y[rr][rr] == 0 for p, rr in table.zero_pairs)
-        and all(map(ge, flat(x), flat(r)))
-        and all(map(ge, flat(y), flat(s)))
+        and all(map(ge, _flat(x), _flat(r)))
+        and all(map(ge, _flat(y), _flat(s)))
     ):
         raise SelfCheckError("pair solve produced an invalid point")
 
@@ -712,16 +707,16 @@ def _sample_pairs(
     bounds pinned to h and -h, and _solve_pair produces the canonical pair
     of that pinned system.  Max-plus inputs run through the min-plus
     reduction by negation, with l1..l2 read in the reduced coordinates.
-    The value is proved once per set (README, "How pair sets are checked"):
+    The value is proved once per set (README, "How chain sets are checked"):
     a pair passing _check_pair_point has Z = X⊗B⊗Y >= E and z_pq = e_pq on
-    the zero pairs, so A⊗Z⊗C = D once BoundTable.attains_product holds,
+    the zero pairs, so A⊗Z⊗C = D once BoundTable.covers(zero_pairs) holds,
     which is checked before any draw.
     """
     require_int("l1", l1)
     require_int("l2", l2, l1)
     d, constants, back = _into_min_plus(word.constants)
     table = residual(*constants)
-    if not table.attains_product():
+    if not table.covers(table.zero_pairs):
         raise SelfCheckError("a product entry is attained at no zero pair")
     k = table.product.dim
     px, py = table.px, table.py
@@ -771,9 +766,9 @@ def _min_plus(a, b) -> list:
     return [[min(map(add, row, col)) for col in cols] for row in a]
 
 
-def _repair_chain(table: BoundTable, mats: list) -> None:
+def _repair_chain(table: BoundTable, mats: list) -> Optional[list]:
     """Lift off-diagonal entries of the slot matrices in place until every
-    bound of the chain's table holds.
+    bound of the chain's table holds; return the final S₁ (None for one slot).
 
     The result is that of one pass over all k^(2n) index tuples in
     lexicographic order, each violated tuple lifting the entry of its first
@@ -814,7 +809,7 @@ def _repair_chain(table: BoundTable, mats: list) -> None:
                     raise SelfCheckError("all-diagonal bound violated")
         return s
 
-    walk(0, None, 0, 0)
+    return walk(0, None, 0, 0)
 
 
 # Most diagonal prefixes, k^(n-1) for n slots at dim k, one chain draw walks.
@@ -833,7 +828,10 @@ def sample_n_factor_marginal(
     All-diagonal index tuples sum to zero, which meets their bounds (those
     are never positive) and realizes the tightness cover through the
     product's argmin chains, so the repaired tuple always verifies.
-    Above MAX_CHAIN_PREFIXES, a chain is refused before any draw.
+    Above MAX_CHAIN_PREFIXES, a chain is refused before any draw.  As for
+    pairs, covers(zero_pairs) is checked once per set and each draw checks
+    Z = X₁⊗S₁ >= E and its pinned diagonals, in one list product (README,
+    "How chain sets are checked").
     """
     require_int("l1", l1)
     require_int("l2", l2, l1)
@@ -845,6 +843,8 @@ def sample_n_factor_marginal(
         raise ValueError(f"chain walks {k}^{n - 1} prefixes, more than {MAX_CHAIN_PREFIXES}")
     d, lowered, back = _into_min_plus(chain)
     table = n_factor_residual(lowered)
+    if not table.covers(table.zero_pairs):
+        raise SelfCheckError("a product entry is attained at no zero index")
     word = chain_word(chain)
     # h₁..hₙ₋₁, then each slot's off-diagonal entries row by row
     spans = [l2 - l1 + 1] * (n - 1 + n * k * (k - 1))
@@ -858,12 +858,12 @@ def sample_n_factor_marginal(
             [[hs[t] if i == j else next(free) for j in range(k)] for i in range(k)]
             for t in range(n)
         ]
-        _repair_chain(table, mats)
-        xs = tuple(_built(SemiringKind.MIN_PLUS, tuple(map(tuple, m))) for m in mats)
-        slots = itertools.chain.from_iterable(zip(xs, table.chain[1:]))
-        if functools.reduce(mat_mul, [table.chain[0], *slots]) != table.product:
+        s1 = _repair_chain(table, mats)
+        z = mats[0] if s1 is None else _min_plus(mats[0], s1)
+        pinned = not sum(hs) and all(m[p][p] == h for m, h in zip(mats, hs) for p in range(k))
+        if not (pinned and all(map(ge, _flat(z), _flat(table.outer.rows)))):
             raise SelfCheckError("sampled tuple changes the chain product")
-        return xs
+        return tuple(_built(SemiringKind.MIN_PLUS, tuple(map(tuple, m))) for m in mats)
 
     return _sample_set(word, n_tuples, draw, back)
 

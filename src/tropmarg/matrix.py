@@ -95,7 +95,7 @@ class Matrix:
 def _built(kind: SemiringKind, rows, has_inf=False, den=1) -> Matrix:
     """Matrix of square rows of canonical entries whose facts the caller
     knows exactly, built without the walk: an all-int finite product, a
-    dual, a transpose."""
+    dual, an identity."""
     m = Matrix.__new__(Matrix)
     all_int = not has_inf and den == 1
     vars(m).update(kind=kind, rows=rows, has_inf=has_inf, all_int=all_int, den=den)

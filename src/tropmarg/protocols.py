@@ -289,9 +289,15 @@ def _run(exchange: str, params: ProtocolParams, rng: random.Random) -> ProtocolT
             return [rng.randrange(len(s)) for s in theirs]
     else:
         script = params.script
-        if len(script.alice_p) != n:
-            raise ValueError("script block count does not match params")
         own = [(script.alice_p, script.alice_q), (script.bob_p, script.bob_q)]
+        if any(len(secrets) != n for pair in own for secrets in pair):
+            raise ValueError("script block count does not match params")
+        for name in ("alice_p", "alice_q", "bob_p", "bob_q"):
+            for i, m in enumerate(getattr(script, name)):
+                if not isinstance(m, Matrix) or m.kind is not kind or m.dim != dim:
+                    raise ValueError(
+                        f"script secret {name}[{i}] is not a {kind} matrix of dim {dim}"
+                    )
         bodies = (script.alice_sets, script.bob_sets)
         plans = []
         for o, b in zip(own, bodies):

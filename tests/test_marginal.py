@@ -252,25 +252,31 @@ class TestCoverCheck:
             cover_check(RES_A, x, side)
 
     def test_agrees_with_product_equality_inside_box(self):
+        # both semirings, int and Jones Fraction A, dims 1-5, and X holding
+        # the semiring's infinity, which lies inside the box on either one
         rng = random.Random(99)
-        for _ in range(200):
-            n = rng.randint(2, 3)
-            a = make_matrix(
-                MIN, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            )
+        seen = set()
+        for _ in range(400):
+            kind = rng.choice([MIN, MAX])
+            n = rng.randint(1, 5)
+            a = anchor(kind, n, rng, rng.random() < 0.5)
             side = rng.choice(["right", "left"])
             star = residual_right(a) if side == "right" else residual_left(a)
-            # random point of the box, tight with probability 1/2 per entry
-            rows = tuple(
-                tuple(
-                    star[i][j] + (0 if rng.random() < 0.5 else rng.randint(1, 4))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            x = make_matrix(MIN, rows)
+            inf, away = (POS_INF, 1) if kind is MIN else (NEG_INF, -1)
+
+            # tight with probability 1/2 per entry, else the infinity or a
+            # step of whole or half units away from x*
+            def entry(x):
+                u = rng.random()
+                if u < 0.5:
+                    return x
+                return inf if u < 0.6 else x + away * Fraction(rng.randint(1, 8), 2)
+
+            x = make_matrix(kind, [[entry(v) for v in row] for row in star.rows])
             prod = mat_mul(a, x) if side == "right" else mat_mul(x, a)
             assert cover_check(a, x, side) == (prod == a)
+            seen.add((kind, prod == a))
+        assert len(seen) == 4
 
 
 class TestOneSidedSamplers:
@@ -505,6 +511,28 @@ def evaluations(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("slots", [1, 2, 3])
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_chain_draw_forms_no_product(monkeypatch, products, slots, kind):
+    # the set forms the table's n products, D = A₁⊗...⊗Aₙ₊₁; a draw forms
+    # none, only the list product Z = X₁⊗S₁ its check reads
+    import tropmarg.marginal as marginal
+
+    repaired = [0]
+    repair = marginal._repair_chain
+
+    def counted_repair(*args):
+        repaired[0] += 1
+        return repair(*args)
+
+    monkeypatch.setattr(marginal, "_repair_chain", counted_repair)
+    rng = random.Random(11)
+    chain = [_rand_square(kind, rng) for _ in range(slots + 1)]
+    s = sample_n_factor_marginal(chain, 4, -8, 8, rng)
+    assert repaired[0] >= len(s) > 1
+    assert products[0] == slots
+
+
 @pytest.mark.parametrize("shape,per_draw", [("sandwich", 2), ("five_factor", 2)])
 @pytest.mark.parametrize("kind", [MIN, MAX])
 def test_pair_draw_forms_each_product_once(monkeypatch, products, shape, per_draw, kind):
@@ -552,6 +580,34 @@ def test_pair_word_check_reads_the_pair(monkeypatch, shape, kind):
             sample_sandwich_marginal(a, 2, -8, 8, rng)
         else:
             sample_five_factor_marginal(a, b, c, 2, -8, 8, rng)
+
+
+@pytest.mark.parametrize("change", ["lower-off-diagonal", "raise-diagonal"])
+@pytest.mark.parametrize("slots", [1, 3])
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_chain_word_check_reads_the_tuple(monkeypatch, change, slots, kind):
+    # a repair that leaves Z = X₁⊗S₁ below E, or moves a pinned diagonal
+    # (which keeps Z >= E but can lift z above e at a zero index), must
+    # fail the draw's check
+    import tropmarg.marginal as marginal
+
+    repair = marginal._repair_chain
+
+    def broken(table, mats):
+        s1 = repair(table, mats)
+        x = mats[0]
+        if change == "raise-diagonal":
+            x[0][0] += 1
+        else:
+            for i, j in itertools.product(range(len(x)), repeat=2):
+                x[i][j] -= 100 * (i != j)
+        return s1
+
+    monkeypatch.setattr(marginal, "_repair_chain", broken)
+    rng = random.Random(5)
+    chain = [_rand_square(kind, rng) for _ in range(slots + 1)]
+    with pytest.raises(SelfCheckError, match="changes the chain product"):
+        sample_n_factor_marginal(chain, 2, -8, 8, rng)
 
 
 @pytest.mark.parametrize(
@@ -606,22 +662,63 @@ def test_a_product_entry_no_zero_pair_attains_fails_before_any_draw(monkeypatch,
         pytest.fail("the refused table advanced the generator")
 
 
+@pytest.mark.parametrize("slots", [1, 3])
+def test_a_chain_product_entry_no_zero_index_attains_fails_before_any_draw(monkeypatch, slots):
+    # the chain value is proved once per set, as the pair value is: a table
+    # whose product has an entry that no zero index attains would pass every
+    # draw's Z >= E check, so the sampler must refuse it before it draws or
+    # repairs anything
+    import tropmarg.marginal as marginal
+
+    def repair(*args):
+        raise RuntimeError("repaired a draw of a refused table")
+
+    rng = random.Random(9)
+    chain = [_rand_square(MIN, rng) for _ in range(slots + 1)]
+    table = n_factor_residual(chain)
+    # every a_0p + e_pq + c_q1 is at least d_01, so one below is attained nowhere
+    rows = [list(row) for row in table.product.rows]
+    rows[0][1] -= 1
+    broken = BoundTable(make_matrix(MIN, rows), table.outer, table.chain)
+    monkeypatch.setattr(marginal, "_repair_chain", repair)
+    monkeypatch.setattr(marginal, "n_factor_residual", lambda chain: broken)
+    state = rng.getstate()
+    with pytest.raises(SelfCheckError, match="attained at no zero index"):
+        sample_n_factor_marginal(chain, 3, -8, 8, rng)
+    if rng.getstate() != state:
+        pytest.fail("the refused table advanced the generator")
+
+
+# shape -> (constants, the min-plus int table of the lowered constants)
+_COVER_TABLES = {
+    "right": (1, lambda m: BoundTable(m, residual_right(m), (m, None))),
+    "left": (1, lambda m: BoundTable(m, residual_left(m), (None, m))),
+    "sandwich": (1, two_sided_residual),
+    "five_factor": (3, five_factor_residual),
+    "chain-3": (4, lambda *cs: n_factor_residual(cs)),
+    "chain-4": (5, lambda *cs: n_factor_residual(cs)),
+}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    st.sampled_from(["sandwich", "five_factor"]),
+    st.sampled_from(sorted(_COVER_TABLES)),
     st.sampled_from([MIN, MAX]),
     st.integers(1, 6),
     st.booleans(),
     st.integers(0, 2**32),
 )
-def test_pair_tables_attain_their_product_at_zero_pairs(shape, kind, k, jones, seed):
-    # the fact the pair samplers check once per set holds on every table
-    # they build, in the min-plus int coordinates they build it in
+def test_residual_tables_cover_their_product_at_zero_pairs(shape, kind, k, jones, seed):
+    # the fact the pair and chain samplers check once per set holds on every
+    # table they build, in the min-plus int coordinates they build it in; a
+    # one-slot table's zero indices are x*'s zero diagonal
     rng = random.Random(seed)
-    constants = [anchor(kind, k, rng, jones) for _ in range(1 if shape == "sandwich" else 3)]
-    _, lowered, _ = _into_min_plus(constants)
-    residual = two_sided_residual if shape == "sandwich" else five_factor_residual
-    assert residual(*lowered).attains_product()
+    count, residual = _COVER_TABLES[shape]
+    _, lowered, _ = _into_min_plus([anchor(kind, k, rng, jones) for _ in range(count)])
+    table = residual(*lowered)
+    assert table.covers(table.zero_pairs)
+    if shape in ("right", "left"):
+        assert table.zero_pairs == {(p,) for p in range(k)}
 
 
 @pytest.mark.parametrize("name", _SAMPLER_NAMES)
@@ -832,6 +929,8 @@ def test_self_check_tests_pass_under_python_dash_o():
             "test_wrong_product_raises_self_check_error",
             "test_pair_word_check_reads_the_pair",
             "test_a_product_entry_no_zero_pair_attains_fails_before_any_draw",
+            "test_a_chain_product_entry_no_zero_index_attains_fails_before_any_draw",
+            "test_chain_word_check_reads_the_tuple",
         )
     ]
     proc = subprocess.run(

@@ -22,7 +22,7 @@ import pytest
 
 from conftest import fresh_facts, stored_facts
 from tropmarg import matrix
-from tropmarg.marginal import _transpose, residual_left, residual_right
+from tropmarg.marginal import residual_left, residual_right
 from tropmarg.matrix import (
     Matrix,
     dual,
@@ -92,15 +92,6 @@ def test_dual_of_fraction_one_entries_is_all_int():
     assert dual(m).rows == ((-2, -3), (0, 1))
     assert_exact(dual(Matrix(MAX, ((Fraction(2, 1), NEG_INF), (0, 1)))), (True, False, 1))
     assert_exact(dual(make_matrix(MIN, [[HALF, POS_INF], [0, 1]])), (True, False, 2))
-
-
-def test_transpose_keeps_the_facts():
-    for m in (
-        make_matrix(MIN, [[1, 2], [3, 4]]),
-        make_matrix(MIN, [[HALF, 2], [POS_INF, 4]]),
-        Matrix(MAX, ((Fraction(2, 1), 3), (NEG_INF, 1))),
-    ):
-        assert_exact(_transpose(m), stored_facts(m))
 
 
 def test_replace_walks_the_new_rows():

@@ -391,6 +391,28 @@ class TestRefusalOrder:
         with pytest.raises(ValueError, match="publishes 2 set\\(s\\) per party, script gives 1"):
             run_protocol_one_sided(_script_params("one-sided", both), random.Random(0))
 
+    @pytest.mark.parametrize("misfit", ["dim", "kind"])
+    @pytest.mark.parametrize("protocol", sorted(_RUNNERS))
+    def test_a_misfit_secret_is_named_before_any_set_is_built(self, protocol, misfit):
+        # a secret of another dim or semiring than the params once failed in
+        # a set body or the first product, with a message naming no script;
+        # it is now refused ahead of a set count mismatch and a bad body
+        script = _identity_script(protocol, _SHAPES[protocol][0])
+        bad = {"dim": make_matrix(MIN, [[0] * 4] * 4), "kind": make_matrix(MAX, _ODD.rows)}[misfit]
+        script = replace(
+            script, bob_q=script.bob_q[:-1] + (bad,), bob_sets=script.bob_sets + (((_ODD,),),)
+        )
+        last = len(script.bob_q) - 1
+        with pytest.raises(ValueError) as exc:
+            _RUNNERS[protocol](_script_params(protocol, script), random.Random(0))
+        assert str(exc.value) == f"script secret bob_q[{last}] is not a min-plus matrix of dim 3"
+
+    def test_the_block_count_comes_before_the_secrets(self):
+        script = _identity_script("multiblock", 2)
+        script = replace(script, bob_p=script.bob_p[:1], alice_q=(make_matrix(MAX, _ODD.rows),) * 2)
+        with pytest.raises(ValueError, match="script block count does not match params"):
+            run_protocol_multiblock(_script_params("multiblock", script), random.Random(0))
+
 
 class TestFiniteMemberSampling:
     def test_finite_member_found(self):
