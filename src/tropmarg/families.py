@@ -186,7 +186,8 @@ def _require_matrix(base) -> None:
 
 
 # Largest max_degree of a PolyFamily: a few bytes of a params file can name
-# any number, and a member of degree D costs D matrix products.  The CLI
+# any number, and a member of degree D costs the base's powers up to D it
+# does not yet keep (at most D - 1 products) plus one k² pass.  The CLI
 # defaults, the builtin fixtures and the benchmark use at most degree 3.
 MAX_POLY_DEGREE = 64
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import add, neg
 from typing import Iterable
@@ -144,6 +145,28 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
         for r, s in zip(a.rows, b.rows)
     )
     return _built(k, rows) if a.all_int and b.all_int else Matrix(k, rows)
+
+
+def linear_combination(kind: SemiringKind, n: int, coeffs, mats) -> Matrix:
+    """⊕ᵢ cᵢ⊗Mᵢ, entry by entry in one pass: the builtin min or max of the
+    sums cᵢ + (Mᵢ)ₗₛ (the infinities order and add like numbers).  A
+    coefficient equal to the infinity contributes nothing, and no terms at
+    all give the neutral matrix."""
+    o = add_neutral(kind)
+    terms = []
+    for c, m in zip(coeffs, mats, strict=True):
+        _check_fits(kind, n, m)
+        if c is not o:
+            terms.append((c, m))
+    if len(terms) < 2:  # map(pick, *rows) below needs two rows
+        return scalar_mul(*terms[0]) if terms else neutral_matrix(kind, n)
+    pick = min if kind is SemiringKind.MIN_PLUS else max
+    rows = tuple(
+        tuple(map(pick, *[map(add, r, repeat(c)) for (c, _), r in zip(terms, rs)]))
+        for rs in zip(*(m.rows for _, m in terms))
+    )
+    all_int = all(m.all_int and type(c) is int for c, m in terms)
+    return _built(kind, rows) if all_int else Matrix(kind, rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -297,9 +320,12 @@ def make_poly(kind: SemiringKind, coeffs: Iterable) -> TropPolynomial:
 
 
 def poly_eval(p: TropPolynomial, a: Matrix) -> Matrix:
+    """c₁⊗A ⊕ … ⊕ c_d⊗A^⊗d in one pass over the kept powers, then c₀ on
+    the diagonal (c₀⊗I is the infinity off it)."""
     if p.kind is not a.kind:
         raise TypeError("polynomial and matrix live in different semirings")
-    acc = scalar_mul(p.coeffs[0], identity(a.kind, a.dim))
-    for c, power in zip(p.coeffs[1:], powers(a, p.degree)):
-        acc = mat_add(acc, scalar_mul(c, power))
-    return acc
+    k, c0 = a.kind, p.coeffs[0]
+    acc = linear_combination(k, a.dim, p.coeffs[1:], powers(a, p.degree))
+    pick = min if k is SemiringKind.MIN_PLUS else max
+    rows = tuple(r[:i] + (pick(r[i], c0),) + r[i + 1 :] for i, r in enumerate(acc.rows))
+    return _built(k, rows) if acc.all_int and type(c0) is int else Matrix(k, rows)

@@ -35,8 +35,8 @@ from .marginal import (
     sample_sandwich_marginal,
     sandwich_word,
 )
-from .matrix import Matrix, identity, mat_add, mat_mul, mat_prod, powers
-from .semiring import SelfCheckError, SemiringKind, _norm, add_neutral, require_int
+from .matrix import Matrix, identity, linear_combination, mat_mul, mat_prod, powers
+from .semiring import MUL_NEUTRAL, SelfCheckError, SemiringKind, _norm, add_neutral, require_int
 
 
 # --------------------------------------------------------------------------
@@ -419,6 +419,8 @@ def attack_decomposition(
     u exactly there is no decomposition and NoDecomposition is raised.  On
     success the key candidate ⊕_ij z_ij ⊗ aᵢ⊗V⊗bⱼ equals the parties' key
     whenever the basis elements commute with the secrets they stand in for.
+    No conjugate aᵢ⊗W⊗bⱼ is formed: over degree-D power bases the attack
+    forms 4D products, 2D when u does not decompose.
     """
     kind, dim = w.kind, w.dim
     if not left_basis or not right_basis:
@@ -430,50 +432,51 @@ def attack_decomposition(
         if not m.is_finite():
             raise ValueError("attack requires finite public values")
     e = identity(kind, dim)
+    o = add_neutral(kind)
 
     def times(x: Matrix, y: Matrix) -> Matrix:
         """x⊗y, without a product when either factor is the identity (power
         bases start with it)."""
         return y if x == e else x if y == e else mat_mul(x, y)
 
-    conjugates = [
-        [times(aw, b) for b in right_basis] for aw in (times(a, w) for a in left_basis)
-    ]
-    # basis elements themselves may hold infinities (the identity does); only
-    # their conjugates enter subtractions and those must be finite
-    for row in conjugates:
-        for t in row:
-            if not t.is_finite():
-                raise ValueError("a basis conjugate has infinite entries")
+    # (aᵢ⊗W⊗bⱼ)ᵣₛ is finite iff row r of aᵢ and column s of bⱼ each hold a
+    # finite entry, W being finite: the identity's infinities do no harm
+    lines = [a.rows for a in left_basis if a.has_inf]
+    lines += [zip(*b.rows) for b in right_basis if b.has_inf]
+    if any(all(x is o for x in line) for ls in lines for line in ls):
+        raise ValueError("a basis conjugate has infinite entries")
 
-    # pick is the semiring sum, extreme its opposite; z_ij is the extreme
-    # entry of u - t_ij, normalized once
-    pick, extreme = (min, max) if kind is SemiringKind.MIN_PLUS else (max, min)
+    # z_ij, the extreme entry of u − aᵢ⊗W⊗bⱼ, is that of Lᵢ − W⊗bⱼ, read flat;
+    # (Lᵢ)ₗₛ, the left residual of u by aᵢ, is the extreme of u_rs − (aᵢ)ᵣₗ
+    # over the r with (aᵢ)ᵣₗ finite, or -o (it never wins) if there is none
+    extreme = max if kind is SemiringKind.MIN_PLUS else min
+    u_cols = tuple(zip(*u.rows))
+
+    def residual(a: Matrix) -> list:
+        if a == e:
+            return [x for row in u.rows for x in row]
+        if not a.has_inf:
+            return [extreme(map(sub, uc, ac)) for ac in zip(*a.rows) for uc in u_cols]
+        return [
+            extreme([x - y for x, y in zip(uc, ac) if y is not o], default=-o)
+            for ac in zip(*a.rows)
+            for uc in u_cols
+        ]
+
+    wbs = [times(w, b) for b in right_basis]
+    negated = [[-x for row in wb.rows for x in row] for wb in wbs]
     z_table = tuple(
-        tuple(
-            _norm(extreme(extreme(map(sub, ur, tr)) for ur, tr in zip(u.rows, t.rows)))
-            for t in row
-        )
-        for row in conjugates
+        tuple(_norm(extreme(map(add, res, neg))) for neg in negated)
+        for res in map(residual, left_basis)
     )
-    # ⊕ z_ij ⊗ t_ij, entry by entry in one pass; every term is finite
-    zs = [z for row in z_table for z in row]
-    ts = [t.rows for row in conjugates for t in row]
-    for u_row, *t_rows in zip(u.rows, *ts):
-        for x, *entries in zip(u_row, *t_rows):
-            if pick(map(add, zs, entries)) != x:
-                raise NoDecomposition(z_table)
-    # ⊕_ij z_ij ⊗ aᵢ⊗V⊗bⱼ = ⊕ᵢ (aᵢ⊗V) ⊗ wᵢ with the weights wᵢ = ⊕ⱼ z_ij ⊗ bⱼ
-    o = add_neutral(kind)
-    candidate = None
-    for a, z_row in zip(left_basis, z_table):
-        weight = tuple(
-            tuple(
-                pick([z + y for z, y in zip(z_row, entries) if y is not o], default=o)
-                for entries in zip(*b_rows)
-            )
-            for b_rows in zip(*(b.rows for b in right_basis))
-        )
-        term = mat_mul(times(a, v), Matrix(kind, weight))
-        candidate = term if candidate is None else mat_add(candidate, term)
-    return candidate, z_table
+
+    def combined(mbs: list[Matrix]) -> Matrix:
+        """⊕_ij z_ij ⊗ aᵢ⊗M⊗bⱼ as ⊕ᵢ aᵢ ⊗ (⊕ⱼ z_ij ⊗ M⊗bⱼ), by distributivity."""
+        terms = [
+            times(a, linear_combination(kind, dim, zs, mbs)) for a, zs in zip(left_basis, z_table)
+        ]
+        return linear_combination(kind, dim, [MUL_NEUTRAL] * len(terms), terms)
+
+    if combined(wbs) != u:
+        raise NoDecomposition(z_table)
+    return combined([times(v, b) for b in right_basis]), z_table

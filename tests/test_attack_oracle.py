@@ -1,15 +1,19 @@
-"""The decomposition attack by distributivity against the term-by-term one.
+"""The decomposition attack by residuation against the term-by-term one.
 
 The reference below is the earlier `attack_decomposition` of
-`tropmarg.protocols`, kept verbatim: one `scalar_mul` per term and a
-`mat_add` chain, both for the reconstruction of u and for the key
-candidate ⊕_ij z_ij ⊗ aᵢ⊗V⊗bⱼ.  The attack under test forms the candidate
-as ⊕ᵢ (aᵢ⊗V) ⊗ (⊕ⱼ z_ij ⊗ bⱼ).  Both must give the same candidate and
-z table (compared by `repr` of the entries, so an int and a `Fraction(n, 1)`
+`tropmarg.protocols`, kept verbatim: every conjugate aᵢ⊗W⊗bⱼ formed, one
+`scalar_mul` per term and a `mat_add` chain, both for the reconstruction
+of u and for the key candidate ⊕_ij z_ij ⊗ aᵢ⊗V⊗bⱼ.  The attack under test
+forms no conjugate: z_ij comes from the left residual of u by aᵢ against W⊗bⱼ,
+an infinite conjugate is found from the bases' all-infinite lines, and both sums
+are ⊕ᵢ aᵢ ⊗ (⊕ⱼ z_ij ⊗ M⊗bⱼ).  Both must give the same candidate and z
+table (compared by `repr` of the entries, so an int and a `Fraction(n, 1)`
 differ), the same `NoDecomposition.z_table`, or the same `ValueError`
-message.  Cases run over both semirings, dims 1-6 and power bases of degree
-0-4, with int bases and `Fraction`-valued Jones deformations, on published
-values that decompose (from `run_sidelnikov`) and on perturbed ones.
+message.  Cases run over both semirings and dims 1-6: power bases of
+degree 0-4, with int bases and `Fraction`-valued Jones deformations, and
+bases of 1-4 matrices with or without I and with infinite entries, on
+published values that decompose (from `run_sidelnikov`) and on perturbed
+ones.  The products the attack forms are counted, not timed.
 
 The earlier `deform` is kept verbatim too: the public `deform` and the
 family sampler's unchecked `_deform` must match it.
@@ -34,7 +38,17 @@ from tropmarg.families import (
     sample_jones,
 )
 from pair_reference import min_plus_maps
-from tropmarg.matrix import Matrix, dual, identity, make_matrix, mat_add, mat_mul, scalar_mul
+from tropmarg import protocols
+from tropmarg.matrix import (
+    Matrix,
+    dual,
+    identity,
+    make_matrix,
+    mat_add,
+    mat_mul,
+    mat_pow,
+    scalar_mul,
+)
 from tropmarg.protocols import (
     NoDecomposition,
     ProtocolParams,
@@ -186,6 +200,45 @@ def attacks(draw):
     return w, u, v, left, right
 
 
+@st.composite
+def basis_element(draw, kind, base):
+    """A power of the family base, ints, or ints with one infinite entry,
+    an infinite row or an infinite column."""
+    n = base.dim
+    shape = draw(st.sampled_from(["power", "power", "int", "inf-entry", "inf-row", "inf-col"]))
+    if shape == "power":
+        return mat_pow(base, draw(st.integers(1, 3)))
+    o = add_neutral(kind)
+    rows = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if shape == "inf-entry":
+        rows[i][j] = o
+    elif shape == "inf-row":
+        rows[i] = [o] * n
+    elif shape == "inf-col":
+        for row in rows:
+            row[j] = o
+    return make_matrix(kind, rows)
+
+
+@st.composite
+def general_bases(draw, kind, base):
+    """1-4 matrices, the identity at any position or absent."""
+    count = draw(st.integers(1, 4))
+    with_identity = draw(st.booleans())
+    basis = [draw(basis_element(kind, base)) for _ in range(count - with_identity)]
+    if with_identity:
+        basis.insert(draw(st.integers(0, count - 1)), identity(kind, base.dim))
+    return basis
+
+
+@st.composite
+def general_attacks(draw):
+    """The published values of attacks(), over general bases."""
+    w, u, v, left, right = draw(attacks())
+    return w, u, v, draw(general_bases(w.kind, left[-1])), draw(general_bases(w.kind, right[-1]))
+
+
 # ---------------------------------------------------------------------------
 # Tests
 
@@ -193,6 +246,12 @@ def attacks(draw):
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(attacks())
 def test_attack_matches_term_by_term_reference(case):
+    assert outcome(attack_decomposition, *case) == outcome(ref_attack_decomposition, *case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(general_attacks())
+def test_attack_over_general_bases_matches_reference(case):
     assert outcome(attack_decomposition, *case) == outcome(ref_attack_decomposition, *case)
 
 
@@ -220,6 +279,81 @@ def test_outcomes_cover_each_kind():
     assert got[0] == "no-decomposition"
     assert got == outcome(ref_attack_decomposition, w, bumped, v, basis, basis)
     assert outcome(attack_decomposition, w, u, v, [], basis) == ("raise", "bases must be nonempty")
+    # an infinite row makes its conjugates infinite; one infinite entry does not
+    o = add_neutral(kind)
+    inf_row = [make_matrix(kind, [[0, 2, 5], [o, o, o], [4, 2, 0]]), *basis]
+    inf_entry = [make_matrix(kind, [[0, o, 5], [1, 0, 3], [4, 2, 0]]), *basis]
+    got = outcome(attack_decomposition, w, u, v, inf_row, basis)
+    assert got == ("raise", "a basis conjugate has infinite entries")
+    assert got == outcome(ref_attack_decomposition, w, u, v, inf_row, basis)
+    got = outcome(attack_decomposition, w, u, v, basis, inf_entry)
+    assert got[0] == "ok"
+    assert got == outcome(ref_attack_decomposition, w, u, v, basis, inf_entry)
+
+
+# ---------------------------------------------------------------------------
+# Product counts over degree-D power bases: 4D when u decomposes, 2D when
+# it does not, none when a conjugate holds the infinity (the bases alone
+# show it)
+
+
+def counted_attack(monkeypatch, *args) -> tuple[str, int]:
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(protocols, "mat_mul", counted)
+        got = outcome(attack_decomposition, *args)
+    return got[0] if got[0] != "raise" else got[1], len(calls)
+
+
+def sidelnikov_case(kind, n, degree, seed, inf_row=False):
+    rng = random.Random(seed)
+    o = add_neutral(kind)
+    square = lambda: [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    left_rows, right_rows = square(), square()
+    if inf_row:
+        left_rows[0] = [o] * n
+    left, right = make_matrix(kind, left_rows), make_matrix(kind, right_rows)
+    w = make_matrix(kind, square())
+    params = ProtocolParams(
+        kind=kind,
+        dim=n,
+        publics=(w,),
+        left_families=(PolyFamily(left, degree, -5, 5),),
+        right_families=(PolyFamily(right, degree, -5, 5),),
+    )
+    t = run_sidelnikov(params, random.Random(seed))
+    bases = power_basis(left, degree), power_basis(right, degree)
+    return t, (w, t.message("u"), t.message("v"), *bases)
+
+
+@pytest.mark.parametrize("kind", [MIN, MAX])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_product_counts_over_power_bases(monkeypatch, kind, degree):
+    t, (w, u, v, left, right) = sidelnikov_case(kind, 3, degree, seed=degree)
+    assert counted_attack(monkeypatch, w, u, v, left, right) == ("ok", 4 * degree)
+    candidate, _ = attack_decomposition(w, u, v, left, right)
+    assert candidate == t.key_a
+    # one entry pushed far past the sum of every term: no decomposition
+    rows = [list(row) for row in u.rows]
+    rows[0][0] += -10**6 if kind is MIN else 10**6
+    off = make_matrix(kind, rows)
+    assert counted_attack(monkeypatch, w, off, v, left, right) == ("no-decomposition", 2 * degree)
+    if degree:
+        _, (w, u, v, left, right) = sidelnikov_case(kind, 3, degree, seed=degree, inf_row=True)
+        refused = counted_attack(monkeypatch, w, u, v, left, right)
+        assert refused == ("a basis conjugate has infinite entries", 0)
+
+
+def test_degree_64_attack_forms_256_products(monkeypatch):
+    t, case = sidelnikov_case(MIN, 16, 64, seed=64)
+    assert counted_attack(monkeypatch, *case) == ("ok", 256)
+    candidate, _ = attack_decomposition(*case)
+    assert candidate == t.key_a
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

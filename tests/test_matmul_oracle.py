@@ -6,7 +6,9 @@ return an equal matrix whose entries are canonical: an `int` wherever the
 value's denominator is 1, a `Fraction` otherwise, and the semiring's
 infinity as the singleton itself.  `mat_prod`, `mat_pow` and `poly_eval`,
 which no longer multiply by the identity, are checked against references
-that start from it.
+that start from it.  `linear_combination` and `poly_eval`, each one
+entrywise pass, are checked against the earlier `poly_eval`'s fold
+`scalar_mul(c₀, I) ⊕ … ⊕ scalar_mul(c_d, Aᵈ)`, kept below as `ref_fold`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from tropmarg.matrix import (
     Matrix,
     identity,
+    linear_combination,
     make_matrix,
     make_poly,
     mat_add,
@@ -28,6 +31,7 @@ from tropmarg.matrix import (
     mat_prod,
     neutral_matrix,
     poly_eval,
+    powers,
     scalar_mul,
 )
 from tropmarg.semiring import SemiringKind, add_neutral
@@ -89,6 +93,15 @@ def ref_poly_eval(p, a):
     for c in p.coeffs[1:]:
         power = ref_mat_mul(power, a)
         acc = mat_add(acc, scalar_mul(c, power))
+    return acc
+
+
+def ref_fold(kind, n, coeffs, mats):
+    """The earlier poly_eval's fold, over any matrices: one scalar_mul per
+    term and a mat_add chain, from the all-infinity matrix."""
+    acc = neutral_matrix(kind, n)
+    for c, m in zip(coeffs, mats):
+        acc = mat_add(acc, scalar_mul(c, m))
     return acc
 
 
@@ -216,6 +229,53 @@ def test_poly_eval_matches_identity_start(case, data):
     )
     p = make_poly(kind, coeffs)
     assert_same(poly_eval(p, a), ref_poly_eval(p, a))
+
+
+def coefficients(kind):
+    """ints, Fractions and the semiring's infinity."""
+    return st.one_of(
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+        st.just(add_neutral(kind)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_linear_combination_and_poly_eval_match_the_fold(data):
+    kind = data.draw(KINDS)
+    n = data.draw(st.integers(1, 6))
+    a = data.draw(matrices(kind, n))
+    coeffs = data.draw(st.lists(coefficients(kind), min_size=1, max_size=5))
+    basis = [identity(kind, n), *powers(a, len(coeffs) - 1)]
+    want = ref_fold(kind, n, coeffs, basis)
+    assert_same(poly_eval(make_poly(kind, coeffs), a), want)
+    assert_same(linear_combination(kind, n, coeffs, basis), want)
+    # any matrices, none to five of them
+    mats = data.draw(st.lists(matrices(kind, n), max_size=5))
+    cs = [data.draw(coefficients(kind)) for _ in mats]
+    assert_same(linear_combination(kind, n, cs, mats), ref_fold(kind, n, cs, mats))
+
+
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_linear_combination_edges(kind):
+    o = add_neutral(kind)
+    a = make_matrix(kind, [[1, Fraction(1, 2)], [o, 3]])
+    assert_same(linear_combination(kind, 2, [], []), neutral_matrix(kind, 2))
+    assert_same(linear_combination(kind, 2, [o, o], [a, a]), neutral_matrix(kind, 2))
+    assert_same(linear_combination(kind, 2, [Fraction(1, 2)], [a]), scalar_mul(Fraction(1, 2), a))
+    # a Fraction c₀ wins the diagonal of an all-int sum
+    ints = make_matrix(kind, [[1, 2], [3, 4]])
+    c0 = Fraction(-1, 2) if kind is MIN else Fraction(19, 2)
+    got = poly_eval(make_poly(kind, [c0, 0]), ints)
+    assert_same(got, ref_fold(kind, 2, [c0, 0], [identity(kind, 2), ints]))
+    assert got.rows[0][0] == got.rows[1][1] == c0 and got.den == 2
+    with pytest.raises(TypeError, match="semiring mismatch"):
+        linear_combination(kind, 2, [0], [make_matrix(kind.dual, [[0, 0], [0, 0]])])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        linear_combination(kind, 2, [0], [make_matrix(kind, [[0]])])
+    with pytest.raises(ValueError):
+        linear_combination(kind, 2, [0, 1], [a])
 
 
 @pytest.mark.parametrize("kind", [MIN, MAX])
