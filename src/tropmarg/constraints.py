@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .semiring import Scalar, SelfCheckError, _norm, as_scalar, is_finite
+from .semiring import Scalar, SelfCheckError, as_scalar, is_finite
 
 
 class VarId(NamedTuple):
@@ -223,7 +223,7 @@ def solve_feasible_min(sys: ConstraintSystem) -> Union[dict, Infeasible]:
             d = dist[index[v]]
             if d is None:
                 raise SelfCheckError("negated variable must be bound below")
-            assignment[v] = _norm(-d)
+            assignment[v] = as_scalar(-d)
     # A plain variable the origin cannot reach takes the least value its
     # sum_ge rows allow, lifted from its lower bound in one pass.
     least = {
@@ -239,7 +239,7 @@ def solve_feasible_min(sys: ConstraintSystem) -> Union[dict, Infeasible]:
     for v in variables:
         if v.tag not in negated:
             d = dist[index[v]]
-            assignment[v] = _norm(least[v] if d is None else d)
+            assignment[v] = as_scalar(least[v] if d is None else d)
 
     if not sys.check_assignment(assignment):
         raise SelfCheckError("solver produced an invalid point")

@@ -234,8 +234,8 @@ class MarginalVerificationError(ValueError):
 class MarginalSet:
     """Tuples each marginal for the word, each checked exactly once: by this
     constructor, once per distinct tuple (MarginalVerificationError), or by
-    a sampler or the wire decoder's interval-corner test, which check their
-    own tuples and build through _verified_set."""
+    a sampler or box_marginal_set's corner test, which check their own
+    tuples and build through _verified_set."""
 
     word: WordTemplate
     tuples: tuple[MarginalTuple, ...]
@@ -257,6 +257,19 @@ def _verified_set(word: WordTemplate, tuples: tuple[MarginalTuple, ...]) -> Marg
     object.__setattr__(s, "word", word)
     object.__setattr__(s, "tuples", tuples)
     return s
+
+
+def box_marginal_set(word: WordTemplate, tuples: Iterable[MarginalTuple]) -> MarginalSet:
+    """Marginal set of an interval box's members, listed from the lo corner
+    to the hi corner.  The word's value is monotone in every slot entry over
+    both semirings, infinite constants included, so when both corners give
+    the neutral value every member does and the set is built through
+    _verified_set; otherwise the MarginalSet constructor checks every
+    tuple."""
+    tuples = tuple(tuples)
+    if tuples and verify_marginal(word, tuples[0]) and verify_marginal(word, tuples[-1]):
+        return _verified_set(word, tuples)
+    return MarginalSet(word, tuples)
 
 
 def make_marginal_set(word: WordTemplate, tuples: Iterable) -> MarginalSet:
@@ -348,7 +361,7 @@ def _sample_set(word: WordTemplate, n: int, draw, back) -> MarginalSet:
 
 
 def _require_finite(a: Matrix, op: str) -> None:
-    if not a.is_finite():
+    if a.has_inf:
         raise ValueError(f"{op} requires finite entries")
 
 
@@ -416,15 +429,21 @@ def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
     return BoundTable(a, star, (a, None) if side == "right" else (None, a)).covers(tight)
 
 
+def _corner_rows(star: Matrix, cap) -> tuple:
+    """Rows of the sampling box's outer corner in min-plus coordinates: x*
+    on the pinned diagonal, max(cap, x*) elsewhere."""
+    return tuple(
+        tuple(x if i == j else max(cap, x) for j, x in enumerate(row))
+        for i, row in enumerate(star.rows)
+    )
+
+
 def max_possible_matrix(x_star: Matrix, l) -> Matrix:
     """Outer corner of the sampling box: x* on the pinned diagonal, the cap
     l pushed against x* elsewhere (max over min-plus, min over max-plus)."""
     _, (m, cap), back = _into_min_plus([x_star], l)
-    rows = tuple(
-        tuple(x if i == j else max(cap, x) for j, x in enumerate(row))
-        for i, row in enumerate(m.rows)
-    )
-    return back(Matrix(SemiringKind.MIN_PLUS, rows))
+    has_inf = m.has_inf or (cap is POS_INF and m.dim > 1)
+    return back(_built(SemiringKind.MIN_PLUS, _corner_rows(m, cap), has_inf))
 
 
 def _sample_one_sided(
@@ -453,15 +472,11 @@ def _sample_one_sided(
     if any(flat[:: k + 1]) or (mat_mul(m, star) if side == "right" else mat_mul(star, m)) != m:
         raise SelfCheckError(f"{side} principal solution breaks the one-sided product")
     # Each entry steps uniformly from x* toward the outer corner x̂
-    # (inclusive), read off x* and the cap as max_possible_matrix would
-    # build it: one choice on the pinned diagonal and where the cap does not
-    # lie beyond x*, floor(cap - x*) + 1 in unscaled units otherwise, so
-    # tightness at x* stays reachable for rational bounds.  A step of v
-    # unscaled units adds v * d.
-    choices = [
-        1 if i % (k + 1) == 0 or x >= cap else (cap - x) // d + 1
-        for i, x in enumerate(flat)
-    ]
+    # (inclusive): floor(x̂ - x*) + 1 choices in unscaled units, one on the
+    # pinned diagonal and where the cap does not lie beyond x*, so tightness
+    # at x* stays reachable for rational bounds.  A step of v unscaled units
+    # adds v * d.
+    choices = [(hi - x) // d + 1 for x, hi in zip(flat, _flat(_corner_rows(star, cap)))]
     positions = [i for i, c in enumerate(choices) if c > 1]
     spans = [choices[i] for i in positions]
 
@@ -636,9 +651,9 @@ def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
 
 def _solve_pair(
     table: BoundTable, h, r: list[list], s: list[list]
-) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+) -> tuple[Matrix, Matrix, Matrix]:
     """Canonical point (X, Y) of the pinned two-slot system over min-plus
-    ints, with the products B⊗Y and X⊗B⊗Y it formed on the way.
+    ints, with the product X⊗B⊗Y it formed on the way.
 
     The system is x_pq + y_rs >= E[p][s] - B[q][r] for all p, q, r, s,
     x_pp + y_rr = 0 on the zero pairs, X >= R and Y >= S, where R_pp = h on
@@ -679,7 +694,7 @@ def _solve_pair(
     for p in px:
         x_rows[p][p] = h
     xs = _built(SemiringKind.MIN_PLUS, tuple(map(tuple, x_rows)))
-    return xs, ys, by, mat_mul(xs, by)
+    return xs, ys, mat_mul(xs, by)
 
 
 def _check_pair_point(table: BoundTable, r, s, xs: Matrix, ys: Matrix, xby: Matrix) -> None:
@@ -731,7 +746,7 @@ def _sample_pairs(
         for i, j in itertools.product(range(k), repeat=2):
             r[i][j] = h if i == j and i in px else next(free)
             s[i][j] = -h if i == j and i in py else next(free)
-        xs, ys, _, xby = _solve_pair(table, h, r, s)
+        xs, ys, xby = _solve_pair(table, h, r, s)
         _check_pair_point(table, r, s, xs, ys, xby)
         return xs, ys
 
@@ -882,9 +897,7 @@ def sample_additive_marginal(a: Matrix, n: int, l: int, rng: random.Random) -> M
 
     def draw():
         offsets = iter([v * d for v in _randbelow(rng, spans)])
-        rows = tuple(
-            tuple(x if x is POS_INF else x + v for x, v in zip(row, offsets)) for row in m.rows
-        )
+        rows = tuple(tuple(map(add, row, offsets)) for row in m.rows)
         x = _built(SemiringKind.MIN_PLUS, rows, m.has_inf)
         if mat_add(m, x) != m:
             raise SelfCheckError("additive sample changes A ⊕ X")

@@ -85,9 +85,6 @@ class Matrix:
     def __getitem__(self, i: int) -> tuple[Scalar, ...]:
         return self.rows[i]
 
-    def is_finite(self) -> bool:
-        return not self.has_inf
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix({self.kind}, [{body}])"
@@ -132,32 +129,25 @@ def _check_fits(kind: SemiringKind, n: int, b: Matrix) -> None:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    """Entrywise semiring sum (min or max).
-
-    Finite pairs go to the builtin min or max; an entry equal to the
-    semiring's infinity yields the other entry."""
+    """Entrywise semiring sum: the builtin min or max of each pair (the
+    infinities order like numbers, so the semiring's own yields the other
+    entry)."""
     _check_fits(a.kind, a.dim, b)
     k = a.kind
-    o = add_neutral(k)
     pick = min if k is SemiringKind.MIN_PLUS else max
-    rows = tuple(
-        tuple(y if x is o else x if y is o else pick(x, y) for x, y in zip(r, s))
-        for r, s in zip(a.rows, b.rows)
-    )
+    rows = tuple(tuple(map(pick, r, s)) for r, s in zip(a.rows, b.rows))
     return _built(k, rows) if a.all_int and b.all_int else Matrix(k, rows)
 
 
 def linear_combination(kind: SemiringKind, n: int, coeffs, mats) -> Matrix:
     """⊕ᵢ cᵢ⊗Mᵢ, entry by entry in one pass: the builtin min or max of the
-    sums cᵢ + (Mᵢ)ₗₛ (the infinities order and add like numbers).  A
-    coefficient equal to the infinity contributes nothing, and no terms at
-    all give the neutral matrix."""
-    o = add_neutral(kind)
+    sums cᵢ + (Mᵢ)ₗₛ.  The infinities order and add like numbers, so a
+    coefficient equal to the infinity contributes nothing; no terms at all
+    give the neutral matrix."""
     terms = []
     for c, m in zip(coeffs, mats, strict=True):
         _check_fits(kind, n, m)
-        if c is not o:
-            terms.append((c, m))
+        terms.append((c, m))
     if len(terms) < 2:  # map(pick, *rows) below needs two rows
         return scalar_mul(*terms[0]) if terms else neutral_matrix(kind, n)
     pick = min if kind is SemiringKind.MIN_PLUS else max
@@ -251,17 +241,13 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
 def scalar_mul(c, a: Matrix) -> Matrix:
     """Scale every entry by the scalar c (tropically: add c).
 
-    A finite c is added to every finite entry directly; the constructor's
-    walk collapses a sum that reaches denominator 1.  An infinite c absorbs
-    every entry, and meeting the opposite infinity raises, as their sum does."""
+    Each entry is x + c (the infinities add like numbers): an infinity
+    absorbs a finite term, the opposite infinities raise ArithmeticError and
+    the walk refuses the wrong one; it also collapses a sum that reaches
+    denominator 1."""
     c = as_scalar(c)
     k = a.kind
-    o = add_neutral(k)
-    if c is POS_INF or c is NEG_INF:
-        if c is not o and not a.is_finite():
-            raise ArithmeticError("+inf and -inf cannot be combined")
-        return Matrix(k, tuple((c,) * a.dim for _ in a.rows))
-    rows = tuple(tuple(x if x is o else c + x for x in row) for row in a.rows)
+    rows = tuple(tuple(map(add, row, repeat(c))) for row in a.rows)
     return _built(k, rows) if a.all_int and type(c) is int else Matrix(k, rows)
 
 

@@ -36,7 +36,7 @@ from .marginal import (
     sandwich_word,
 )
 from .matrix import Matrix, identity, linear_combination, mat_mul, mat_prod, powers
-from .semiring import MUL_NEUTRAL, SelfCheckError, SemiringKind, _norm, add_neutral, require_int
+from .semiring import MUL_NEUTRAL, SelfCheckError, SemiringKind, add_neutral, as_scalar, require_int
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def sample_finite_member(spec: FamilySpec, rng: random.Random) -> Matrix:
     its degree-0 draws, so rejection terminates fast."""
     for _ in range(RETRY_BUDGET):
         m = sample_family_member(spec, rng)
-        if m.is_finite():
+        if not m.has_inf:
             return m
     raise SamplerExhausted("family produced no finite member within the budget")
 
@@ -429,7 +429,7 @@ def attack_decomposition(
         if m.kind is not kind or m.dim != dim:
             raise ValueError("attack inputs must share kind and dimension")
     for m in (w, u, v):
-        if not m.is_finite():
+        if m.has_inf:
             raise ValueError("attack requires finite public values")
     e = identity(kind, dim)
     o = add_neutral(kind)
@@ -466,7 +466,7 @@ def attack_decomposition(
     wbs = [times(w, b) for b in right_basis]
     negated = [[-x for row in wb.rows for x in row] for wb in wbs]
     z_table = tuple(
-        tuple(_norm(extreme(map(add, res, neg))) for neg in negated)
+        tuple(as_scalar(extreme(map(add, res, neg))) for neg in negated)
         for res in map(residual, left_basis)
     )
 

@@ -51,7 +51,7 @@ class SemiringKind(enum.Enum):
     MIN_PLUS = "min-plus"
     MAX_PLUS = "max-plus"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:  # the wire's kind token
         return self.value
 
     @property
@@ -151,12 +151,3 @@ def add_neutral(kind: SemiringKind) -> Scalar:
 
 
 MUL_NEUTRAL: Scalar = 0
-
-
-def _norm(x) -> Scalar:
-    """Collapse a Fraction with denominator 1 to int; anything else as is."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x

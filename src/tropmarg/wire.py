@@ -22,15 +22,7 @@ from fractions import Fraction
 from typing import get_args, get_type_hints
 
 from .families import MAX_POLY_DEGREE, FamilySpec
-from .marginal import (
-    Box,
-    Circle,
-    Const,
-    MarginalSet,
-    WordTemplate,
-    _verified_set,
-    verify_marginal,
-)
+from .marginal import Box, Circle, Const, MarginalSet, WordTemplate, box_marginal_set
 from .matrix import Matrix
 from .protocols import _EXCHANGES, MAX_TUPLES, Message, ProtocolParams, ProtocolTranscript
 from .semiring import (
@@ -368,12 +360,8 @@ def _marginal_set_payload(obj) -> MarginalSet:
     for t in tuples:
         if len(t) != word.arity or any(m.dim != word.dim for m in t):
             raise WireFormatError("a tuple does not fit the word's arity and dimension")
-    # The word's value is monotone in every slot entry over both semirings,
-    # infinite constants included, so when a box's lo and hi corners (its
-    # first and last members) give the neutral value, every member does.
-    corners = (tuples[0], tuples[-1]) if encoding == "interval" and tuples else ()
-    if corners and all(verify_marginal(word, t) for t in corners):
-        return _verified_set(word, tuple(tuples))
+    if encoding == "interval":
+        return box_marginal_set(word, tuples)
     return MarginalSet(word, tuple(tuples))
 
 

@@ -1,8 +1,8 @@
 """Shared checks.
 
 While the matmul, elementwise, n-factor, one-sided, pair-solve,
-pair-sampler, draw-stream and attack oracle tests and the matrix-facts
-tests run, every matrix the library builds is recorded: through
+pair-sampler, draw-stream and attack oracle tests and the matrix-facts,
+marginal and wire tests run, every matrix the library builds is recorded: through
 `Matrix.__post_init__` (the walk) and through `matrix._built` (facts the
 caller knows).  After each test every one of them must hold canonical
 entries (builtin ints, Fractions with denominator > 1 and the semiring's
@@ -32,6 +32,8 @@ FACT_CHECKED = {
     "test_pair_sampler_oracle",
     "test_draw_stream",
     "test_attack_oracle",
+    "test_marginal",
+    "test_wire",
 }
 
 

@@ -56,7 +56,7 @@ from tropmarg.protocols import (
     power_basis,
     run_sidelnikov,
 )
-from tropmarg.semiring import SemiringKind, _norm, add_neutral, as_scalar, is_finite
+from tropmarg.semiring import SemiringKind, add_neutral, as_scalar, is_finite
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -73,7 +73,7 @@ def ref_attack_decomposition(w, u, v, left_basis, right_basis):
         if m.kind is not kind or m.dim != dim:
             raise ValueError("attack inputs must share kind and dimension")
     for m in (w, u, v):
-        if not m.is_finite():
+        if m.has_inf:
             raise ValueError("attack requires finite public values")
     _, flip = min_plus_maps(kind)
     e = identity(kind, dim)
@@ -86,11 +86,11 @@ def ref_attack_decomposition(w, u, v, left_basis, right_basis):
     ]
     for row in conjugates:
         for t in row:
-            if not t.is_finite():
+            if t.has_inf:
                 raise ValueError("a basis conjugate has infinite entries")
 
     def extreme(t: Matrix):
-        diffs = (_norm(x - y) for ur, tr in zip(u.rows, t.rows) for x, y in zip(ur, tr))
+        diffs = (as_scalar(x - y) for ur, tr in zip(u.rows, t.rows) for x, y in zip(ur, tr))
         return flip(max(map(flip, diffs)))
 
     z_table = tuple(tuple(extreme(t) for t in row) for row in conjugates)

@@ -43,6 +43,7 @@ from tropmarg.marginal import (
     _sample_pairs,
     _solve_pair,
     additive_word,
+    box_marginal_set,
     chain_word,
     cover_check,
     five_factor_residual,
@@ -184,6 +185,22 @@ class TestOneSidedResiduation:
     def test_outer_corner_golden(self):
         got = max_possible_matrix(RES_XSTAR, RES_CAP)
         assert got == RES_XHAT
+        # the corner is built without the walk, so its has_inf must come
+        # from x* or an infinite cap, which reaches no entry at dim 1
+        for kind, o in ((MIN, POS_INF), (MAX, NEG_INF)):
+            pick = max if kind is MIN else min
+            for star, cap in (
+                ([[0]], o),
+                ([[0, 1], [2, 0]], o),
+                ([[0, o], [2, 0]], 1),
+                ([[0, o], [o, 0]], Fraction(3, 2)),
+                ([[0, 1], [2, 0]], 1),
+            ):
+                rows = [[x if i == j else pick(cap, x) for j, x in enumerate(r)] for i, r in enumerate(star)]
+                want = make_matrix(kind, rows)
+                got = max_possible_matrix(make_matrix(kind, star), cap)
+                assert got == want
+                assert (got.has_inf, got.all_int, got.den) == (want.has_inf, want.all_int, want.den)
 
     def test_principal_solution_solves(self):
         assert mat_mul(RES_A, RES_XSTAR) == RES_A
@@ -568,9 +585,8 @@ def test_pair_word_check_reads_the_pair(monkeypatch, shape, kind):
     solve = marginal._solve_pair
 
     def shifted(*args):
-        xs, ys, by, _ = solve(*args)
-        xs = scalar_mul(1, xs)
-        return xs, ys, by, mat_mul(xs, by)
+        xs, ys, xby = solve(*args)
+        return scalar_mul(1, xs), ys, scalar_mul(1, xby)
 
     monkeypatch.setattr(marginal, "_solve_pair", shifted)
     rng = random.Random(5)
@@ -630,7 +646,7 @@ def test_a_table_breaking_a_chain_fact_is_a_self_check_failure(e, match):
     r = [[h if i == j and i in table.px else -5 for j in range(3)] for i in range(3)]
     s = [[-h if i == j and i in table.py else -5 for j in range(3)] for i in range(3)]
     with pytest.raises(SelfCheckError, match=match):
-        xs, ys, _, xby = _solve_pair(table, h, r, s)
+        xs, ys, xby = _solve_pair(table, h, r, s)
         _check_pair_point(table, r, s, xs, ys, xby)
 
 
@@ -832,6 +848,11 @@ def test_decoding_a_box_evaluates_its_two_corners(evaluations):
     assert len(s) == len(members) == 4096
     assert s.tuples == tuple(members)
     assert Counter(evaluations) == Counter([members[0], members[-1]])
+    # the decoder's proof is marginal's own: called directly, it evaluates
+    # the same two corners
+    del evaluations[:]
+    assert box_marginal_set(word, members).tuples == s.tuples
+    assert Counter(evaluations) == Counter([members[0], members[-1]])
 
 
 @pytest.mark.parametrize(
@@ -849,9 +870,13 @@ def test_box_with_a_failing_corner_reports_every_bad_index(word, box):
     members = _box_members(word.kind, box)
     want = [k for k, t in enumerate(members) if not verify_marginal(word, t)]
     assert 0 < len(want) < len(members)
-    with pytest.raises(MarginalVerificationError) as caught:
-        decode_marginal_set(_box_file(word, box))
-    assert caught.value.indices == tuple(want)
+    for build in (
+        lambda: decode_marginal_set(_box_file(word, box)),
+        lambda: box_marginal_set(word, members),
+    ):
+        with pytest.raises(MarginalVerificationError) as caught:
+            build()
+        assert caught.value.indices == tuple(want)
 
 
 # --------------------------------------------------------------------------

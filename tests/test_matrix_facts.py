@@ -70,7 +70,7 @@ def test_identity_and_neutral_matrix_record_their_facts(kind, n):
 def test_infinity_only_in_the_last_row(kind, o):
     for m in (Matrix(kind, ((0, 1), (2, o))), Matrix(kind, ((0, 1), (o, 3)))):
         assert_exact(m, (True, False, 1))
-        assert not m.is_finite()
+        assert m.has_inf
         with pytest.raises(ValueError, match="finite"):
             residual_right(m)
 

@@ -13,7 +13,10 @@ and no sampler draw in `marginal.py` can return None.  The package's
 writes.  In `marginal.py` only the boundary function reads `dual`,
 `_scaled` or `_unscaled`, and nothing names `make_matrix`, `floor` or
 `Fraction`.  `protocols._run` reads its params' script in one `if`, and
-no function in `protocols.py` takes a `replay` argument.
+no function in `protocols.py` takes a `replay` argument.  Only
+`marginal.py` names `_verified_set`, so every set proof lives there, and
+`mat_add`, `scalar_mul`, `linear_combination` and `dual` test no value
+against the infinity by identity, which the ordered arithmetic covers.
 """
 
 from __future__ import annotations
@@ -569,3 +572,90 @@ def test_a_run_reads_its_script_in_one_branch():
     source = (SRC / "tropmarg" / "protocols.py").read_text(encoding="utf-8")
     assert script_statements(source) == ["if params.script is None"]
     assert replay_arguments(source) == []
+
+
+# Set proofs only in marginal.py: every set built without the constructor's
+# per-tuple check goes through marginal._verified_set, and only marginal.py
+# names it (the wire decoder reaches the box proof through box_marginal_set).
+PROOF_BUILDER = {"_verified_set"}
+
+
+def test_the_proof_builder_check_finds_each_form():
+    source = (
+        "from .marginal import _verified_set as trusted\n"
+        "def f(word, tuples):\n    return marginal._verified_set(word, tuples)\n"
+        "build = _verified_set\n"
+    )
+    assert name_uses(source, PROOF_BUILDER) == [
+        ("import", "_verified_set"),
+        ("f", "_verified_set"),
+        ("<module>", "_verified_set"),
+    ]
+    assert name_uses('def f():\n    """built by _verified_set"""\n', PROOF_BUILDER) == []
+
+
+def test_only_marginal_builds_a_set_without_checking_it():
+    namers = {
+        path.name
+        for path in (SRC / "tropmarg").rglob("*.py")
+        if name_uses(path.read_text(encoding="utf-8"), PROOF_BUILDER)
+    }
+    assert namers == {"marginal.py"}
+
+
+# The infinities order and add like numbers, so the elementwise ops need no
+# identity test of the infinity: mat_add picks, scalar_mul and
+# linear_combination add, dual negates.  Only mat_mul (whose filtered path
+# skips infinite terms, faster than adding them) and the scaling helpers
+# still test by identity.
+ORDERED = ("mat_add", "scalar_mul", "linear_combination", "dual")
+INFINITIES = {"o", "POS_INF", "NEG_INF"}
+
+
+def _infinite(node) -> bool:
+    """A name or attribute called o, POS_INF or NEG_INF, or an
+    add_neutral(...) call."""
+    if isinstance(node, ast.Call):
+        node = node.func
+        return getattr(node, "id", getattr(node, "attr", None)) == "add_neutral"
+    return getattr(node, "id", getattr(node, "attr", None)) in INFINITIES
+
+
+def infinity_identity_tests(source: str, name: str) -> list[int]:
+    """Line of each `is`, `is not`, `==` or `!=` comparison with an
+    infinity in function `name` (equality of the infinities is identity)."""
+    return sorted(
+        node.lineno
+        for func in _functions(source, name)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(map(_infinite, [node.left, *node.comparators]))
+    )
+
+
+def test_the_infinity_identity_check_finds_each_form():
+    source = (
+        "def f(row, c, k):\n"
+        "    o = add_neutral(k)\n"
+        "    if c is POS_INF or c is semiring.NEG_INF:\n        return c\n"
+        "    a = [x for x in row if x is not o]\n"
+        "    b = tuple(o if x == o else x for x in row)\n"
+        "    return [x is add_neutral(k) for x in a], k is SemiringKind.MIN_PLUS\n"
+    )
+    assert infinity_identity_tests(source, "f") == [3, 3, 5, 6, 7]
+    assert infinity_identity_tests(
+        "def f(row, k):\n    o = add_neutral(k)\n"
+        "    return [min(x, o) for x in row], k is SemiringKind.MAX_PLUS, o < 1\n",
+        "f",
+    ) == []
+
+
+def test_the_elementwise_ops_leave_the_infinity_to_the_arithmetic():
+    source = (SRC / "tropmarg" / "matrix.py").read_text(encoding="utf-8")
+    assert {name: infinity_identity_tests(source, name) for name in ORDERED} == {
+        name: [] for name in ORDERED
+    }
+    # the check sees the identity tests that remain
+    assert infinity_identity_tests(source, "mat_mul")
+    assert infinity_identity_tests(source, "_scaled")
