@@ -27,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import lcm
-from operator import add, ge, sub
+from operator import add, ge, le, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .matrix import (
@@ -259,15 +259,32 @@ def _verified_set(word: WordTemplate, tuples: tuple[MarginalTuple, ...]) -> Marg
     return s
 
 
+def _between(lo: MarginalTuple, t: MarginalTuple, hi: MarginalTuple) -> bool:
+    """t has lo's shape and lies entrywise between lo and hi, slot by slot."""
+    return len(t) == len(lo) and all(
+        m.kind is a.kind
+        and m.dim == a.dim
+        and all(map(le, _flat(a.rows), _flat(m.rows)))
+        and all(map(le, _flat(m.rows), _flat(b.rows)))
+        for a, m, b in zip(lo, t, hi)
+    )
+
+
 def box_marginal_set(word: WordTemplate, tuples: Iterable[MarginalTuple]) -> MarginalSet:
     """Marginal set of an interval box's members, listed from the lo corner
     to the hi corner.  The word's value is monotone in every slot entry over
     both semirings, infinite constants included, so when both corners give
-    the neutral value every member does and the set is built through
-    _verified_set; otherwise the MarginalSet constructor checks every
+    the neutral value every member lying entrywise between them does, and
+    the set is built through _verified_set.  If a corner fails, or a member
+    lies outside the corners' box, the MarginalSet constructor checks every
     tuple."""
     tuples = tuple(tuples)
-    if tuples and verify_marginal(word, tuples[0]) and verify_marginal(word, tuples[-1]):
+    if (
+        tuples
+        and verify_marginal(word, tuples[0])
+        and verify_marginal(word, tuples[-1])
+        and all(_between(tuples[0], t, tuples[-1]) for t in tuples)
+    ):
         return _verified_set(word, tuples)
     return MarginalSet(word, tuples)
 
@@ -442,8 +459,7 @@ def max_possible_matrix(x_star: Matrix, l) -> Matrix:
     """Outer corner of the sampling box: x* on the pinned diagonal, the cap
     l pushed against x* elsewhere (max over min-plus, min over max-plus)."""
     _, (m, cap), back = _into_min_plus([x_star], l)
-    has_inf = m.has_inf or (cap is POS_INF and m.dim > 1)
-    return back(_built(SemiringKind.MIN_PLUS, _corner_rows(m, cap), has_inf))
+    return back(Matrix(SemiringKind.MIN_PLUS, _corner_rows(m, cap)))
 
 
 def _sample_one_sided(

