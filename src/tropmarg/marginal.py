@@ -27,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import lcm
-from operator import add, ge, le, sub
+from operator import add, ge, sub
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .matrix import (
@@ -259,32 +259,25 @@ def _verified_set(word: WordTemplate, tuples: tuple[MarginalTuple, ...]) -> Marg
     return s
 
 
-def _between(lo: MarginalTuple, t: MarginalTuple, hi: MarginalTuple) -> bool:
-    """t has lo's shape and lies entrywise between lo and hi, slot by slot."""
-    return len(t) == len(lo) and all(
-        m.kind is a.kind
-        and m.dim == a.dim
-        and all(map(le, _flat(a.rows), _flat(m.rows)))
-        and all(map(le, _flat(m.rows), _flat(b.rows)))
-        for a, m, b in zip(lo, t, hi)
+def box_marginal_set(word: WordTemplate, cells: Sequence[Sequence[tuple[int, int]]]) -> MarginalSet:
+    """Marginal set of the interval box whose k×k cells are (lo, hi) int
+    pairs, for a one-slot word of dim k.  The members run over the cells
+    row by row, last cell fastest (itertools.product order), from the lo
+    corner to the hi corner; a cell with hi < lo leaves the box empty.
+    The word's value is monotone in every slot entry over both semirings,
+    infinite constants included, so when both corners give the neutral
+    value every member does, and the set is built through _verified_set.
+    If a corner fails, the MarginalSet constructor checks every member."""
+    k = word.dim
+    if word.arity != 1 or len(cells) != k or any(len(row) != k for row in cells):
+        raise ValueError(f"a box for a one-slot word of dim {k} needs {k}x{k} cells")
+    # range yields builtin ints, so every member is all-int and finite
+    ranges = [range(lo, hi + 1) for row in cells for lo, hi in row]
+    tuples = tuple(
+        (_built(word.kind, tuple(combo[i : i + k] for i in range(0, k * k, k))),)
+        for combo in itertools.product(*ranges)
     )
-
-
-def box_marginal_set(word: WordTemplate, tuples: Iterable[MarginalTuple]) -> MarginalSet:
-    """Marginal set of an interval box's members, listed from the lo corner
-    to the hi corner.  The word's value is monotone in every slot entry over
-    both semirings, infinite constants included, so when both corners give
-    the neutral value every member lying entrywise between them does, and
-    the set is built through _verified_set.  If a corner fails, or a member
-    lies outside the corners' box, the MarginalSet constructor checks every
-    tuple."""
-    tuples = tuple(tuples)
-    if (
-        tuples
-        and verify_marginal(word, tuples[0])
-        and verify_marginal(word, tuples[-1])
-        and all(_between(tuples[0], t, tuples[-1]) for t in tuples)
-    ):
+    if tuples and verify_marginal(word, tuples[0]) and verify_marginal(word, tuples[-1]):
         return _verified_set(word, tuples)
     return MarginalSet(word, tuples)
 

@@ -13,7 +13,6 @@ against each predecessor.  Files are written atomically (write then rename).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -311,30 +310,19 @@ def _marginal_set_payload(obj) -> MarginalSet:
         n = word.dim
         if not _is_list_of_lists(box, n):
             raise WireFormatError(f"interval set needs a {n}x{n} box")
-        cells = []
-        for i in range(n):
-            for j in range(n):
-                cell = box[i][j]
-                if type(cell) is int:
-                    cells.append(range(cell, cell + 1))
-                elif (
-                    isinstance(cell, list)
-                    and len(cell) == 2
-                    and all(type(x) is int for x in cell)
-                ):
-                    cells.append(range(cell[0], cell[1] + 1))
-                else:
-                    raise WireFormatError(f"bad interval cell {cell!r}")
+        cells = [[[c, c] if type(c) is int else c for c in row] for row in box]
         volume = 1
-        for c in cells:
-            # clamped, so a huge cell costs one multiplication
-            volume = min(volume * max(0, c.stop - c.start), MAX_BOX_TUPLES + 1)
+        for row in cells:
+            for cell in row:
+                if not (isinstance(cell, list) and len(cell) == 2 and all(type(x) is int for x in cell)):
+                    raise WireFormatError(f"bad interval cell {cell!r}")
+                # clamped, so a huge cell costs one multiplication
+                volume = min(volume * max(0, cell[1] - cell[0] + 1), MAX_BOX_TUPLES + 1)
         if volume > MAX_BOX_TUPLES:
             raise WireFormatError(f"interval box holds more than {MAX_BOX_TUPLES} tuples")
-        tuples = []
-        for combo in itertools.product(*cells):
-            rows = tuple(tuple(combo[i * n + j] for j in range(n)) for i in range(n))
-            tuples.append((Matrix(kind, rows),))
+        if word.arity != 1:
+            raise WireFormatError("a tuple does not fit the word's arity and dimension")
+        return box_marginal_set(word, cells)
     elif encoding == "delta":
         diffs = obj.get("diffs")
         if not _is_list_of_lists(diffs):
@@ -360,8 +348,6 @@ def _marginal_set_payload(obj) -> MarginalSet:
     for t in tuples:
         if len(t) != word.arity or any(m.dim != word.dim for m in t):
             raise WireFormatError("a tuple does not fit the word's arity and dimension")
-    if encoding == "interval":
-        return box_marginal_set(word, tuples)
     return MarginalSet(word, tuple(tuples))
 
 

@@ -828,13 +828,18 @@ def _box_file(word, box) -> bytes:
 
 def _box_members(kind, box):
     """The box's members in the decoder's documented order (row-major cells,
-    last cell fastest)."""
+    last cell fastest), each built through the walk."""
     cells = [range(c, c + 1) if isinstance(c, int) else range(c[0], c[1] + 1) for row in box for c in row]
     n = len(box)
     return [
         (make_matrix(kind, [combo[i * n:(i + 1) * n] for i in range(n)]),)
         for combo in itertools.product(*cells)
     ]
+
+
+def _box_cells(box):
+    """The wire box form as box_marginal_set's (lo, hi) cells."""
+    return [[(c, c) if isinstance(c, int) else tuple(c) for c in row] for row in box]
 
 
 def test_decoding_a_box_evaluates_its_two_corners(evaluations):
@@ -845,10 +850,10 @@ def test_decoding_a_box_evaluates_its_two_corners(evaluations):
     assert len(s) == len(members) == 4096
     assert s.tuples == tuple(members)
     assert Counter(evaluations) == Counter([members[0], members[-1]])
-    # the decoder's proof is marginal's own: called directly, it evaluates
-    # the same two corners
+    # the decoder's proof is marginal's own: called directly, it lists the
+    # same members and evaluates the same two corners
     del evaluations[:]
-    assert box_marginal_set(word, members).tuples == s.tuples
+    assert box_marginal_set(word, _box_cells(box)).tuples == s.tuples
     assert Counter(evaluations) == Counter([members[0], members[-1]])
 
 
@@ -869,25 +874,24 @@ def test_box_with_a_failing_corner_reports_every_bad_index(word, box):
     assert 0 < len(want) < len(members)
     for build in (
         lambda: decode_marginal_set(_box_file(word, box)),
-        lambda: box_marginal_set(word, members),
+        lambda: box_marginal_set(word, _box_cells(box)),
     ):
         with pytest.raises(MarginalVerificationError) as caught:
             build()
         assert caught.value.indices == tuple(want)
 
 
-def test_box_marginal_set_checks_members_outside_its_corners():
-    # both ends verify, but the middle tuple lies below the lo end, where the
-    # corners prove nothing, and fails X ⊕ A = A
-    word = additive_word(make_matrix(MIN, [[0, 0], [0, 0]]))
-    members = [
-        (make_matrix(MIN, [[0, 0], [0, 0]]),),
-        (make_matrix(MIN, [[-1, 0], [0, 0]]),),
-        (make_matrix(MIN, [[5, 5], [5, 5]]),),
-    ]
-    with pytest.raises(MarginalVerificationError) as caught:
-        box_marginal_set(word, members)
-    assert caught.value.indices == (1,)
+def test_box_marginal_set_refuses_a_misfit_box():
+    a = make_matrix(MIN, [[0, 0], [0, 0]])
+    cells = [[(0, 1), (0, 0)], [(0, 0), (0, 1)]]
+    assert len(box_marginal_set(additive_word(a), cells)) == 4
+    for word, misfit in (
+        (sandwich_word(a), cells),  # two slots
+        (additive_word(a), cells[:1]),  # one row short
+        (additive_word(a), [row + [(0, 0)] for row in cells]),  # a cell too many per row
+    ):
+        with pytest.raises(ValueError, match="needs 2x2 cells"):
+            box_marginal_set(word, misfit)
 
 
 # --------------------------------------------------------------------------

@@ -603,6 +603,31 @@ def test_only_marginal_builds_a_set_without_checking_it():
     assert namers == {"marginal.py"}
 
 
+# Only matrix.py and marginal.py build a Matrix without the walk: every
+# other module, the wire decoder included, gets its matrices through the
+# Matrix constructor or from those two.
+FACT_BUILDER = {"_built"}
+
+
+def test_the_fact_builder_check_finds_each_form():
+    source = (
+        "from .matrix import _built as trusted\n"
+        "def f(kind, rows):\n    return matrix._built(kind, rows)\n"
+        "class C:\n    make = _built\n"
+    )
+    assert name_uses(source, FACT_BUILDER) == [("import", "_built"), ("f", "_built"), ("C", "_built")]
+    assert name_uses('def f():\n    """not through _built"""\n', FACT_BUILDER) == []
+
+
+def test_only_matrix_and_marginal_skip_the_walk():
+    namers = {
+        path.name
+        for path in (SRC / "tropmarg").rglob("*.py")
+        if name_uses(path.read_text(encoding="utf-8"), FACT_BUILDER)
+    }
+    assert namers == {"matrix.py", "marginal.py"}
+
+
 # The infinities order and add like numbers, so the elementwise ops need no
 # identity test of the infinity: mat_add picks, scalar_mul and
 # linear_combination add, dual negates.  Only mat_mul (whose filtered path

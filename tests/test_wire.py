@@ -207,6 +207,8 @@ class TestMarginalSetCodec:
         back = decode_marginal_set(encode_marginal_set(s, encoding="interval"))
         assert set(back.tuples) == set(s.tuples)
         assert len(back.tuples) == 10
+        # box order (cells row by row, last cell fastest) is the rows' order
+        assert back.tuples == tuple(sorted(s.tuples, key=lambda t: t[0].rows))
 
     def test_delta_golden(self):
         s = fx.compression_delta_set()
