@@ -271,11 +271,12 @@ def box_marginal_set(word: WordTemplate, cells: Sequence[Sequence[tuple[int, int
     k = word.dim
     if word.arity != 1 or len(cells) != k or any(len(row) != k for row in cells):
         raise ValueError(f"a box for a one-slot word of dim {k} needs {k}x{k} cells")
-    # range yields builtin ints, so every member is all-int and finite
+    # range yields builtin ints, so every member is all-int and finite;
+    # product lists every cell first, so an empty box lists none of them
     ranges = [range(lo, hi + 1) for row in cells for lo, hi in row]
     tuples = tuple(
         (_built(word.kind, tuple(combo[i : i + k] for i in range(0, k * k, k))),)
-        for combo in itertools.product(*ranges)
+        for combo in (itertools.product(*ranges) if all(ranges) else ())
     )
     if tuples and verify_marginal(word, tuples[0]) and verify_marginal(word, tuples[-1]):
         return _verified_set(word, tuples)

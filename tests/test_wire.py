@@ -245,6 +245,13 @@ class TestMarginalSetCodec:
         with pytest.raises(WireFormatError, match="more than"):
             decode_marginal_set(to_canonical_bytes(obj))
 
+    def test_interval_box_with_an_empty_cell_is_empty_whatever_its_other_cells(self):
+        obj = from_canonical_bytes(
+            encode_marginal_set(fx.compression_box_set(), encoding="interval")
+        )
+        obj["box"][0] = [[0, 10**30], [1, 0]]  # volume 0: no cell is listed
+        assert decode_marginal_set(to_canonical_bytes(obj)).tuples == ()
+
     def test_interval_bound_is_inclusive(self, monkeypatch):
         s = fx.compression_box_set()  # ten tuples
         data = encode_marginal_set(s, encoding="interval")
