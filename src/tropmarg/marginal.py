@@ -380,18 +380,19 @@ def _require_finite(a: Matrix, op: str) -> None:
 # Residuation: one kernel for every word shape
 
 
-def _outer(first: Optional[Matrix], d: Matrix, last: Optional[Matrix]) -> Matrix:
+def _outer(first: Optional[Sequence], d: Sequence, last: Optional[Sequence]) -> Matrix:
     """E[p][s] = max over i, j of (d_ij - first[i][p] - last[s][j]) over
-    finite min-plus int matrices, in two passes: T[i][s] = max_j(d_ij -
-    last[s][j]), then E[p][s] = max_i(T[i][s] - first[i][p]).  None stands
-    for an identity end and drops its pass.  Every difference is an int
-    one, so E is built without the walk."""
-    t = d.rows
+    the rows of finite min-plus int matrices, in two passes: T[i][s] =
+    max_j(d_ij - last[s][j]), then E[p][s] = max_i(T[i][s] - first[i][p]).
+    None stands for an identity end and drops its pass.  first and d may
+    hold any matching rows i (the pair solve's G keeps those in px).  Every
+    difference is an int one, so E is built without the walk."""
+    t = d
     if last is not None:
-        t = [[max(map(sub, row, c)) for c in last.rows] for row in t]
+        t = [[max(map(sub, row, c)) for c in last] for row in t]
     if first is not None:
         t_cols = list(zip(*t))
-        t = [[max(map(sub, t_col, a_col)) for t_col in t_cols] for a_col in zip(*first.rows)]
+        t = [[max(map(sub, t_col, a_col)) for t_col in t_cols] for a_col in zip(*first)]
     return _built(SemiringKind.MIN_PLUS, tuple(map(tuple, t)))
 
 
@@ -408,7 +409,7 @@ def residual_right(a: Matrix) -> Matrix:
     """
     _require_finite(a, "residuation")
     _, (m,), back = _into_min_plus([a])
-    return back(_outer(m, m, None))
+    return back(_outer(m.rows, m.rows, None))
 
 
 def residual_left(a: Matrix) -> Matrix:
@@ -416,7 +417,7 @@ def residual_left(a: Matrix) -> Matrix:
     x*_ij = extreme over l of (a_il - a_jl); mirror of residual_right."""
     _require_finite(a, "residuation")
     _, (m,), back = _into_min_plus([a])
-    return back(_outer(None, m, m))
+    return back(_outer(None, m.rows, m.rows))
 
 
 def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
@@ -573,12 +574,21 @@ class BoundTable:
         every all-diagonal bound is <= 0, and each d_ij is attained along some
         p₁..pₙ, which is then a zero pair: px and py are never empty, and
         diagonals pinned to values summing to 0 meet every all-diagonal
-        bound.  covers(zero_pairs) checks the attainment."""
-        k, n = self.product.dim, self.n_slots
+        bound.  covers(zero_pairs) checks the attainment.  The bound is
+        E[p₁][pₙ] less the middle factors along the tuple, so it is 0 where
+        they sum to E's entry: for two slots, where E[p][r] == B[p][r]."""
+        k, n, e = self.product.dim, self.n_slots, self.outer.rows
+        if n == 2:
+            b = self.chain[1].rows
+            return frozenset(
+                (p, r) for p, (e_row, b_row) in enumerate(zip(e, b))
+                for r in range(k) if e_row[r] == b_row[r]
+            )
+        mid = [m.rows for m in self.chain[1:-1]]
         return frozenset(
             p
             for p in itertools.product(range(k), repeat=n)
-            if self.bound(*(i for i in p for _ in range(2))) == 0
+            if e[p[0]][p[-1]] == sum(m[i][j] for m, i, j in zip(mid, p, p[1:]))
         )
 
     def covers(self, indices: Iterable[tuple[int, ...]]) -> bool:
@@ -610,6 +620,16 @@ class BoundTable:
     def py(self) -> frozenset[int]:
         """Projection of the zero pairs on the last slot."""
         return frozenset(p[-1] for p in self.zero_pairs)
+
+    @functools.cached_property
+    def _pin_free(self) -> Matrix:
+        """G[r][s] = max over p in px of (E[p][s] - B[p][r]), the part of the
+        pair solve's Y bound that no draw changes: the residual of E by B
+        over the rows in px, one pass of the residuation kernel.  Valid on
+        the min-plus int two-slot tables _sample_pairs builds only; on the
+        two-sided table (E = B = A, px every row) G is X* of A⊗X = A."""
+        e, b = self.outer.rows, self.chain[1].rows
+        return _outer([b[p] for p in self.px], [e[p] for p in self.px], None)
 
 
 def two_sided_residual(a: Matrix) -> BoundTable:
@@ -647,7 +667,8 @@ def n_factor_residual(chain: Sequence[Matrix]) -> BoundTable:
         _require_finite(m, "residuation")
     _, lowered, back = _into_min_plus(chain)
     product = functools.reduce(mat_mul, lowered)
-    return BoundTable(back(product), back(_outer(lowered[0], product, lowered[-1])), chain)
+    outer = _outer(lowered[0].rows, product.rows, lowered[-1].rows)
+    return BoundTable(back(product), back(outer), chain)
 
 
 def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
@@ -674,29 +695,30 @@ def _solve_pair(
 
     The pins settle the diagonals: x_pp = h on px and y_rr = -h on py, since
     a zero pair (p, r) has x_pp >= h and y_rr >= -h summing to 0.  Every
-    y_rs is then the largest of S_rs and E[p][s] - B[p][r] - h over p in px,
-    and every other x_pq the least value its lower bound and its rows allow:
-    the largest of R_pq and E[p][s] - (B⊗Y)[q][s] over s.  Two facts of the
-    tables two_sided_residual and five_factor_residual build make that point
-    the solution (BoundTable.zero_pairs): (a) every all-diagonal bound
-    E[p][r] - B[p][r] is <= 0, so no y_rr on py rises above -h, and a table
-    that breaks it there fails the draw's point check; (b) px is never
-    empty, and a table without a zero pair raises SelfCheckError.
+    y_rs is then the largest of S_rs and G[r][s] - h, where G[r][s] is the
+    largest E[p][s] - B[p][r] over p in px (BoundTable._pin_free, formed
+    once per table), and every other x_pq the least value its lower bound
+    and its rows allow: the largest of R_pq and E[p][s] - (B⊗Y)[q][s] over
+    s.  A draw makes three k³ passes: B⊗Y, X, and X⊗(B⊗Y) for the point
+    check.  Two facts of the tables two_sided_residual and
+    five_factor_residual build make that point the solution
+    (BoundTable.zero_pairs): (a) every all-diagonal bound E[p][r] - B[p][r]
+    is <= 0, so no y_rr on py rises above -h, and a table that breaks it
+    there fails the draw's point check; (b) px is never empty, and a table
+    without a zero pair raises SelfCheckError.
     """
     px = table.px
     if not px:
         raise SelfCheckError("bound table has no zero pair")
-    e, b = table.outer.rows, table.chain[1].rows
-    # Both matrices are formed row by row as max(map(sub, ...)) over
-    # columns, the shape of mat_mul's kernel.
-    e_cols = tuple(zip(*([v - h for v in e[p]] for p in px)))
-    b_cols = zip(*(b[p] for p in px))
+    e = table.outer.rows
     y_rows = [
-        [max(low, max(map(sub, e_col, b_col))) for low, e_col in zip(s_row, e_cols)]
-        for s_row, b_col in zip(s, b_cols)
+        [max(low, g - h) for low, g in zip(s_row, g_row)]
+        for s_row, g_row in zip(s, table._pin_free.rows)
     ]
     ys = _built(SemiringKind.MIN_PLUS, tuple(map(tuple, y_rows)))
     by = mat_mul(table.chain[1], ys)
+    # X is formed row by row as max(map(sub, ...)) over columns, the shape
+    # of mat_mul's kernel.
     x_rows = [
         [max(low, max(map(sub, e_row, by_row))) for low, by_row in zip(r_row, by.rows)]
         for r_row, e_row in zip(r, e)

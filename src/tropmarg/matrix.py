@@ -180,18 +180,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if d > 1:
         rows, cols = _scaled(rows, d, o), _scaled(cols, d, o)
     if a.has_inf or b.has_inf:
-        out = tuple(
-            tuple(
-                pick(
-                    [x + y for x, y in zip(row, col) if x is not o and y is not o],
-                    default=o,
-                )
+        out = tuple([
+            tuple([
+                pick([x + y for x, y in zip(row, col) if x is not o and y is not o], default=o)
                 for col in cols
-            )
+            ])
             for row in rows
-        )
+        ])
     else:
-        out = tuple(tuple(pick(map(add, row, col)) for col in cols) for row in rows)
+        out = tuple([tuple([pick(map(add, row, col)) for col in cols]) for row in rows])
     if d > 1:
         out = tuple(
             tuple(v if v is o else _unscaled(v, d) for v in row) for row in out

@@ -86,8 +86,10 @@ def _reject_float(s: str):  # also NaN, Infinity and -Infinity
 
 def to_canonical_bytes(obj) -> bytes:
     try:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-    except ValueError as e:  # also an int past the digit limit
+        text = json.dumps(
+            obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
+        )
+    except (ValueError, RecursionError) as e:  # an int past the digit limit, a cycle
         raise WireFormatError(f"not representable as canonical JSON: {e}") from e
     return (text + "\n").encode("utf-8")
 

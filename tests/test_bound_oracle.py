@@ -127,10 +127,11 @@ def random_matrix(kind, k, fractions, rng):
     return make_matrix(kind, [[value() for _ in range(k)] for _ in range(k)])
 
 
+# the two-slot chains also at dims 5 and 6, the pair workloads' dims
 CASES = [
     (k, n, kind, fractions)
-    for k in (1, 2, 3, 4)
-    for n in (1, 2, 3)
+    for k in (1, 2, 3, 4, 5, 6)
+    for n in ((1, 2, 3) if k <= 4 else (2,))
     for kind in (MIN, MAX)
     for fractions in (False, True)
 ]
@@ -149,7 +150,7 @@ def test_chain_table_matches_the_nested_loop_tensor(k, n, kind, fractions):
             check_table(five, oracle_chain_tensor(chain), k, n)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("kind", [MIN, MAX])
 @pytest.mark.parametrize("fractions", [False, True])
 def test_two_sided_table_matches_the_difference_tensor(k, kind, fractions):
@@ -159,6 +160,8 @@ def test_two_sided_table_matches_the_difference_tensor(k, kind, fractions):
         table = two_sided_residual(a)
         check_table(table, oracle_two_sided_tensor(a), k, 2)
         assert table.zero_pairs == frozenset(itertools.product(range(k), repeat=2))
+        if kind is MIN and not fractions:  # the pair solve keeps G on min-plus int tables
+            assert table._pin_free == residual_right(a)
 
 
 def oracle_residual(a, side):

@@ -17,6 +17,7 @@ no function in `protocols.py` takes a `replay` argument.  Only
 `marginal.py` names `_verified_set`, so every set proof lives there, and
 `mat_add`, `scalar_mul`, `linear_combination` and `dual` test no value
 against the infinity by identity, which the ordered arithmetic covers.
+Only `wire.to_canonical_bytes` calls `json.dumps`.
 """
 
 from __future__ import annotations
@@ -601,6 +602,39 @@ def test_only_marginal_builds_a_set_without_checking_it():
         if name_uses(path.read_text(encoding="utf-8"), PROOF_BUILDER)
     }
     assert namers == {"marginal.py"}
+
+
+# One canonical encoder: only wire.to_canonical_bytes calls json.dumps, so
+# every JSON byte the library writes is sorted, compact and ASCII, and an
+# object JSON cannot hold is refused there as WireFormatError.
+JSON_ENCODERS = {"dumps", "dump", "JSONEncoder"}
+
+
+def test_the_encoder_check_finds_each_form():
+    source = (
+        "import json\n"
+        "def f(obj):\n    return json.dumps(obj)\n"
+        "from json import dump as write\n"
+        "class C:\n    encoder = json.JSONEncoder\n"
+    )
+    assert name_uses(source, JSON_ENCODERS) == [
+        ("f", "dumps"),
+        ("import", "dump"),
+        ("C", "JSONEncoder"),
+    ]
+    assert name_uses(
+        'def f(b):\n    """json.dumps"""\n    return json.loads(b), "dumps"\n', JSON_ENCODERS
+    ) == []
+
+
+def test_only_the_canonical_encoder_writes_json():
+    found = {
+        path.name: name_uses(path.read_text(encoding="utf-8"), JSON_ENCODERS)
+        for path in sorted((SRC / "tropmarg").rglob("*.py"))
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {
+        "wire.py": [("to_canonical_bytes", "dumps")]
+    }
 
 
 # Only matrix.py and marginal.py build a Matrix without the walk: every

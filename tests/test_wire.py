@@ -111,6 +111,18 @@ class TestCanonicalJson:
         with pytest.raises(WireFormatError):
             from_canonical_bytes(b'{"x":' + literal + b"}\n")
 
+    @pytest.mark.parametrize("shape", ["list", "dict"])
+    def test_a_cycle_is_refused_on_write(self, shape):
+        # the encoder skips json's cycle walk; a self-containing object
+        # still ends as WireFormatError, through the recursion limit
+        obj = [] if shape == "list" else {}
+        if shape == "list":
+            obj.append(obj)
+        else:
+            obj["x"] = obj
+        with pytest.raises(WireFormatError):
+            to_canonical_bytes(obj)
+
     def test_garbage_rejected(self):
         with pytest.raises(WireFormatError):
             from_canonical_bytes(b"not json at all")
