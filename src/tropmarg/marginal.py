@@ -578,12 +578,6 @@ class BoundTable:
         E[p₁][pₙ] less the middle factors along the tuple, so it is 0 where
         they sum to E's entry: for two slots, where E[p][r] == B[p][r]."""
         k, n, e = self.product.dim, self.n_slots, self.outer.rows
-        if n == 2:
-            b = self.chain[1].rows
-            return frozenset(
-                (p, r) for p, (e_row, b_row) in enumerate(zip(e, b))
-                for r in range(k) if e_row[r] == b_row[r]
-            )
         mid = [m.rows for m in self.chain[1:-1]]
         return frozenset(
             p
