@@ -449,32 +449,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# main's (code, reason) for each exception class; the first match wins, so the
+# ValueError subclasses come before ValueError, a value the library refuses.
+_EXITS = {
+    MarginalVerificationError: (1, "verification-failed"),
+    WireFormatError: (2, "malformed-input"),
+    ValueError: (2, "bad-arguments"),
+    SamplerExhausted: (3, "sampler-exhausted"),
+    SelfCheckError: (1, "self-check-failed"),
+    OSError: (2, "io-error"),
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except CliError as e:
-        _error_record(e.code, e.reason, str(e))
-        return e.code
-    except MarginalVerificationError as e:
-        _error_record(1, "verification-failed", str(e))
-        return 1
-    except WireFormatError as e:
-        _error_record(2, "malformed-input", str(e))
-        return 2
-    except ValueError as e:  # after its subclasses above: a value the library refuses
-        _error_record(2, "bad-arguments", str(e))
-        return 2
-    except SamplerExhausted as e:
-        _error_record(3, "sampler-exhausted", str(e))
-        return 3
-    except SelfCheckError as e:
-        _error_record(1, "self-check-failed", str(e))
-        return 1
-    except OSError as e:
-        _error_record(2, "io-error", str(e))
-        return 2
+    except (CliError, *_EXITS) as e:
+        if isinstance(e, CliError):
+            code, reason = e.code, e.reason
+        else:
+            code, reason = next(v for cls, v in _EXITS.items() if isinstance(e, cls))
+        _error_record(code, reason, str(e))
+        return code
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .matrix import (
     Matrix,
     _built,
     _check_fits,
+    _product_rows,
     _scaled,
     _unscaled,
     dual,
@@ -687,39 +688,31 @@ def _solve_pair(
     is solved from the k×k factors E and B alone, to the point that
     solve_feasible_min returns for it: Y pointwise least, X least given Y.
 
-    The pins settle the diagonals: x_pp = h on px and y_rr = -h on py, since
-    a zero pair (p, r) has x_pp >= h and y_rr >= -h summing to 0.  Every
-    y_rs is then the largest of S_rs and G[r][s] - h, where G[r][s] is the
-    largest E[p][s] - B[p][r] over p in px (BoundTable._pin_free, formed
-    once per table), and every other x_pq the least value its lower bound
-    and its rows allow: the largest of R_pq and E[p][s] - (B⊗Y)[q][s] over
-    s.  A draw makes three k³ passes: B⊗Y, X, and X⊗(B⊗Y) for the point
-    check.  Two facts of the tables two_sided_residual and
-    five_factor_residual build make that point the solution
+    A zero pair (p, r) has x_pp >= h and y_rr >= -h summing to 0, so the
+    pins fix x_pp = h on px and y_rr = -h on py.  Y is the largest of S and
+    G - h, G[r][s] the largest E[p][s] - B[p][r] over p in px
+    (BoundTable._pin_free, formed once per table), and X, least given Y,
+    the largest of R and the residual _outer(None, E, B⊗Y).  That gives
+    x_pp = h through R and G, with no re-pin: for p in px, y_rs >= E[p][s]
+    - B[p][r] - h, so (B⊗Y)[p][s] >= E[p][s] - h and the residual is at
+    most h = R_pp at (p, p).  A draw makes three k³ passes: B⊗Y, X, and
+    X⊗(B⊗Y) for the point check.  Two facts of the tables two_sided_residual
+    and five_factor_residual build make that point the solution
     (BoundTable.zero_pairs): (a) every all-diagonal bound E[p][r] - B[p][r]
     is <= 0, so no y_rr on py rises above -h, and a table that breaks it
     there fails the draw's point check; (b) px is never empty, and a table
     without a zero pair raises SelfCheckError.
     """
-    px = table.px
-    if not px:
+    if not table.px:
         raise SelfCheckError("bound table has no zero pair")
-    e = table.outer.rows
     y_rows = [
         [max(low, g - h) for low, g in zip(s_row, g_row)]
         for s_row, g_row in zip(s, table._pin_free.rows)
     ]
     ys = _built(SemiringKind.MIN_PLUS, tuple(map(tuple, y_rows)))
     by = mat_mul(table.chain[1], ys)
-    # X is formed row by row as max(map(sub, ...)) over columns, the shape
-    # of mat_mul's kernel.
-    x_rows = [
-        [max(low, max(map(sub, e_row, by_row))) for low, by_row in zip(r_row, by.rows)]
-        for r_row, e_row in zip(r, e)
-    ]
-    for p in px:
-        x_rows[p][p] = h
-    xs = _built(SemiringKind.MIN_PLUS, tuple(map(tuple, x_rows)))
+    x_low = _outer(None, table.outer.rows, by.rows).rows
+    xs = _built(SemiringKind.MIN_PLUS, tuple(tuple(map(max, *rows)) for rows in zip(r, x_low)))
     return xs, ys, mat_mul(xs, by)
 
 
@@ -760,18 +753,19 @@ def _sample_pairs(
     if not table.covers(table.zero_pairs):
         raise SelfCheckError("a product entry is attained at no zero pair")
     k = table.product.dim
-    px, py = table.px, table.py
-    # h, then every r[i][j] and s[i][j] but the pinned diagonals
-    spans = [l2 - l1 + 1] * (1 + 2 * k * k - len(px) - len(py))
+    pin_r = {p * (k + 1) for p in table.px}
+    pin_s = {p * (k + 1) for p in table.py}
+    # h, then each cell's R value and S value but the pinned ones
+    spans = [l2 - l1 + 1] * (1 + 2 * k * k - len(pin_r) - len(pin_s))
 
     def draw():
         h, *free = ((l1 + v) * d for v in _randbelow(rng, spans))
         free = iter(free)
-        r = [[0] * k for _ in range(k)]
-        s = [[0] * k for _ in range(k)]
-        for i, j in itertools.product(range(k), repeat=2):
-            r[i][j] = h if i == j and i in px else next(free)
-            s[i][j] = -h if i == j and i in py else next(free)
+        r, s = [], []
+        for c in range(k * k):
+            r.append(h if c in pin_r else next(free))
+            s.append(-h if c in pin_s else next(free))
+        r, s = ([m[i : i + k] for i in range(0, k * k, k)] for m in (r, s))
         xs, ys, xby = _solve_pair(table, h, r, s)
         _check_pair_point(table, r, s, xs, ys, xby)
         return xs, ys
@@ -799,12 +793,6 @@ def sample_five_factor_marginal(
 
 # --------------------------------------------------------------------------
 # General chains
-
-
-def _min_plus(a, b) -> list:
-    """Min-plus product of two finite int square matrices given as row lists."""
-    cols = tuple(zip(*b))
-    return [[min(map(add, row, col)) for col in cols] for row in a]
 
 
 def _repair_chain(table: BoundTable, mats: list) -> Optional[list]:
@@ -844,8 +832,9 @@ def _repair_chain(table: BoundTable, mats: list) -> Optional[list]:
                         x[p][q] = lift
                 elif t < n - 1:
                     below = walk(t + 1, row, p, cp + x[p][p])
-                    nxt = mats[t + 1]
-                    s = _min_plus(mid[t], nxt if below is None else _min_plus(nxt, below))
+                    s = _product_rows(min, mid[t], tuple(zip(*mats[t + 1])))
+                    if below is not None:
+                        s = _product_rows(min, s, tuple(zip(*below)))
                 elif x[p][p] < row[p] - cp:
                     raise SelfCheckError("all-diagonal bound violated")
         return s
@@ -900,7 +889,7 @@ def sample_n_factor_marginal(
             for t in range(n)
         ]
         s1 = _repair_chain(table, mats)
-        z = mats[0] if s1 is None else _min_plus(mats[0], s1)
+        z = mats[0] if s1 is None else _product_rows(min, mats[0], tuple(zip(*s1)))
         pinned = not sum(hs) and all(m[p][p] == h for m, h in zip(mats, hs) for p in range(k))
         if not (pinned and all(map(ge, _flat(z), _flat(table.outer.rows)))):
             raise SelfCheckError("sampled tuple changes the chain product")

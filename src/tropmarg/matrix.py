@@ -188,12 +188,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             for row in rows
         ])
     else:
-        out = tuple([tuple([pick(map(add, row, col)) for col in cols]) for row in rows])
+        out = _product_rows(pick, rows, cols)
     if d > 1:
         out = tuple(
             tuple(v if v is o else _unscaled(v, d) for v in row) for row in out
         )
     return _built(k, out) if a.all_int and b.all_int else Matrix(k, out)
+
+
+def _product_rows(pick, rows, cols) -> tuple:
+    """Rows of the product: entry (i, j) is pick (min or max) of rows[i][l] + cols[j][l]."""
+    return tuple([tuple([pick(map(add, row, col)) for col in cols]) for row in rows])
 
 
 def _scaled(rows, d: int, o) -> tuple:

@@ -171,22 +171,17 @@ def decode_matrix(data: bytes) -> Matrix:
     return _rows_in(_kind_in(obj.get("kind")), obj.get("rows"))
 
 
+# An atom is [tag, its one field]: a constant's index or a slot.
 _ATOM_TAGS = {"const": Const, "box": Box, "circle": Circle}
+_TAG_OF = {cls: tag for tag, cls in _ATOM_TAGS.items()}
 
 
 def _word_out(w: WordTemplate):
-    def atom(a):
-        if isinstance(a, Const):
-            return ["const", a.index]
-        if isinstance(a, Box):
-            return ["box", a.slot]
-        return ["circle", a.slot]
-
     return {
         "kind": str(w.kind),
         "dim": w.dim,
         "constants": [_rows_out(c) for c in w.constants],
-        "summands": [[atom(a) for a in s] for s in w.summands],
+        "summands": [[[_TAG_OF[type(a)], *vars(a).values()] for a in s] for s in w.summands],
     }
 
 
@@ -279,6 +274,12 @@ def _delta_form(s: MarginalSet):
     return {"base": _rows_out(mats[0]), "diffs": diffs}
 
 
+def _raw_body(s: MarginalSet) -> dict:
+    """The raw set body, a set's word and its tuples, as encode_marginal_set
+    writes it and a transcript's set payload carries it."""
+    return {"word": _word_out(s.word), "tuples": [[_rows_out(m) for m in t] for t in s.tuples]}
+
+
 def encode_marginal_set(s: MarginalSet, encoding: str = "raw") -> bytes:
     """Serialize with the requested encoding, falling back silently down the
     ladder interval, delta, raw: interval and delta need a non-empty set of
@@ -291,11 +292,8 @@ def encode_marginal_set(s: MarginalSet, encoding: str = "raw") -> bytes:
     body = _box_form(s) if used == "interval" else None
     if body is None and used != "raw":
         used, body = ("delta", _delta_form(s)) if len(s) <= MAX_TUPLES else ("raw", None)
-    if used == "raw":
-        body = {"tuples": [[_rows_out(m) for m in t] for t in s.tuples]}
-    return to_canonical_bytes(
-        {"type": "marginal-set", "encoding": used, "word": _word_out(s.word), **body}
-    )
+    body = _raw_body(s) if used == "raw" else {"word": _word_out(s.word), **body}
+    return to_canonical_bytes({"type": "marginal-set", "encoding": used, **body})
 
 
 def _marginal_set_payload(obj) -> MarginalSet:
@@ -478,11 +476,7 @@ def _payload_out(payload):
     if isinstance(payload, Matrix):
         return {"kind": "matrix", "rows": _rows_out(payload)}
     if isinstance(payload, MarginalSet):
-        return {
-            "kind": "marginal-set",
-            "word": _word_out(payload.word),
-            "tuples": [[_rows_out(m) for m in t] for t in payload.tuples],
-        }
+        return {"kind": "marginal-set", **_raw_body(payload)}
     return {"kind": "matrix-tuple", "items": [_rows_out(m) for m in payload]}
 
 

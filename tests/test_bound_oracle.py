@@ -14,13 +14,14 @@ from fractions import Fraction
 import pytest
 
 from tropmarg.marginal import (
+    _outer,
     five_factor_residual,
     n_factor_residual,
     residual_left,
     residual_right,
     two_sided_residual,
 )
-from tropmarg.matrix import dual, make_matrix, mat_prod
+from tropmarg.matrix import dual, make_matrix, mat_mul, mat_prod
 from tropmarg.semiring import SemiringKind, as_scalar
 
 MIN = SemiringKind.MIN_PLUS
@@ -135,6 +136,23 @@ def oracle_pin_free(table):
     )
 
 
+def x_residual_on_px(table):
+    """(h, [_outer(None, E, B⊗Y)[p][p] for p in px]) for a drawn h and Y =
+    max(S, G - h) as the pair solve forms it, S drawn in -20..20 and pinned
+    at -h on py, G the nested-loop oracle.  The entries are at most h, so the
+    pair solve's x_pp = max(R_pp, residual) is R_pp = h with no re-pin."""
+    rng = random.Random(repr(table.outer.rows))
+    k, h = table.product.dim, rng.randint(-20, 20)
+    g = oracle_pin_free(table).rows
+    s = [
+        [-h if r == c and r in table.py else rng.randint(-20, 20) for c in range(k)]
+        for r in range(k)
+    ]
+    ys = make_matrix(MIN, [[max(v, w - h) for v, w in zip(*rows)] for rows in zip(s, g)])
+    low = _outer(None, table.outer.rows, mat_mul(table.chain[1], ys).rows)
+    return h, [low[p][p] for p in table.px]
+
+
 # the two-slot chains also at dims 5 and 6, the pair workloads' dims
 CASES = [
     (k, n, kind, fractions)
@@ -158,6 +176,8 @@ def test_chain_table_matches_the_nested_loop_tensor(k, n, kind, fractions):
             check_table(five, oracle_chain_tensor(chain), k, n)
             if kind is MIN and not fractions:  # the pair solve keeps G on min-plus int tables
                 assert five._pin_free == oracle_pin_free(five)
+                h, diagonal = x_residual_on_px(five)
+                assert max(diagonal) <= h
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -172,6 +192,8 @@ def test_two_sided_table_matches_the_difference_tensor(k, kind, fractions):
         assert table.zero_pairs == frozenset(itertools.product(range(k), repeat=2))
         if kind is MIN and not fractions:
             assert table._pin_free == oracle_pin_free(table)
+            h, diagonal = x_residual_on_px(table)
+            assert max(diagonal) <= h
 
 
 def oracle_residual(a, side):

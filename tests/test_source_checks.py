@@ -17,7 +17,9 @@ no function in `protocols.py` takes a `replay` argument.  Only
 `marginal.py` names `_verified_set`, so every set proof lives there, and
 `mat_add`, `scalar_mul`, `linear_combination` and `dual` test no value
 against the infinity by identity, which the ordered arithmetic covers.
-Only `wire.to_canonical_bytes` calls `json.dumps`.
+Only `wire.to_canonical_bytes` calls `json.dumps`.  `marginal.py` keeps no
+copy of the int product kernel, which lives in `matrix.py`, and takes
+`max(map(sub, ...))` only in its residuation kernel and the chain walk.
 """
 
 from __future__ import annotations
@@ -718,3 +720,83 @@ def test_the_elementwise_ops_leave_the_infinity_to_the_arithmetic():
     # the check sees the identity tests that remain
     assert infinity_identity_tests(source, "mat_mul")
     assert infinity_identity_tests(source, "_scaled")
+
+
+# One kernel each: the int product kernel, min or max over map(add, ...),
+# lives in matrix.py, which marginal.py calls for its products; and in
+# marginal.py max(map(sub, ...)) is taken by the residuation kernel _outer
+# and by _repair_chain alone, whose walk lifts one entry at a time between
+# its suffix updates.
+KERNEL_OPS = {"add", "sub"}
+RESIDUATORS = {("_outer", "max"), ("_repair_chain", "max")}
+
+
+def kernel_forms(source: str) -> list[tuple[str, str, str]]:
+    """(enclosing top-level function or class, or "<module>"; min or max;
+    add or sub) for each min or max call whose first argument is a map over
+    add or sub, by name or as an attribute (operator.add)."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("min", "max")
+                and node.args
+                and isinstance(node.args[0], ast.Call)
+                and isinstance(node.args[0].func, ast.Name)
+                and node.args[0].func.id == "map"
+                and node.args[0].args
+            ):
+                continue
+            op = node.args[0].args[0]
+            op = getattr(op, "id", getattr(op, "attr", None))
+            if op in KERNEL_OPS:
+                found.append((scope, node.func.id, op))
+    return found
+
+
+def test_the_product_kernel_check_finds_each_form():
+    source = (
+        "def _min_plus(a, cols):\n    return [[min(map(add, r, c)) for c in cols] for r in a]\n"
+        "class C:\n    def f(self, r, c):\n        return max(map(operator.add, r, c), default=0)\n"
+        "top = min(map(add, (1,), (2,)))\n"
+    )
+    assert kernel_forms(source) == [
+        ("_min_plus", "min", "add"),
+        ("C", "max", "add"),
+        ("<module>", "min", "add"),
+    ]
+    assert kernel_forms(
+        "def f(row, offsets, cols):\n"
+        "    x = tuple(map(add, row, offsets))\n"
+        "    y = [pick(map(add, row, c)) for c in cols]\n"
+        "    return sum(map(add, row, x)), min(map(abs, row)), max(1, 2), y\n"
+    ) == []
+
+
+def test_marginal_keeps_no_product_kernel():
+    source = (SRC / "tropmarg" / "marginal.py").read_text(encoding="utf-8")
+    assert [form for form in kernel_forms(source) if form[2] == "add"] == []
+
+
+def test_the_residual_kernel_check_finds_each_form():
+    source = (
+        "def _outer(d, last):\n    return [[max(map(sub, r, c)) for c in last] for r in d]\n"
+        "def _solve_pair(e, by):\n"
+        "    def row(e_row):\n        return [max(map(operator.sub, e_row, b)) for b in by]\n"
+        "    return [min(map(sub, r, b)) for r, b in zip(e, by)]\n"
+    )
+    assert kernel_forms(source) == [
+        ("_outer", "max", "sub"),
+        ("_solve_pair", "min", "sub"),
+        ("_solve_pair", "max", "sub"),
+    ]
+    assert kernel_forms("def f(r, c):\n    return max(0, r - c), list(map(sub, r, c))\n") == []
+
+
+def test_marginal_residuates_only_in_the_kernel_and_the_walk():
+    source = (SRC / "tropmarg" / "marginal.py").read_text(encoding="utf-8")
+    found = {(scope, pick) for scope, pick, op in kernel_forms(source) if op == "sub"}
+    assert found == RESIDUATORS
