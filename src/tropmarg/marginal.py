@@ -795,7 +795,7 @@ def sample_five_factor_marginal(
 # General chains
 
 
-def _repair_chain(table: BoundTable, mats: list) -> Optional[list]:
+def _repair_chain(table: BoundTable, mats: list) -> Optional[tuple]:
     """Lift off-diagonal entries of the slot matrices in place until every
     bound of the chain's table holds; return the final S₁ (None for one slot).
 
