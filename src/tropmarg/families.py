@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
 
-from .matrix import Matrix, make_matrix, make_poly, mat_mul, poly_eval
+from .matrix import Matrix, _lifted, make_matrix, make_poly, mat_mul, poly_eval
 from .semiring import (
     Scalar,
     SelfCheckError,
@@ -161,6 +161,12 @@ def sample_ldp(r: int, k: int, dim: int, rng: random.Random) -> Matrix:
 
 
 def commute_check(a: Matrix, b: Matrix) -> bool:
+    """Whether a ⊗ b == b ⊗ a, formed and compared on the operands lifted
+    to ints by their common denominator (scaling by d > 0 keeps equality),
+    so no product is unscaled."""
+    d = math.lcm(a.den, b.den)
+    if d > 1:
+        a, b = _lifted(a, d), _lifted(b, d)
     return mat_mul(a, b) == mat_mul(b, a)
 
 

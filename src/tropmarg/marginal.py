@@ -48,6 +48,7 @@ from .semiring import (
     Scalar,
     SelfCheckError,
     SemiringKind,
+    add_neutral,
     as_scalar,
     is_finite,
     require_int,
@@ -302,25 +303,29 @@ def _into_min_plus(mats: Sequence[Matrix], cap=None) -> tuple[int, list, Callabl
     matrices' den (and of a finite cap's denominator), and every finite
     entry and the cap are multiplied by d, which every routine below
     commutes with (positive homogeneity); at d == 1 the entries are ints
-    already.  +inf and an infinite cap stay.  back divides by d, then flips
-    a max-plus result back.
+    already.  So dual only ever negates ints: lower scales, then flips; back
+    flips, then divides by d with one walk.  The infinities and an infinite
+    cap stay.
     """
-    flip = mats[0].kind is SemiringKind.MAX_PLUS
+    kind = mats[0].kind
+    flip = kind is SemiringKind.MAX_PLUS
+    o = add_neutral(kind)
     caps = [] if cap is None else [-as_scalar(cap) if flip else as_scalar(cap)]
     d = lcm(*(m.den for m in mats), *(c.denominator for c in caps if is_finite(c)))
 
     def lower(m: Matrix) -> Matrix:
+        if d > 1:
+            m = _built(kind, _scaled(m.rows, d, o), m.has_inf)
+        return dual(m) if flip else m
+
+    def back(m: Matrix) -> Matrix:
         if flip:
             m = dual(m)
         if d == 1:
             return m
-        return _built(m.kind, _scaled(m.rows, d, POS_INF), m.has_inf)
-
-    def back(m: Matrix) -> Matrix:
-        if d > 1:
-            rows = [[v if v is POS_INF else _unscaled(v, d) for v in row] for row in m.rows]
-            m = Matrix(m.kind, tuple(map(tuple, rows)))
-        return dual(m) if flip else m
+        return Matrix(
+            kind, tuple(tuple(v if v is o else _unscaled(v, d) for v in row) for row in m.rows)
+        )
 
     lowered = [lower(m) for m in mats]
     lowered += [c if not is_finite(c) else int(c * d) for c in caps]
@@ -381,20 +386,21 @@ def _require_finite(a: Matrix, op: str) -> None:
 # Residuation: one kernel for every word shape
 
 
-def _outer(first: Optional[Sequence], d: Sequence, last: Optional[Sequence]) -> Matrix:
-    """E[p][s] = max over i, j of (d_ij - first[i][p] - last[s][j]) over
-    the rows of finite min-plus int matrices, in two passes: T[i][s] =
-    max_j(d_ij - last[s][j]), then E[p][s] = max_i(T[i][s] - first[i][p]).
-    None stands for an identity end and drops its pass.  first and d may
-    hold any matching rows i (the pair solve's G keeps those in px).  Every
-    difference is an int one, so E is built without the walk."""
+def _outer(first: Optional[Sequence], d: Sequence, last: Optional[Sequence]) -> tuple:
+    """Rows of E, E[p][s] = max over i, j of (d_ij - first[i][p] -
+    last[s][j]), over the rows of finite min-plus int matrices, in two
+    passes: T[i][s] = max_j(d_ij - last[s][j]), then E[p][s] = max_i(T[i][s]
+    - first[i][p]).  None stands for an identity end and drops its pass.
+    first and d may hold any matching rows i (the pair solve's G keeps those
+    in px).  Every difference is an int one, so a caller builds E without
+    the walk."""
     t = d
     if last is not None:
         t = [[max(map(sub, row, c)) for c in last] for row in t]
     if first is not None:
         t_cols = list(zip(*t))
         t = [[max(map(sub, t_col, a_col)) for t_col in t_cols] for a_col in zip(*first)]
-    return _built(SemiringKind.MIN_PLUS, tuple(map(tuple, t)))
+    return tuple(map(tuple, t))
 
 
 # --------------------------------------------------------------------------
@@ -410,7 +416,7 @@ def residual_right(a: Matrix) -> Matrix:
     """
     _require_finite(a, "residuation")
     _, (m,), back = _into_min_plus([a])
-    return back(_outer(m.rows, m.rows, None))
+    return back(_built(SemiringKind.MIN_PLUS, _outer(m.rows, m.rows, None)))
 
 
 def residual_left(a: Matrix) -> Matrix:
@@ -418,7 +424,7 @@ def residual_left(a: Matrix) -> Matrix:
     x*_ij = extreme over l of (a_il - a_jl); mirror of residual_right."""
     _require_finite(a, "residuation")
     _, (m,), back = _into_min_plus([a])
-    return back(_outer(None, m.rows, m.rows))
+    return back(_built(SemiringKind.MIN_PLUS, _outer(None, m.rows, m.rows)))
 
 
 def cover_check(a: Matrix, x: Matrix, side: str) -> bool:
@@ -624,7 +630,8 @@ class BoundTable:
         the min-plus int two-slot tables _sample_pairs builds only; on the
         two-sided table (E = B = A, px every row) G is X* of A⊗X = A."""
         e, b = self.outer.rows, self.chain[1].rows
-        return _outer([b[p] for p in self.px], [e[p] for p in self.px], None)
+        g = _outer([b[p] for p in self.px], [e[p] for p in self.px], None)
+        return _built(SemiringKind.MIN_PLUS, g)
 
 
 def two_sided_residual(a: Matrix) -> BoundTable:
@@ -663,7 +670,7 @@ def n_factor_residual(chain: Sequence[Matrix]) -> BoundTable:
     _, lowered, back = _into_min_plus(chain)
     product = functools.reduce(mat_mul, lowered)
     outer = _outer(lowered[0].rows, product.rows, lowered[-1].rows)
-    return BoundTable(back(product), back(outer), chain)
+    return BoundTable(back(product), back(_built(SemiringKind.MIN_PLUS, outer)), chain)
 
 
 def five_factor_residual(a: Matrix, b: Matrix, c: Matrix) -> BoundTable:
@@ -711,7 +718,7 @@ def _solve_pair(
     ]
     ys = _built(SemiringKind.MIN_PLUS, tuple(map(tuple, y_rows)))
     by = mat_mul(table.chain[1], ys)
-    x_low = _outer(None, table.outer.rows, by.rows).rows
+    x_low = _outer(None, table.outer.rows, by.rows)
     xs = _built(SemiringKind.MIN_PLUS, tuple(tuple(map(max, *rows)) for rows in zip(r, x_low)))
     return xs, ys, mat_mul(xs, by)
 

@@ -9,6 +9,7 @@ can never hit the undefined +inf + -inf case.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -164,12 +165,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
     One exact kernel for every input.  The operands' recorded facts say
     whether they hold the semiring's infinity and give the lcm d of their
-    Fraction denominators; with d > 1 every finite entry is scaled by d to
-    an int, so each entry is the builtin min or max over int sums, skipping
-    terms with an infinite factor (an infinite term never wins the pick).
-    Results are mapped back by Fraction(v, d), collapsing to int at
-    denominator 1, so entries stay canonical.  A product of two all-int
-    matrices is all-int and finite, and is built without a walk.
+    Fraction denominators; with d > 1 both are scaled to ints by d and the
+    int product is unscaled, as mat_prod does for a whole chain.  Each entry
+    is the builtin min or max over int sums, skipping terms with an
+    infinite factor (an infinite term never wins the pick).  A product of
+    two all-int matrices is all-int and finite, and is built without a walk.
     """
     _check_fits(a.kind, a.dim, b)
     k = a.kind
@@ -190,9 +190,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     else:
         out = _product_rows(pick, rows, cols)
     if d > 1:
-        out = tuple(
-            tuple(v if v is o else _unscaled(v, d) for v in row) for row in out
-        )
+        return _unlifted(k, out, d)
     return _built(k, out) if a.all_int and b.all_int else Matrix(k, out)
 
 
@@ -212,6 +210,21 @@ def _scaled(rows, d: int, o) -> tuple:
 def _unscaled(v: int, d: int) -> Scalar:
     q, r = divmod(v, d)
     return q if r == 0 else Fraction(v, d)
+
+
+def _lifted(m: Matrix, d: int) -> Matrix:
+    """m times d, a common denominator of its entries: int rows, the same
+    infinity.  Products are positively homogeneous, so they commute with it."""
+    return _built(m.kind, _scaled(m.rows, d, add_neutral(m.kind)), m.has_inf)
+
+
+def _unlifted(kind: SemiringKind, rows, d: int) -> Matrix:
+    """The matrix whose lift by d has these int rows: one Fraction(v, d)
+    per finite entry, collapsing to int at denominator 1, and one walk."""
+    o = add_neutral(kind)
+    return Matrix(
+        kind, tuple(tuple(v if v is o else _unscaled(v, d) for v in row) for row in rows)
+    )
 
 
 def powers(a: Matrix, e: int) -> list[Matrix]:
@@ -254,15 +267,17 @@ def scalar_mul(c, a: Matrix) -> Matrix:
 
 
 def mat_prod(kind: SemiringKind, n: int, factors: Iterable[Matrix]) -> Matrix:
-    """Product of a possibly empty sequence of matrices (empty = identity)."""
-    acc = None
-    for f in factors:
-        if acc is None:
-            _check_fits(kind, n, f)
-            acc = f
-        else:
-            acc = mat_mul(acc, f)
-    return identity(kind, n) if acc is None else acc
+    """Product of a possibly empty sequence of matrices (empty = identity).
+    A chain holding Fractions is lifted once, by the lcm d of its factors'
+    den, and multiplied on ints; only the result is unscaled and walked."""
+    factors = list(factors)
+    if not factors:
+        return identity(kind, n)
+    _check_fits(kind, n, factors[0])
+    d = lcm(*(f.den for f in factors))
+    if d == 1 or len(factors) == 1:
+        return functools.reduce(mat_mul, factors)
+    return _unlifted(kind, functools.reduce(mat_mul, [_lifted(f, d) for f in factors]).rows, d)
 
 
 def dual(a: Matrix) -> Matrix:

@@ -13,6 +13,8 @@ that file in the same commit:
 
     PYTHONPATH=src python tests/test_bench_work.py
 
+which prints each count it changes as `workload name old -> new`.
+
 The second test reruns the digest test in a fresh interpreter under another
 PYTHONHASHSEED: the outputs must not depend on string hashing.
 """
@@ -50,6 +52,30 @@ def traced_counts(name: str) -> dict:
     return dict(sorted(tracer.counts.items()))
 
 
+def changed_counts(old: dict, new: dict) -> list[str]:
+    """`workload name old -> new` for each count that differs between two
+    records, in sorted order; a count missing on one side reads None."""
+    return [
+        f"{workload} {name} {old.get(workload, {}).get(name)} -> {new.get(workload, {}).get(name)}"
+        for workload in sorted(old.keys() | new.keys())
+        for name in sorted(old.get(workload, {}).keys() | new.get(workload, {}).keys())
+        if old.get(workload, {}).get(name) != new.get(workload, {}).get(name)
+    ]
+
+
+def test_changed_counts_lists_each_difference():
+    old = {"w": {"a": 1, "b": 2, "gone": 3}, "x": {"c": 4}}
+    new = {"w": {"a": 1, "b": 5, "new": 6}, "y": {"d": 7}}
+    assert changed_counts(old, new) == [
+        "w b 2 -> 5",
+        "w gone 3 -> None",
+        "w new None -> 6",
+        "x c 4 -> None",
+        "y d None -> 7",
+    ]
+    assert changed_counts(new, new) == []
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS["output_sha256"]))
 def test_traced_work_matches_the_record(monkeypatch, tmp_path, name):
     monkeypatch.chdir(tmp_path)
@@ -74,4 +100,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         counts = {name: traced_counts(name) for name in sorted(DIGESTS["output_sha256"])}
+    for line in changed_counts(json.loads(WORK.read_text()), counts):
+        print(line)
     WORK.write_text(json.dumps(counts, indent=2) + "\n")

@@ -9,16 +9,23 @@ which no longer multiply by the identity, are checked against references
 that start from it.  `linear_combination` and `poly_eval`, each one
 entrywise pass, are checked against the earlier `poly_eval`'s fold
 `scalar_mul(c₀, I) ⊕ … ⊕ scalar_mul(c_d, Aᵈ)`, kept below as `ref_fold`.
+The paths that lift `Fraction`s to ints once, `mat_prod`'s chain,
+`commute_check` and `marginal._into_min_plus`, are checked against the
+product-by-product path at the end.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropmarg import matrix
+from tropmarg.families import commute_check
+from tropmarg.marginal import _into_min_plus
 from tropmarg.matrix import (
     Matrix,
     identity,
@@ -34,7 +41,7 @@ from tropmarg.matrix import (
     powers,
     scalar_mul,
 )
-from tropmarg.semiring import SemiringKind, add_neutral
+from tropmarg.semiring import NEG_INF, POS_INF, SemiringKind, add_neutral
 
 MIN = SemiringKind.MIN_PLUS
 MAX = SemiringKind.MAX_PLUS
@@ -302,3 +309,89 @@ def test_bad_first_factor_raises_as_before(first, count):
 def test_negative_power_raises():
     with pytest.raises(ValueError, match="exponent must be >= 0"):
         mat_pow(make_matrix(MIN, [[0]]), -1)
+
+
+# ---------------------------------------------------------------------------
+# Lifted chains.  mat_prod lifts a chain holding Fractions to ints once, by
+# the lcm of its factors' denominators, and unscales only the result;
+# commute_check compares both products in lifted ints; and marginal's
+# boundary crosses max-plus Fractions by scaling and negating ints.  Each
+# must agree with the product-by-product path, scalar types and facts too.
+
+
+def assert_identical(got: Matrix, want: Matrix) -> None:
+    assert repr(got) == repr(want)
+    assert (got.has_inf, got.den, got.all_int) == (want.has_inf, want.den, want.all_int)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_lifted_chain_matches_the_fold(data):
+    count = data.draw(st.integers(1, 6))
+    kind, n, factors = data.draw(products(count=count))
+    assert_identical(mat_prod(kind, n, factors), functools.reduce(mat_mul, factors))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(products(count=1), st.data())
+def test_commute_check_matches_both_products(case, data):
+    kind, n, (a,) = case
+    # a random partner rarely commutes with a; these always do
+    b = data.draw(
+        st.one_of(
+            matrices(kind, n),
+            st.just(a),
+            st.just(identity(kind, n)),
+            st.just(mat_mul(a, a)),
+            coefficients(kind).map(lambda c: scalar_mul(c, a)),
+        )
+    )
+    assert commute_check(a, b) is (mat_mul(a, b) == mat_mul(b, a))
+    assert commute_check(b, a) is (mat_mul(b, a) == mat_mul(a, b))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_the_boundary_carries_fractions_there_and_back(data):
+    count = data.draw(st.integers(1, 3))
+    kind, n, mats = data.draw(products(count=count))
+    d, lowered, back = _into_min_plus(mats)
+    for m, low in zip(mats, lowered):
+        assert low.kind is MIN
+        assert all(type(x) is int or x is POS_INF for row in low.rows for x in row)
+        o, sign = add_neutral(kind), -1 if kind is MAX else 1
+        want = [[POS_INF if x is o else int(sign * d * x) for x in row] for row in m.rows]
+        assert repr(low.rows) == repr(tuple(map(tuple, want)))
+        assert_identical(back(low), m)
+
+
+def test_the_boundary_carries_a_max_plus_fraction_chain_with_infinities():
+    a = make_matrix(MAX, [[Fraction(1, 2), NEG_INF], [3, Fraction(-5, 3)]])
+    b = make_matrix(MAX, [[NEG_INF, Fraction(7, 4)], [0, NEG_INF]])
+    d, (la, lb), back = _into_min_plus([a, b])
+    assert d == 12
+    assert la.rows == ((-6, POS_INF), (-36, 20)) and lb.rows == ((POS_INF, -21), (0, POS_INF))
+    assert_identical(back(la), a)
+    assert_identical(back(lb), b)
+    # a product formed below the boundary comes back as the max-plus product
+    assert_identical(back(mat_mul(la, lb)), mat_mul(a, b))
+
+
+@pytest.mark.parametrize("kind", [MIN, MAX])
+def test_a_fraction_chain_is_unscaled_once_per_result_entry(kind, monkeypatch):
+    """Five finite Fraction factors at dim 4: the chain unscales its 16
+    result entries, where a fold of mat_mul unscales 16 per product."""
+    factors = [
+        make_matrix(
+            kind, [[Fraction(i - 3 * j + t, 1 + (i + j + t) % 5) for j in range(4)] for i in range(4)]
+        )
+        for t in range(5)
+    ]
+    calls = []
+    unscaled = matrix._unscaled
+    monkeypatch.setattr(matrix, "_unscaled", lambda v, d: calls.append(v) or unscaled(v, d))
+    got = mat_prod(kind, 4, factors)
+    assert len(calls) == 16
+    del calls[:]
+    assert_identical(got, functools.reduce(mat_mul, factors))
+    assert len(calls) == 4 * 16
