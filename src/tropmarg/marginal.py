@@ -387,13 +387,13 @@ def _require_finite(a: Matrix, op: str) -> None:
 
 
 def _outer(first: Optional[Sequence], d: Sequence, last: Optional[Sequence]) -> tuple:
-    """Rows of E, E[p][s] = max over i, j of (d_ij - first[i][p] -
-    last[s][j]), over the rows of finite min-plus int matrices, in two
-    passes: T[i][s] = max_j(d_ij - last[s][j]), then E[p][s] = max_i(T[i][s]
-    - first[i][p]).  None stands for an identity end and drops its pass.
-    first and d may hold any matching rows i (the pair solve's G keeps those
-    in px).  Every difference is an int one, so a caller builds E without
-    the walk."""
+    """E[p][s] = max over i, j of (d_ij - first[i][p] - last[s][j]) over
+    the rows of finite min-plus int matrices, in two passes: T[i][s] =
+    max_j(d_ij - last[s][j]), then E[p][s] = max_i(T[i][s] - first[i][p]).
+    None stands for an identity end and drops its pass.  first and d may
+    hold any matching rows i (the pair solve's G keeps those in px).  It
+    returns E's rows: every difference is an int one, so a caller builds E
+    without the walk."""
     t = d
     if last is not None:
         t = [[max(map(sub, row, c)) for c in last] for row in t]

@@ -55,12 +55,13 @@ def traced_counts(name: str) -> dict:
 def changed_counts(old: dict, new: dict) -> list[str]:
     """`workload name old -> new` for each count that differs between two
     records, in sorted order; a count missing on one side reads None."""
-    return [
-        f"{workload} {name} {old.get(workload, {}).get(name)} -> {new.get(workload, {}).get(name)}"
-        for workload in sorted(old.keys() | new.keys())
-        for name in sorted(old.get(workload, {}).keys() | new.get(workload, {}).keys())
-        if old.get(workload, {}).get(name) != new.get(workload, {}).get(name)
-    ]
+    lines = []
+    for workload in sorted(old.keys() | new.keys()):
+        was, now = old.get(workload, {}), new.get(workload, {})
+        for name in sorted(was.keys() | now.keys()):
+            if was.get(name) != now.get(name):
+                lines.append(f"{workload} {name} {was.get(name)} -> {now.get(name)}")
+    return lines
 
 
 def test_changed_counts_lists_each_difference():

@@ -383,7 +383,8 @@ def test_a_fraction_chain_is_unscaled_once_per_result_entry(kind, monkeypatch):
     result entries, where a fold of mat_mul unscales 16 per product."""
     factors = [
         make_matrix(
-            kind, [[Fraction(i - 3 * j + t, 1 + (i + j + t) % 5) for j in range(4)] for i in range(4)]
+            kind,
+            [[Fraction(i - 3 * j + t, 1 + (i + j + t) % 5) for j in range(4)] for i in range(4)],
         )
         for t in range(5)
     ]
