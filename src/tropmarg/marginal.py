@@ -34,9 +34,9 @@ from .matrix import (
     Matrix,
     _built,
     _check_fits,
+    _lifted,
     _product_rows,
-    _scaled,
-    _unscaled,
+    _unlifted,
     dual,
     mat_add,
     mat_mul,
@@ -48,7 +48,6 @@ from .semiring import (
     Scalar,
     SelfCheckError,
     SemiringKind,
-    add_neutral,
     as_scalar,
     is_finite,
     require_int,
@@ -106,6 +105,8 @@ class WordTemplate:
         require_int("word dim", self.dim, 1)
         boxes, circles = [], []
         for c in self.constants:
+            if not isinstance(c, Matrix):
+                raise TypeError(f"constant is not a Matrix: {c!r}")
             if c.kind is not self.kind or c.dim != self.dim:
                 raise ValueError("constant matrix does not fit the template")
         if not self.summands:
@@ -143,6 +144,8 @@ class WordTemplate:
         if len(values) != self.arity:
             raise ValueError(f"expected {self.arity} matrices, got {len(values)}")
         for v in values:
+            if not isinstance(v, Matrix):
+                raise TypeError(f"tuple member is not a Matrix: {v!r}")
             if v.kind is not self.kind or v.dim != self.dim:
                 raise ValueError("tuple matrix does not fit the template")
 
@@ -303,29 +306,24 @@ def _into_min_plus(mats: Sequence[Matrix], cap=None) -> tuple[int, list, Callabl
     matrices' den (and of a finite cap's denominator), and every finite
     entry and the cap are multiplied by d, which every routine below
     commutes with (positive homogeneity); at d == 1 the entries are ints
-    already.  So dual only ever negates ints: lower scales, then flips; back
-    flips, then divides by d with one walk.  The infinities and an infinite
-    cap stay.
+    already.  So dual only ever negates ints: lower lifts (matrix._lifted),
+    then flips; back flips, then unlifts with one walk (matrix._unlifted).
+    The infinities and an infinite cap stay.
     """
     kind = mats[0].kind
     flip = kind is SemiringKind.MAX_PLUS
-    o = add_neutral(kind)
     caps = [] if cap is None else [-as_scalar(cap) if flip else as_scalar(cap)]
     d = lcm(*(m.den for m in mats), *(c.denominator for c in caps if is_finite(c)))
 
     def lower(m: Matrix) -> Matrix:
         if d > 1:
-            m = _built(kind, _scaled(m.rows, d, o), m.has_inf)
+            m = _lifted(m, d)
         return dual(m) if flip else m
 
     def back(m: Matrix) -> Matrix:
         if flip:
             m = dual(m)
-        if d == 1:
-            return m
-        return Matrix(
-            kind, tuple(tuple(v if v is o else _unscaled(v, d) for v in row) for row in m.rows)
-        )
+        return m if d == 1 else _unlifted(kind, m.rows, d)
 
     lowered = [lower(m) for m in mats]
     lowered += [c if not is_finite(c) else int(c * d) for c in caps]

@@ -18,8 +18,6 @@ from operator import add, neg
 from typing import Iterable
 
 from .semiring import (
-    NEG_INF,
-    POS_INF,
     MUL_NEUTRAL,
     Scalar,
     SemiringKind,
@@ -48,10 +46,7 @@ class Matrix:
         n = len(self.rows)
         if n == 0:
             raise ValueError("empty matrix")
-        if self.kind is SemiringKind.MIN_PLUS:
-            o, bad_inf = POS_INF, NEG_INF
-        else:
-            o, bad_inf = NEG_INF, POS_INF
+        o = add_neutral(self.kind)
         has_inf, d, canonical = False, 1, True
         for row in self.rows:
             if len(row) != n:
@@ -69,8 +64,8 @@ class Matrix:
                         d = lcm(d, den)
                 elif isinstance(x, int) and not isinstance(x, bool):
                     canonical = False
-                elif x is bad_inf:
-                    raise ValueError(f"{bad_inf!r} entry not allowed over {self.kind}")
+                elif x is -o:
+                    raise ValueError(f"{x!r} entry not allowed over {self.kind}")
                 else:
                     raise TypeError(f"not an exact scalar: {x!r}")
         facts = self.__dict__
@@ -308,10 +303,9 @@ class TropPolynomial:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        bad = NEG_INF if self.kind is SemiringKind.MIN_PLUS else POS_INF
-        for c in self.coeffs:
-            if c is bad:
-                raise ValueError("coefficient from the wrong semiring")
+        bad = -add_neutral(self.kind)
+        if any(c is bad for c in self.coeffs):
+            raise ValueError("coefficient from the wrong semiring")
 
     @property
     def degree(self) -> int:

@@ -110,6 +110,8 @@ class TestWordTemplates:
     def test_constant_must_fit(self):
         with pytest.raises(ValueError):
             WordTemplate(MIN, 3, (BIL_A,), ((Const(0), Box(0)),))
+        with pytest.raises(TypeError, match="constant is not a Matrix"):
+            WordTemplate(MIN, 2, (1,), ((Const(0),),))
 
     def test_atom_cap(self):
         atoms = (Box(0),) + (Const(0),) * (MAX_WORD_ATOMS - 2)
@@ -125,6 +127,8 @@ class TestWordTemplates:
     def test_dim_enforced_at_evaluation(self):
         with pytest.raises(ValueError, match="does not fit the template"):
             right_word(DEF3_A).evaluate([BIL_A])
+        with pytest.raises(TypeError, match="tuple member is not a Matrix"):
+            right_word(BIL_A).evaluate([5])
 
     def test_neutral_values(self):
         # identity in product slots, all-infinity in additive slots

@@ -11,8 +11,9 @@ and no sampler draw in `marginal.py` can return None.  The package's
 `__init__.py` imports nothing, so each name has one import path, and
 `cli.py` builds `CliError` only for exit-1 records, which only its `main`
 writes.  In `marginal.py` only the boundary function reads `dual`,
-`_scaled` or `_unscaled`, and nothing names `make_matrix`, `floor` or
-`Fraction`.  `protocols._run` reads its params' script in one `if`, and
+`_lifted` or `_unlifted`, and nothing names `_scaled`, `_unscaled`,
+`make_matrix`, `floor` or `Fraction`; `matrix.py` names neither infinity
+and takes each one from `add_neutral`.  `protocols._run` reads its params' script in one `if`, and
 no function in `protocols.py` takes a `replay` argument.  Only
 `marginal.py` names `_verified_set`, so every set proof lives there, and
 `mat_add`, `scalar_mul`, `linear_combination` and `dual` test no value
@@ -117,11 +118,13 @@ def test_the_package_cli_and_self_check_never_load_the_solver():
 
 
 # Fractions and max-plus reach marginal.py at one boundary, _into_min_plus:
-# only it reads dual, _scaled or _unscaled, and the module names neither
-# make_matrix, floor nor Fraction, since every matrix inside holds ints.
+# only it reads dual, _lifted or _unlifted, matrix.py's lift by a common
+# denominator and its inverse, and the module names neither the scalar
+# rules those two hold (_scaled, _unscaled) nor make_matrix, floor or
+# Fraction, since every matrix inside holds ints.
 BOUNDARY = "_into_min_plus"
-CROSSING = {"dual", "_scaled", "_unscaled"}
-PER_SITE = {"make_matrix", "floor", "Fraction"}
+CROSSING = {"dual", "_lifted", "_unlifted"}
+PER_SITE = {"_scaled", "_unscaled", "make_matrix", "floor", "Fraction"}
 
 
 def name_uses(source: str, names: set[str]) -> list[tuple[str, str]]:
@@ -720,6 +723,34 @@ def test_the_elementwise_ops_leave_the_infinity_to_the_arithmetic():
     # the check sees the identity tests that remain
     assert infinity_identity_tests(source, "mat_mul")
     assert infinity_identity_tests(source, "_scaled")
+
+
+# Which infinity belongs to which kind is one rule, semiring.add_neutral:
+# matrix.py takes the neutral from it and refuses its negation, so it names
+# neither POS_INF nor NEG_INF.
+NAMED_INFINITIES = {"POS_INF", "NEG_INF"}
+
+
+def test_the_infinity_name_check_finds_each_form():
+    source = (
+        "from .semiring import POS_INF as top, add_neutral\n"
+        "def f(x, k):\n    return x is semiring.NEG_INF or x is -add_neutral(k)\n"
+        "class C:\n    bottom = NEG_INF\n"
+    )
+    assert name_uses(source, NAMED_INFINITIES) == [
+        ("import", "POS_INF"),
+        ("f", "NEG_INF"),
+        ("C", "NEG_INF"),
+    ]
+    assert name_uses(
+        'def f(k):\n    """never POS_INF"""\n    return -add_neutral(k), "NEG_INF"\n',
+        NAMED_INFINITIES,
+    ) == []
+
+
+def test_matrix_takes_each_infinity_from_add_neutral():
+    source = (SRC / "tropmarg" / "matrix.py").read_text(encoding="utf-8")
+    assert name_uses(source, NAMED_INFINITIES) == []
 
 
 # One kernel each: the int product kernel, min or max over map(add, ...),
